@@ -16,8 +16,8 @@ state:
 
 The engine is an *optimization twin*, not a fork: the per-object
 :class:`~repro.core.routing_agents.RoutingAgent` path stays the semantic
-oracle (exactly how ``topology.set_vectorized`` keeps the pure-Python
-grid path), and hypothesis property tests drive both to bit-identical
+oracle (exactly how the naive rebuild stays the topology's), and
+hypothesis property tests drive both to bit-identical
 :class:`~repro.routing.world.RoutingResult`\\ s under faults, loss,
 visiting, and stigmergy.  Bit-identity constrains the design in three
 places:
@@ -57,10 +57,7 @@ from __future__ import annotations
 from dataclasses import fields as dataclass_fields
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-try:  # pragma: no cover - exercised via both import outcomes in CI images
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from repro.core.migration import ABANDONED, DELIVERED
 from repro.core.overhead import OverheadMeter
@@ -84,18 +81,14 @@ _OH_FIELDS = tuple(f.name for f in dataclass_fields(OverheadMeter))
 
 
 def batch_agents_supported(agent_kind: str) -> bool:
-    """Whether the batch engine can drive ``agent_kind`` (and numpy exists)."""
-    return _np is not None and agent_kind in BATCH_AGENT_KINDS
+    """Whether the batch engine can drive ``agent_kind``."""
+    return agent_kind in BATCH_AGENT_KINDS
 
 
 class BatchAgentEngine:
     """Structure-of-arrays execution of one routing world's agent phases."""
 
     def __init__(self, world: Any) -> None:
-        if _np is None:
-            raise ConfigurationError(
-                "the batch agent engine needs numpy; keep batch_agents off"
-            )
         kind = world.config.agent_kind
         if kind not in BATCH_AGENT_KINDS:
             raise ConfigurationError(
@@ -343,7 +336,7 @@ class BatchAgentEngine:
             if not len(acts):
                 return
         fresh[acts] = True
-        cand, deg, valid = self._candidate_matrix(acts, adjacency)
+        cand, deg, valid = self._candidate_matrix(acts)
         if cand is None:
             return
         rows = _np.nonzero(deg > 0)[0]
@@ -381,61 +374,52 @@ class BatchAgentEngine:
         targets[moving] = cand[rows, cols]
 
     def _candidate_matrix(
-        self, acts: "_np.ndarray", adjacency: Dict[NodeId, Set[NodeId]]
+        self, acts: "_np.ndarray"
     ) -> Tuple[Optional["_np.ndarray"], Optional["_np.ndarray"], Optional["_np.ndarray"]]:
         """Sorted-neighbour candidate rows for the acting agents.
 
         Returns ``(cand, deg, valid)`` where ``cand`` is ``(R, W)`` of
         node ids padded with ``-1``, ``deg`` the per-row candidate count
-        and ``valid`` the pad mask.  Candidates ascend within each row —
-        the order ``sorted(out_neighbors)`` gives the per-object path.
+        and ``valid`` the pad mask.  Rows are the topology's packed edge
+        array read as CSR, so candidates ascend within each row — the
+        order ``sorted(out_neighbors)`` gives the per-object path.
         ``cand`` is a view into a per-engine workspace, valid only until
         the next call (the decide pass consumes it immediately).
         """
         locs = self.loc[acts]
-        mask = self._world.topology._adj_mask
-        if mask is not None:
-            occupied = _np.unique(locs)
-            sub = mask[occupied]
-            counts = sub.sum(axis=1)
-            width = int(counts.max()) if len(counts) else 0
-            if width == 0:
-                return None, None, None
-            rows, cols = _np.nonzero(sub)
-            pad_buf = self._cand_pad
-            if pad_buf.shape[0] < len(occupied) or pad_buf.shape[1] < width:
-                pad_buf = self._cand_pad = _np.empty(
-                    (
-                        max(pad_buf.shape[0], len(occupied)),
-                        max(pad_buf.shape[1], width),
-                    ),
-                    dtype=_np.int64,
-                )
-            padded = pad_buf[: len(occupied), :width]
-            padded.fill(-1)
-            offsets = _np.repeat(_np.cumsum(counts) - counts, counts)
-            padded[rows, _np.arange(len(cols)) - offsets] = cols
-            occ_rows = _np.searchsorted(occupied, locs)
-            row_buf = self._cand_rows
-            if row_buf.shape[0] < len(locs) or row_buf.shape[1] < width:
-                row_buf = self._cand_rows = _np.empty(
-                    (max(row_buf.shape[0], len(locs)), max(row_buf.shape[1], width)),
-                    dtype=_np.int64,
-                )
-            cand = row_buf[: len(locs), :width]
-            _np.take(padded, occ_rows, axis=0, out=cand)
-            deg = counts[occ_rows]
-        else:
-            # Pure-python topology twin: build rows from the dict view.
-            lists = [sorted(adjacency[location]) for location in locs.tolist()]
-            width = max((len(entry) for entry in lists), default=0)
-            if width == 0:
-                return None, None, None
-            cand = _np.full((len(lists), width), -1, dtype=_np.int64)
-            for row, entry in enumerate(lists):
-                cand[row, : len(entry)] = entry
-            deg = _np.asarray([len(entry) for entry in lists], dtype=_np.int64)
-        return cand, deg, cand >= 0
+        edges = self._world.topology.packed_edges()
+        n = self._node_count
+        occupied = _np.unique(locs)
+        lo = _np.searchsorted(edges, occupied * n)
+        counts = _np.searchsorted(edges, occupied * n + n) - lo
+        width = int(counts.max()) if len(counts) else 0
+        if width == 0:
+            return None, None, None
+        pad_buf = self._cand_pad
+        if pad_buf.shape[0] < len(occupied) or pad_buf.shape[1] < width:
+            pad_buf = self._cand_pad = _np.empty(
+                (max(pad_buf.shape[0], len(occupied)), max(pad_buf.shape[1], width)),
+                dtype=_np.int64,
+            )
+        padded = pad_buf[: len(occupied), :width]
+        padded.fill(-1)
+        # Ragged gather of the occupied rows: entry k of row i is edge
+        # lo[i] + k, and its column the edge's receiver.
+        firsts = _np.cumsum(counts) - counts
+        at = _np.arange(int(counts.sum()))
+        slot = at - _np.repeat(firsts, counts)
+        at += _np.repeat(lo - firsts, counts)
+        padded[_np.repeat(_np.arange(len(occupied)), counts), slot] = edges[at] % n
+        occ_rows = _np.searchsorted(occupied, locs)
+        row_buf = self._cand_rows
+        if row_buf.shape[0] < len(locs) or row_buf.shape[1] < width:
+            row_buf = self._cand_rows = _np.empty(
+                (max(row_buf.shape[0], len(locs)), max(row_buf.shape[1], width)),
+                dtype=_np.int64,
+            )
+        cand = row_buf[: len(locs), :width]
+        _np.take(padded, occ_rows, axis=0, out=cand)
+        return cand, counts[occ_rows], cand >= 0
 
     def _decide_scalar(
         self,

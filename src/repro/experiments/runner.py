@@ -571,8 +571,8 @@ def _routing_task(
     name, generator_config, world_config, network_seed, world_seed, run_index = task
     if world_config.shards is not None or world_config.tile_size is not None:
         # Tiled variants step through the sharded world (bit-identical
-        # to the serial path; the generator call moves inside so each
-        # tile can skip the O(n²) incremental adjacency workspaces).
+        # to the serial path; the generator call moves inside so the
+        # tiles can leave the serial adjacency unbuilt).
         from repro.shard.world import run_sharded_routing
 
         result = run_sharded_routing(

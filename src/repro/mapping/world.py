@@ -179,11 +179,7 @@ class MappingWorld:
             self._profiler = self._obs.profiler
             self._obs_last_losses = 0
             stats = topology.stats
-            self._obs_last_topo = (
-                stats.edges_added,
-                stats.edges_removed,
-                stats.rebucketed,
-            )
+            self._obs_last_topo = (stats.edges_added, stats.edges_removed)
         self.engine.add_process(self._step)
         # The data plane runs after the world step; with traffic unset
         # nothing is built — the zero-overhead path.
@@ -358,13 +354,8 @@ class MappingWorld:
                 now,
                 added=stats.edges_added - last[0],
                 removed=stats.edges_removed - last[1],
-                rebucketed=stats.rebucketed - last[2],
             )
-            self._obs_last_topo = (
-                stats.edges_added,
-                stats.edges_removed,
-                stats.rebucketed,
-            )
+            self._obs_last_topo = (stats.edges_added, stats.edges_removed)
         finished = self.tracker.record(now, agents, live_edges=self._live_edges)
         self.engine.hooks.fire(
             "knowledge_recorded",

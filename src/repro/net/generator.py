@@ -227,10 +227,9 @@ class NetworkGenerator:
     def generate_manet(self, incremental: bool = True) -> Topology:
         """A MANET: gateways + static nodes + battery-powered mobile nodes.
 
-        ``incremental=False`` skips the incremental adjacency engine and
-        its O(n²) workspaces — the sharded runtime recomputes adjacency
-        per spatial tile and only wants the node fleet, so at 10k+ nodes
-        the difference is gigabytes.
+        ``incremental=False`` leaves the adjacency unbuilt: the sharded
+        runtime recomputes adjacency per spatial tile and only wants the
+        node fleet.
         """
         config = self.config
         arena = Arena(config.arena_width, config.arena_height)

@@ -314,11 +314,9 @@ class ObsCollector:
         for name, value in sorted(report.queues.items()):
             registry.inc(f"traffic.queue.{name}", value)
 
-    def topology_churn(
-        self, time: Time, added: int, removed: int, rebucketed: int
-    ) -> None:
-        """Record the incremental topology engine's work this step."""
-        if added <= 0 and removed <= 0 and rebucketed <= 0:
+    def topology_churn(self, time: Time, added: int, removed: int) -> None:
+        """Record the topology engine's edge flips this step."""
+        if added <= 0 and removed <= 0:
             return
         if self.metrics is not None:
             registry = self.metrics
@@ -326,16 +324,8 @@ class ObsCollector:
                 registry.inc("topology.edges_added", added)
             if removed > 0:
                 registry.inc("topology.edges_removed", removed)
-            if rebucketed > 0:
-                registry.inc("topology.rebucketed", rebucketed)
         if self._bus is not None:
-            self._bus.emit(
-                time,
-                "topology_delta",
-                added=added,
-                removed=removed,
-                rebucketed=rebucketed,
-            )
+            self._bus.emit(time, "topology_delta", added=added, removed=removed)
 
     def connectivity_cache(
         self, time: Time, hits: int, walks: int, invalidated: int

@@ -28,14 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as _np
+
 from repro.net.topology import Topology
 from repro.routing.table import TableBank
 from repro.types import NodeId
-
-try:  # optional acceleration; every algorithm has a pure-Python twin
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 __all__ = [
     "walk_to_gateway",
@@ -369,26 +366,24 @@ class FunctionalConnectivity:
     outcomes compose: if the chain from ``w`` terminates (gateway or
     dead end) without repeating a node, no chain *into* ``w`` can
     overlap the chain out of it — an overlap would put ``w`` on a cycle
-    and the chain could never have terminated.  So one pass over the
-    nodes resolves every start by pointer-chasing with memoisation:
-    chase until a gateway, a dead end, or an already-resolved node, then
-    unwind distances onto the whole chain.  A start is connected iff its
-    chain reaches a gateway within ``walk_ttl`` hops.
+    and the chain could never have terminated.  So every start resolves
+    at once by pointer doubling over ``eff`` (:meth:`_evaluate`): a
+    start is connected iff its chain reaches a gateway within
+    ``walk_ttl`` hops.
 
     Chains that *do* repeat a node (a routing loop) are where the
-    visited-set filter changes the outcome, so every node on such a
-    chain is marked tainted and evaluated by the exact per-node walk
-    instead.  Loops are rare — tables point toward gateways — so the
-    fallback stays cold.
+    visited-set filter changes the outcome, so every start on such a
+    chain is evaluated by the exact per-node walk instead.  Loops are
+    rare — tables point toward gateways — so the fallback stays cold.
 
     ``eff`` is maintained across steps from the topology's edge-delta
     stream and the per-table version counters (escalating to a
     signature comparison, exactly like :class:`ConnectivityCache`);
-    the chase pass itself is rebuilt each call.  The result set is
+    the doubling pass itself is rebuilt each call.  The result set is
     identical to :func:`connected_nodes` by the argument above, which
     the test suite property-checks under mobility, faults and route
-    churn.  Stats: ``hits`` counts memo reuses (and whole-result
-    replays when nothing changed), ``walks`` fresh chain evaluations,
+    churn.  Stats: ``hits`` counts starts the doubling resolved (and
+    whole-result replays when nothing changed), ``walks`` exact walks,
     ``invalidated`` recomputed ``eff`` entries, ``flushes`` full
     rebuilds.
     """
@@ -404,11 +399,11 @@ class FunctionalConnectivity:
         self.walk_ttl = walk_ttl
         self.stats = ConnectivityCacheStats()
         n = topology.node_count
-        self._eff: Optional[List[int]] = None  # built on first connected()
+        self._eff = None  # int64 array, built on first connected()
         self._sigs: List[tuple] = [()] * n
         self._live_gateways: Tuple[NodeId, ...] = ()
         self._result: Optional[Set[NodeId]] = None
-        self._arange = None  # cached numpy arange for _evaluate_vector
+        self._arange = None  # cached numpy arange for _evaluate
 
     def connected(self) -> Set[NodeId]:
         """Every node with a currently valid route to some gateway.
@@ -431,10 +426,7 @@ class FunctionalConnectivity:
             self._live_gateways = gateways
             for node, table in enumerate(table_list):
                 sigs[node] = table.hops_by_preference()
-            if _np is not None:
-                eff = self._eff = _np.full(len(table_list), -1, dtype=_np.int64)
-            else:
-                eff = self._eff = [-1] * len(table_list)
+            eff = self._eff = _np.full(len(table_list), -1, dtype=_np.int64)
             dirty: Set[NodeId] = set(range(len(table_list)))
         else:
             dirty = set()
@@ -469,13 +461,6 @@ class FunctionalConnectivity:
     def _evaluate(
         self, adjacency, table_list, gateways: Tuple[NodeId, ...]
     ) -> Set[NodeId]:
-        if _np is not None:
-            return self._evaluate_vector(adjacency, table_list, gateways)
-        return self._evaluate_scalar(adjacency, table_list, gateways)
-
-    def _evaluate_vector(
-        self, adjacency, table_list, gateways: Tuple[NodeId, ...]
-    ) -> Set[NodeId]:
         """Resolve every chain at once by pointer doubling.
 
         On the functional graph ``eff`` each node has one successor, so
@@ -485,10 +470,10 @@ class FunctionalConnectivity:
         hop distance accumulated.  Terminals are self-loops with
         distance zero, which makes the rounds unconditional — parked
         chains simply stop growing.  Chains still unparked afterwards
-        repeat a node (a routing loop), exactly the tainted set of the
-        scalar pass, and fall back to the exact per-start walk in the
-        same ascending order with the same already-connected skip, so
-        the result set is bit-identical to :meth:`_evaluate_scalar`.
+        repeat a node (a routing loop) and fall back to the exact
+        per-start walk in ascending order, skipping starts already
+        known connected, so the result set is identical to
+        :func:`connected_nodes`.
         """
         stats = self.stats
         eff_arr = self._eff
@@ -532,92 +517,4 @@ class FunctionalConnectivity:
                 if reached:
                     result.update(path)
             stats.walks += walks
-        return result
-
-    def _evaluate_scalar(
-        self, adjacency, table_list, gateways: Tuple[NodeId, ...]
-    ) -> Set[NodeId]:
-        topology = self.topology
-        stats = self.stats
-        eff = self._eff
-        n = len(eff)
-        walk_ttl = self.walk_ttl
-        gateway_set = set(gateways)
-        gw_flag = bytearray(n)
-        for g in gateways:
-            gw_flag[g] = 1
-        down = topology.down_ids
-        result: Set[NodeId] = set(gateways)
-        # Per-call chase state: 0 unknown, 1 on the current chase stack,
-        # 2 resolved functionally, 3 tainted (chain enters a loop).
-        state = bytearray(n)
-        reach = bytearray(n)
-        dist = [0] * n
-        hits = 0
-        walks = 0
-        for node in topology.node_ids:
-            if node in result or node in down:
-                continue
-            stack: List[NodeId] = []
-            cur = node
-            while True:
-                s = state[cur]
-                if s == 2:
-                    ok = reach[cur]
-                    base = dist[cur]
-                    hits += 1
-                    break
-                if s == 1 or s == 3:
-                    ok = -1  # loop found: exact-walk territory
-                    state[cur] = 3
-                    break
-                if gw_flag[cur]:
-                    state[cur] = 2
-                    reach[cur] = 1
-                    dist[cur] = 0
-                    ok = 1
-                    base = 0
-                    break
-                nxt = eff[cur]
-                if nxt < 0:
-                    state[cur] = 2
-                    reach[cur] = 0
-                    dist[cur] = 0
-                    ok = 0
-                    base = 0
-                    break
-                state[cur] = 1
-                stack.append(cur)
-                cur = nxt
-            if ok < 0:
-                # The chain repeats a node, so the visited-set filter
-                # may reroute it: taint the whole chain and fall back
-                # to the exact walk for this start (later starts on the
-                # chain each get their own exact walk).
-                for w in stack:
-                    state[w] = 3
-                walks += 1
-                path, reached = _walk_trace_fast(
-                    node, adjacency, table_list, gateway_set, walk_ttl
-                )
-                if reached:
-                    result.update(path)
-                continue
-            if stack:
-                walks += 1
-                d = base
-                for w in reversed(stack):
-                    d += 1
-                    state[w] = 2
-                    reach[w] = ok
-                    dist[w] = d
-            else:
-                d = base
-            if ok and d <= walk_ttl:
-                w = node
-                while not gw_flag[w]:
-                    result.add(w)
-                    w = eff[w]
-        stats.hits += hits
-        stats.walks += walks
         return result

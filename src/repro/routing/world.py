@@ -266,11 +266,7 @@ class RoutingWorld:
             # Churn/cache counters are cumulative at the source; push
             # per-step diffs against these snapshots.
             stats = topology.stats
-            self._obs_last_topo = (
-                stats.edges_added,
-                stats.edges_removed,
-                stats.rebucketed,
-            )
+            self._obs_last_topo = (stats.edges_added, stats.edges_removed)
             self._obs_last_cache = (0, 0, 0)
         # The batch engine loads its arrays from the freshly spawned
         # agents; building it last keeps the load a pure snapshot.
@@ -332,8 +328,8 @@ class RoutingWorld:
     def set_batch_agents(self, enabled: bool) -> None:
         """Switch between the SoA batch engine and the per-object oracle.
 
-        Mirrors ``Topology.set_vectorized``: both paths are bit-identical,
-        so flipping mid-run changes performance, never results.  Turning
+        Both engines are bit-identical, so flipping mid-run changes
+        performance, never results.  Turning
         the engine off flushes its arrays back into the agent objects;
         turning it on snapshots the objects into fresh arrays.
         """
@@ -405,13 +401,8 @@ class RoutingWorld:
                 now,
                 added=stats.edges_added - last[0],
                 removed=stats.edges_removed - last[1],
-                rebucketed=stats.rebucketed - last[2],
             )
-            self._obs_last_topo = (
-                stats.edges_added,
-                stats.edges_removed,
-                stats.rebucketed,
-            )
+            self._obs_last_topo = (stats.edges_added, stats.edges_removed)
             if self._conn_cache is not None:
                 cache_stats = self._conn_cache.stats
                 last_cache = self._obs_last_cache

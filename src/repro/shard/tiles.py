@@ -8,19 +8,17 @@ step, so a mobile node crossing a tile edge is handed over explicitly
 
 :class:`TileAdjacency` recomputes one tile's slice of the directed
 adjacency — the out-edges of the tile's owned nodes — from scratch
-every step with a vectorized cell grid over the tile's *halo*: owned
-nodes plus every node within the maximum radio range of the tile
-rectangle.  Because radio ranges only ever shrink (batteries drain,
-radios degrade), the construction-time maximum range is a sound halo
-pad for the whole run.  Edges are kept as packed ``u * n + v`` int64
-arrays; per-step added/removed deltas come from sorted set difference
-against the previous step, which makes the tile streams concatenate
-into exactly the serial topology's edge-delta stream.
-
-The link predicate is the serial engine's, bit for bit:
-``dx*dx + dy*dy <= r*r`` in IEEE doubles with ``r`` the *sender's*
-current range, excluding self-loops.  The cell size and halo pad only
-choose how many candidates are examined, never the outcome.
+every step with the serial topology's own link kernel
+(:func:`repro.net.topology.link_edges`), run over the tile's *halo*:
+owned nodes plus every node within the maximum radio range of the tile
+rectangle.  The sharded world runs no faults, so radio ranges only
+ever shrink (batteries drain) and the construction-time maximum range
+is a sound halo pad for the whole run.  Edges are kept as packed
+``u * n + v`` int64 arrays; per-step added/removed deltas come from the
+same sorted merge the serial refresh uses (:func:`edge_delta`), which
+makes the tile streams concatenate into exactly the serial topology's
+edge-delta stream.  The halo pad only chooses which nodes the kernel
+sees, never the outcome.
 """
 
 from __future__ import annotations
@@ -28,12 +26,10 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
+import numpy as _np
 
-try:  # the sharded runtime is vectorized-only; world.py gates on this
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+from repro.errors import ConfigurationError
+from repro.net.topology import edge_delta, link_edges
 
 __all__ = ["TileGrid", "TileAdjacency", "unpack_edges"]
 
@@ -125,47 +121,25 @@ def unpack_edges(packed, node_count: int) -> List[Tuple[int, int]]:
     return list(zip(u.tolist(), v.tolist()))
 
 
-#: offsets of the 3x3 cell neighbourhood, flattened with the cell keys.
-_DX = None
-_DY = None
-
-
-def _neighbourhood():
-    global _DX, _DY
-    if _DX is None:
-        offs = _np.array([-1, 0, 1], dtype=_np.int64)
-        _DX = _np.repeat(offs, 3)
-        _DY = _np.tile(offs, 3)
-    return _DX, _DY
-
-
 class TileAdjacency:
     """One tile's out-edges, recomputed per step from positions.
 
-    ``cell`` must be at least the largest radio range any node will
-    ever have (ranges only shrink), so a sender's every in-range
-    receiver sits in the 3x3 cell neighbourhood around it; the halo
-    ``pad`` (one cell) bounds which nodes can receive from an owned
-    sender.  ``stride`` linearizes 2-D cell keys and must exceed the
-    largest y-cell index by 2 so the ±1 neighbourhood never aliases.
+    ``pad`` must be at least the largest radio range any node will ever
+    have, so every node an owned sender can reach lies in the tile
+    rectangle grown by ``pad`` (the halo).
     """
 
     def __init__(
         self,
         node_count: int,
         bounds: Tuple[float, float, float, float],
-        cell: float,
-        stride: int,
+        pad: float,
     ) -> None:
-        if _np is None:  # pragma: no cover - numpy ships with the toolchain
-            raise ConfigurationError("TileAdjacency requires numpy")
-        if cell <= 0:
-            raise ConfigurationError(f"cell must be > 0, got {cell}")
+        if pad <= 0:
+            raise ConfigurationError(f"pad must be > 0, got {pad}")
         self.node_count = node_count
         self.x0, self.y0, self.x1, self.y1 = bounds
-        self.cell = cell
-        self.pad = cell
-        self.stride = stride
+        self.pad = pad
         #: current out-edges of owned nodes, packed ``u * n + v``, sorted.
         self.edges = _np.empty(0, dtype=_np.int64)
 
@@ -177,57 +151,15 @@ class TileAdjacency:
         deltas are packed int64 arrays relative to the edge set left by
         the previous call (after any hand-over row moves).
         """
-        n = self.node_count
-        if owned.size == 0:
-            new = _np.empty(0, dtype=_np.int64)
-        else:
-            cell = self.cell
-            stride = self.stride
-            pad = self.pad
-            box = (
-                (ax >= self.x0 - pad)
-                & (ax <= self.x1 + pad)
-                & (ay >= self.y0 - pad)
-                & (ay <= self.y1 + pad)
-            )
-            cand = _np.flatnonzero(box)
-            ckey = (ax[cand] / cell).astype(_np.int64) * stride + (
-                ay[cand] / cell
-            ).astype(_np.int64)
-            order = _np.argsort(ckey, kind="stable")
-            cand = cand[order]
-            ckey = ckey[order]
-            ox = (ax[owned] / cell).astype(_np.int64)
-            oy = (ay[owned] / cell).astype(_np.int64)
-            dx_off, dy_off = _neighbourhood()
-            nk = ((ox[:, None] + dx_off) * stride + (oy[:, None] + dy_off)).ravel()
-            lo = _np.searchsorted(ckey, nk, side="left")
-            hi = _np.searchsorted(ckey, nk, side="right")
-            lens = hi - lo
-            total = int(lens.sum())
-            if total:
-                # Ragged gather: candidate index runs [lo, hi) per
-                # neighbourhood cell, flattened without a Python loop.
-                starts = _np.repeat(lo, lens)
-                csum = _np.concatenate(
-                    (_np.zeros(1, dtype=_np.int64), _np.cumsum(lens)[:-1])
-                )
-                pos = _np.arange(total, dtype=_np.int64) - _np.repeat(csum, lens)
-                cidx = cand[starts + pos]
-                per_sender = lens.reshape(-1, 9).sum(axis=1)
-                uidx = _np.repeat(owned, per_sender)
-                dxv = ax[cidx] - ax[uidx]
-                dyv = ay[cidx] - ay[uidx]
-                r = ar[uidx]
-                # The serial predicate, bit for bit: sender range,
-                # squared distance, self-loop excluded.
-                ok = (dxv * dxv + dyv * dyv <= r * r) & (uidx != cidx)
-                new = uidx[ok] * n + cidx[ok]
-                new.sort()
-            else:
-                new = _np.empty(0, dtype=_np.int64)
-        added = _np.setdiff1d(new, self.edges, assume_unique=True)
-        removed = _np.setdiff1d(self.edges, new, assume_unique=True)
+        pad = self.pad
+        halo = _np.flatnonzero(
+            (ax >= self.x0 - pad)
+            & (ax <= self.x1 + pad)
+            & (ay >= self.y0 - pad)
+            & (ay <= self.y1 + pad)
+        )
+        new = link_edges(ax, ay, ar, owned, halo)
+        added, removed = edge_delta(new, self.edges)
         self.edges = new
         return added, removed
 

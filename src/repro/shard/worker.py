@@ -34,17 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
+import numpy as _np
+
 from repro.core.comms import exchange_routing_knowledge
 from repro.core.migration import ABANDONED, DELIVERED
 from repro.net.generator import NetworkGenerator
 from repro.routing.table import RouteEntry
 from repro.routing.world import RoutingWorld
 from repro.shard.tiles import TileAdjacency, TileGrid
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 __all__ = ["TileWorker", "TileReport", "worker_main", "inner_world_config"]
 
@@ -127,13 +124,11 @@ class TileWorker:
             for agent in inner.agents
             if int(self._own[agent.location]) == tile
         }
-        # Cell size: the largest range any node will ever have (ranges
-        # only shrink), padded a hair so cell-index rounding at the
-        # boundary can never drop a candidate from the 3x3 neighbourhood.
-        rmax = float(ar.max())
-        cell = rmax * 1.000001 + 1e-9
-        stride = int(grid.height / cell) + 3
-        self.adj = TileAdjacency(self.n, grid.bounds(tile), cell, stride)
+        # Halo pad: the largest range any node will ever have (ranges
+        # only shrink), padded a hair so a receiver exactly at range on
+        # the halo edge is never dropped.
+        pad = float(ar.max()) * 1.000001 + 1e-9
+        self.adj = TileAdjacency(self.n, grid.bounds(tile), pad)
         # Seed the adjacency from the construction-time (t=0) positions:
         # step reports then carry true motion deltas from step one on,
         # exactly like the serial topology's churn counters.

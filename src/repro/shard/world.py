@@ -13,9 +13,9 @@ and result aggregation exactly the serial world's inputs.
 Two execution modes share the wire protocol:
 
 * **inline** (default): the tiles run in the coordinator process over
-  one shared topology.  On a single core this is already the fast
-  path — each tile recomputes adjacency only over its halo, so the
-  per-step link work drops from O(arena) to O(tile + halo) per tile.
+  one shared topology, each recomputing adjacency over its own halo
+  with the serial link kernel — on one core about as fast as the
+  serial world.
 * **processes**: each tile runs in a spawned worker process with its
   own topology replica (replicated seeded motion is cheaper than
   shipping positions), talking over pipes.
@@ -44,11 +44,6 @@ from repro.shard.worker import TileWorker, worker_main
 from repro.sim.engine import TimeStepEngine
 from repro.types import Time
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
 __all__ = ["ShardedRoutingWorld", "run_sharded_routing"]
 
 #: agent kinds whose phases are node/agent-local (no global state reads
@@ -69,8 +64,6 @@ def _check_supported(config: RoutingWorldConfig) -> None:
     ambient default, which tests force on via the environment) is
     treated as *disabled* — only an explicit ``True`` raises.
     """
-    if _np is None:
-        raise ConfigurationError("sharded world requires numpy")
     if config.agent_kind not in _SUPPORTED_KINDS:
         raise ConfigurationError(
             f"sharded world supports agent kinds {_SUPPORTED_KINDS}, "
@@ -419,9 +412,7 @@ class ShardedRoutingWorld:
                 self._mirror, self.tables, config.walk_ttl
             )
         if obs is not None:
-            obs.topology_churn(
-                now, added=len(added), removed=len(removed), rebucketed=0
-            )
+            obs.topology_churn(now, added=len(added), removed=len(removed))
             if self._conn_cache is not None:
                 cache_stats = self._conn_cache.stats
                 last_cache = self._obs_last_cache

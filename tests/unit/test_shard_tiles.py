@@ -110,9 +110,7 @@ def make_positions(seed, n=40, extent=300.0):
 
 class TestTileAdjacency:
     def make_adj(self, grid, tile, rmax):
-        cell = rmax * 1.000001 + 1e-9
-        stride = int(grid.height / cell) + 3
-        return TileAdjacency(40, grid.bounds(tile), cell, stride)
+        return TileAdjacency(40, grid.bounds(tile), rmax * 1.000001 + 1e-9)
 
     def test_refresh_matches_brute_force(self):
         ax, ay, ar = make_positions(3)
