@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import InvariantError
 from repro.mapping.world import MappingWorld, MappingWorldConfig
+from repro.net.geometry import Arena, Point
+from repro.net.node import Node
+from repro.net.radio import FixedRange
+from repro.net.topology import Topology
 from repro.routing.table import RouteEntry
 from repro.routing.world import RoutingWorld, RoutingWorldConfig
 from repro.sim.invariants import ENV_FLAG, InvariantChecker, default_invariants_enabled
@@ -167,6 +173,99 @@ class TestPlantedViolations:
         # No injector: every agent counts as acting.
         world.injector = None
         assert any("acts on down node 3" in p for p in checker.check_now(now=1))
+
+    @staticmethod
+    def _geometric_line():
+        """Geometric line 0 - 1 - 2 - 3 (unit spacing, range 1.5), refreshed."""
+        nodes = [Node(i, Point(float(i), 0.0), FixedRange(1.5)) for i in range(4)]
+        topology = Topology(nodes, Arena(10.0, 10.0))
+        topology.recompute()
+        return topology
+
+    @staticmethod
+    def _topology_scan(topology):
+        """Every violation the checker reports for a topology-only world."""
+        return InvariantChecker(SimpleNamespace(topology=topology, agents=[])).scan(0)
+
+    def test_reverse_index_missing_edge(self):
+        topology = self._geometric_line()
+        topology._reverse[1].discard(0)
+        assert self._topology_scan(topology) == ["reverse index missing edge 0->1"]
+
+    def test_reverse_index_phantom_edge(self):
+        topology = self._geometric_line()
+        topology._reverse[3].add(0)
+        assert self._topology_scan(topology) == [
+            "reverse index has phantom edge 0->3"
+        ]
+
+    def test_adjacency_missing_edge(self):
+        topology = self._geometric_line()
+        topology._adjacency[0].discard(1)
+        assert self._topology_scan(topology) == [
+            "reverse index has phantom edge 0->1",
+            "packed edge array disagrees with the adjacency",
+            "incremental adjacency missing edge 0->1",
+        ]
+
+    def test_adjacency_phantom_edge(self):
+        topology = self._geometric_line()
+        topology._adjacency[0].add(3)
+        assert self._topology_scan(topology) == [
+            "reverse index missing edge 0->3",
+            "packed edge array disagrees with the adjacency",
+            "incremental adjacency has phantom edge 0->3",
+        ]
+
+    def test_adjacency_naming_an_unknown_node(self):
+        # Edge 0->4 packs to 0*4+4 == 1*4+0, so dropping 1->0 as well
+        # leaves the packed adjacency (and the transposed reverse index)
+        # equal to the rebuild's: only an id range check can catch it.
+        topology = self._geometric_line()
+        topology._adjacency[0].add(4)
+        topology._adjacency[1].discard(0)
+        assert self._topology_scan(topology) == [
+            "reverse index missing edge 0->4",
+            "reverse index has phantom edge 1->0",
+            "incremental adjacency has phantom edge 0->4",
+            "incremental adjacency missing edge 1->0",
+        ]
+
+    def test_down_node_keeps_out_links(self):
+        topology = self._geometric_line()
+        topology.set_node_down(1)
+        topology.recompute()
+        topology._adjacency[1].add(0)
+        topology._reverse[0].add(1)
+        assert self._topology_scan(topology) == [
+            "down node 1 still has out-links",
+            "packed edge array disagrees with the adjacency",
+            "incremental adjacency has phantom edge 1->0",
+        ]
+
+    def test_link_into_down_node(self):
+        topology = self._geometric_line()
+        topology.set_node_down(2)
+        topology.recompute()
+        topology._adjacency[1].add(2)
+        topology._reverse[2].add(1)
+        assert self._topology_scan(topology) == [
+            "link 1->2 leads to a down node",
+            "packed edge array disagrees with the adjacency",
+            "incremental adjacency has phantom edge 1->2",
+        ]
+
+    def test_blocked_link_exposed(self):
+        topology = self._geometric_line()
+        topology.block_edge(0, 1)
+        topology.recompute()
+        topology._adjacency[0].add(1)
+        topology._reverse[1].add(0)
+        assert self._topology_scan(topology) == [
+            "blocked link 0->1 is exposed",
+            "packed edge array disagrees with the adjacency",
+            "incremental adjacency has phantom edge 0->1",
+        ]
 
     def test_collect_mode_accumulates_across_checks(self, gateway_line4):
         world = self._world(gateway_line4)
