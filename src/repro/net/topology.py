@@ -24,12 +24,16 @@ the delta-aware connectivity metric consumes.  A refresh that finds no
 position, range or fault change does no edge work at all.
 
 The rebuild-from-scratch path (``incremental=False`` or
-:meth:`Topology.force_full_rebuild`) is the reference implementation:
-the two are bit-identical because both evaluate the same predicate, the
-test suite property-checks the equivalence on randomized mobility and
-fault traces, and :meth:`Topology.consistency_problems` lets the runtime
-invariant checker cross-validate the maintained state against a fresh
-naive recompute every step.
+:meth:`Topology.force_full_rebuild`) is the reference implementation, a
+sorted-x sweep (:meth:`Topology._compute_adjacency`) that shares no code
+with the kernel: it reads positions and ranges straight from the nodes,
+sorts the live receivers by x and evaluates the same predicate over each
+sender's x-window.  The two are bit-identical because both evaluate that
+predicate exactly; the test suite property-checks the sweep against a
+pure-Python brute force and the engine against the sweep on randomized
+mobility and fault traces, and :meth:`Topology.consistency_problems`
+lets the runtime invariant checker compare the maintained adjacency and
+reverse index against a fresh sweep every step.
 """
 
 from __future__ import annotations
@@ -249,14 +253,38 @@ def edge_delta(new, old):
     return new[~kept], old[gone]
 
 
-def _pack(adjacency: Adjacency, n: int):
-    """The sorted packed edge array of a dict adjacency."""
+def _pack(adjacency: Adjacency, n: int, transposed: bool = False):
+    """The sorted packed edge array of a dict adjacency.
+
+    ``transposed`` reads the rows as in-neighbour sets (a reverse index),
+    so both views of one edge set pack to the same array.  A row naming
+    an id outside ``0..n-1`` raises :class:`ValueError`: its packed value
+    would alias an edge of another row.
+    """
     rows = adjacency.values()
     degrees = _np.fromiter(map(len, rows), _np.int64, len(adjacency))
     edges = _np.fromiter(chain.from_iterable(rows), _np.int64, int(degrees.sum()))
-    edges += _np.repeat(_np.fromiter(adjacency, _np.int64, len(adjacency)) * n, degrees)
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        raise ValueError("adjacency row names an unknown node")
+    keys = _np.repeat(_np.fromiter(adjacency, _np.int64, len(adjacency)), degrees)
+    if transposed:
+        edges *= n
+        edges += keys
+    else:
+        edges += keys * n
     edges.sort()
     return edges
+
+
+def _unpack(edges, n: int) -> Tuple[Adjacency, Adjacency]:
+    """The dict adjacency and reverse index of a packed edge array."""
+    adjacency: Adjacency = {u: set() for u in range(n)}
+    reverse: Adjacency = {u: set() for u in range(n)}
+    src, dst = _np.divmod(edges, n)
+    for u, v in zip(src.tolist(), dst.tolist()):
+        adjacency[u].add(v)
+        reverse[v].add(u)
+    return adjacency, reverse
 
 
 @dataclass
@@ -449,12 +477,9 @@ class Topology:
 
     def force_full_rebuild(self) -> None:
         """Rebuild the adjacency from scratch (the reference path)."""
-        adjacency = self._compute_adjacency()
-        reverse: Adjacency = {node: set() for node in self._adjacency}
-        for source, successors in adjacency.items():
-            for destination in successors:
-                reverse[destination].add(source)
-        self._edges = None
+        edges = self._compute_adjacency()
+        adjacency, reverse = _unpack(edges, len(self.nodes))
+        self._edges = edges
         if self._incremental:
             self._sync_mirrors()
             self._built = True
@@ -483,54 +508,51 @@ class Topology:
             self._built = False
             self._dirty = True
 
-    def _compute_adjacency(self) -> Adjacency:
-        """A fresh adjacency from current positions, ranges, and faults.
+    def _compute_adjacency(self):
+        """The sorted packed ``u * n + v`` edges, computed from scratch.
 
-        This is the naive rebuild-from-scratch algorithm, kept verbatim
-        as the semantic ground truth the incremental engine must match.
+        The reference implementation every other path must match, and
+        deliberately a different algorithm from :func:`link_edges`: it
+        reads positions and ranges from the nodes themselves (never the
+        engine's mirrors), sorts the live receivers by x, and gathers
+        each live sender's receivers inside an x-window of its range.
+        The window is padded by a relative margin far above coordinate
+        rounding, so it can only add candidates; the predicate
+        ``dx*dx + dy*dy <= r*r`` alone decides each edge.  Blocked edges
+        are dropped last.
         """
-        ranges = [node.current_range() for node in self.nodes]
-        positive = [
-            r for node, r in zip(self.nodes, ranges)
-            if r > 0.0 and node.node_id not in self._down
-        ]
-        adjacency: Adjacency = {node.node_id: set() for node in self.nodes}
-        if positive:
-            cell = sum(positive) / len(positive)
-            grid: Dict[Tuple[int, int], List[Node]] = {}
-            for node in self.nodes:
-                if node.node_id in self._down:
-                    continue
-                key = (int(node.position.x / cell), int(node.position.y / cell))
-                bucket = grid.get(key)
-                if bucket is None:
-                    grid[key] = [node]
-                else:
-                    bucket.append(node)
-            for node, radius in zip(self.nodes, ranges):
-                if radius <= 0.0 or node.node_id in self._down:
-                    continue
-                successors = adjacency[node.node_id]
-                reach = int(radius / cell) + 1
-                cx = int(node.position.x / cell)
-                cy = int(node.position.y / cell)
-                radius_sq = radius * radius
-                for ix in range(cx - reach, cx + reach + 1):
-                    for iy in range(cy - reach, cy + reach + 1):
-                        for other in grid.get((ix, iy), ()):
-                            if other is node:
-                                continue
-                            if (
-                                node.position.distance_squared_to(other.position)
-                                <= radius_sq
-                            ):
-                                successors.add(other.node_id)
+        nodes = self.nodes
+        n = len(nodes)
+        x = _np.fromiter((node.position.x for node in nodes), _np.float64, n)
+        y = _np.fromiter((node.position.y for node in nodes), _np.float64, n)
+        r = _np.fromiter((node.current_range() for node in nodes), _np.float64, n)
+        live = _np.ones(n, dtype=bool)
+        if self._down:
+            live[list(self._down)] = False
+        receivers = _np.flatnonzero(live)
+        receivers = receivers[_np.argsort(x[receivers], kind="stable")]
+        xs = x[receivers]
+        senders = _np.flatnonzero(live & (r > 0.0))
+        xu = x[senders]
+        pad = r[senders] * (1.0 + 1e-9) + 1e-9 * max(1.0, float(_np.abs(x).max()))
+        lo = _np.searchsorted(xs, xu - pad, "left")
+        counts = _np.searchsorted(xs, xu + pad, "right") - lo
+        # Sender k's candidates are receivers[lo[k] : lo[k] + counts[k]].
+        u = _np.repeat(senders, counts)
+        at = _np.arange(u.size) + _np.repeat(lo - (_np.cumsum(counts) - counts), counts)
+        v = receivers[at]
+        dx = x[u] - x[v]
+        dy = y[u] - y[v]
+        ok = dx * dx + dy * dy <= r[u] * r[u]
+        ok &= u != v
+        edges = (u * n + v)[ok]
         if self._blocked:
-            for source, destination in self._blocked:
-                successors = adjacency.get(source)
-                if successors is not None:
-                    successors.discard(destination)
-        return adjacency
+            blocked = _np.fromiter(
+                (s * n + d for s, d in self._blocked), _np.int64, len(self._blocked)
+            )
+            edges = edges[~_np.isin(edges, blocked)]
+        edges.sort()
+        return edges
 
     # ------------------------------------------------------------------
     # Incremental engine
@@ -581,13 +603,7 @@ class Topology:
         if not self._built:
             self._sync_mirrors()
             edges = self._link_edges()
-            n = len(self.nodes)
-            adjacency: Adjacency = {u: set() for u in range(n)}
-            reverse: Adjacency = {u: set() for u in range(n)}
-            src, dst = _np.divmod(edges, n)
-            for u, v in zip(src.tolist(), dst.tolist()):
-                adjacency[u].add(v)
-                reverse[v].add(u)
+            adjacency, reverse = _unpack(edges, len(self.nodes))
             self._edges = edges
             self._built = True
             self._commit_full(adjacency, reverse)
@@ -841,31 +857,43 @@ class Topology:
         that the packed edge array holds as many edges, and — for
         geometric (non-pinned) topologies — that the maintained
         adjacency is bit-identical to a fresh rebuild-from-scratch
-        computation.  Wired into the runtime invariant checker.  The
-        packed array is the next refresh's diff base, so any other
-        disagreement with the adjacency surfaces as a rebuild mismatch
-        one refresh later; the property suite compares it row by row.
+        computation (:meth:`_compute_adjacency`).  Wired into the
+        runtime invariant checker, which calls it every step.  The
+        adjacency and the transposed reverse index are packed and
+        compared as arrays; only a mismatch pays for the edge-by-edge
+        walks that name each broken edge.  The packed array is the next
+        refresh's diff base, so any other disagreement with the
+        adjacency surfaces as a rebuild mismatch one refresh later; the
+        property suite compares it row by row.
         """
         problems: List[str] = []
         adjacency = self._current()
         reverse = self._reverse
-        for u, outs in adjacency.items():
-            for w in outs:
-                if u not in reverse.get(w, ()):
-                    problems.append(
-                        f"reverse index missing edge {u}->{w}"
-                    )
-        for w, ins in reverse.items():
-            for u in ins:
-                if w not in adjacency.get(u, ()):
-                    problems.append(
-                        f"reverse index has phantom edge {u}->{w}"
-                    )
+        n = len(self.nodes)
+        try:
+            forward = _pack(adjacency, n)
+            backward = _pack(reverse, n, transposed=True)
+        except ValueError:
+            forward = backward = None
+        if forward is None or not _np.array_equal(forward, backward):
+            for u, outs in adjacency.items():
+                for w in outs:
+                    if u not in reverse.get(w, ()):
+                        problems.append(
+                            f"reverse index missing edge {u}->{w}"
+                        )
+            for w, ins in reverse.items():
+                for u in ins:
+                    if w not in adjacency.get(u, ()):
+                        problems.append(
+                            f"reverse index has phantom edge {u}->{w}"
+                        )
         if self._edges is not None and self._edges.size != edge_count(adjacency):
             problems.append("packed edge array disagrees with the adjacency")
         if not self._pinned:
-            expected = self._compute_adjacency()
-            if expected != adjacency:
+            edges = self._compute_adjacency()
+            if forward is None or not _np.array_equal(forward, edges):
+                expected = _unpack(edges, n)[0]
                 for u in expected:
                     missing = expected[u] - adjacency.get(u, set())
                     phantom = adjacency.get(u, set()) - expected[u]

@@ -14,19 +14,17 @@ cached: a node that failed via one start's preference order might still
 be reached as an intermediate hop of another chain, and correctness wins
 over the small extra work.
 
-:class:`ConnectivityCache` carries walk outcomes *across* steps: a walk
-is a pure function of the tables and links it touched, so a cached trace
-(success or failure) replays verbatim until one of those inputs moves.
-The cache watches the topology's edge-delta stream and per-table version
-counters and re-walks only the affected start nodes — by construction
-its result set is identical to :func:`connected_nodes`, which the test
-suite property-checks under mobility and crash/recover fault plans.
+:class:`FunctionalConnectivity` carries state *across* steps: it keeps
+each node's effective next hop current from the topology's edge-delta
+stream and the tables' touched set, and its result set is identical to
+:func:`connected_nodes`, which stays the oracle the test suite
+property-checks it against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as _np
 
@@ -38,7 +36,6 @@ __all__ = [
     "walk_to_gateway",
     "connectivity_fraction",
     "connected_nodes",
-    "ConnectivityCache",
     "ConnectivityCacheStats",
     "FunctionalConnectivity",
 ]
@@ -162,192 +159,6 @@ class ConnectivityCacheStats:
     flushes: int = 0
 
 
-class ConnectivityCache:
-    """Delta-aware :func:`connected_nodes`, identical by construction.
-
-    A walk trace from start ``s`` reads, at every non-terminal visited
-    node ``w``: ``w``'s ranked table and ``w``'s current out-neighbour
-    set; it then takes one hop edge.  The cached outcome therefore
-    replays verbatim while
-
-    * no visited node's table changed its *next-hop signature* — the
-      walk reads nothing of a table but the sequence of ``next_hop``
-      ids in preference order, so a version bump that merely refreshes
-      timestamps of the same routes (the common case: agents
-      re-installing known routes) cannot change any walk through it,
-    * no out-edge was *added* at a visited node (removing an unused
-      edge only strengthens the rejections that shaped the walk),
-    * every used hop edge still exists, and
-    * gateway liveness is unchanged (terminal checks).
-
-    The cache watches the topology's edge-delta stream and the table
-    versions (escalating to a signature comparison only for tables
-    whose version moved), invalidates exactly the start nodes whose
-    traces touched a changed input, and re-walks only those.  Successes
-    *and* failures are cached — both are deterministic replays.
-
-    Traces are found via two indexes — ``users`` (visited node ->
-    entries) and ``hop_users`` (used edge -> entries) — whose entries
-    are ``(start, trace_id)`` pairs appended when a walk is remembered
-    and *never* removed individually: an entry is live only while the
-    start's current trace carries the same id, so dropping a trace is
-    O(1) and stale index entries are skipped (and compacted when a list
-    grows past a threshold) instead of eagerly unlinked.  When a node
-    or edge triggers invalidation its whole entry list is popped: every
-    live trace in it is being killed anyway.
-    """
-
-    #: index entry lists are compacted (stale entries dropped) at this size.
-    _COMPACT_AT = 128
-
-    def __init__(
-        self,
-        topology: Topology,
-        tables: TableBank,
-        walk_ttl: int = DEFAULT_WALK_TTL,
-    ) -> None:
-        self.topology = topology
-        self.tables = tables
-        self.walk_ttl = walk_ttl
-        self.stats = ConnectivityCacheStats()
-        #: start -> (visited trace, reached a gateway, trace id)
-        self._traces: Dict[NodeId, Tuple[List[NodeId], bool, int]] = {}
-        self._trace_seq = 0
-        self._users: Dict[NodeId, List[Tuple[NodeId, int]]] = {}
-        self._hop_users: Dict[Tuple[NodeId, NodeId], List[Tuple[NodeId, int]]] = {}
-        self._versions: List[int] = [table.version for table in tables.tables]
-        self._signatures: List[Tuple[NodeId, ...]] = [
-            table.hops_by_preference() for table in tables.tables
-        ]
-        self._live_gateways: Tuple[NodeId, ...] = ()
-
-    def connected(self) -> Set[NodeId]:
-        """Every node with a currently valid route to some gateway.
-
-        Bit-identical to ``connected_nodes(topology, tables, walk_ttl)``.
-        """
-        topology = self.topology
-        tables = self.tables
-        stats = self.stats
-        delta = topology.take_edge_delta()  # refreshes the topology
-        gateways = tuple(topology.gateway_ids)
-        if delta.full or gateways != self._live_gateways:
-            if self._traces:
-                stats.flushes += 1
-            self._flush()
-            self._live_gateways = gateways
-        else:
-            if delta.removed:
-                hop_users = self._hop_users
-                for edge in delta.removed:
-                    entries = hop_users.pop(edge, None)
-                    if entries:
-                        self._kill_entries(entries)
-            if delta.added:
-                users_index = self._users
-                for source in {edge[0] for edge in delta.added}:
-                    entries = users_index.pop(source, None)
-                    if entries:
-                        self._kill_entries(entries)
-        versions = self._versions
-        signatures = self._signatures
-        users_index = self._users
-        for node, table in enumerate(tables.tables):
-            version = table.version
-            if version != versions[node]:
-                versions[node] = version
-                signature = table.hops_by_preference()
-                if signature == signatures[node]:
-                    continue  # same routes in the same order: walks hold
-                signatures[node] = signature
-                entries = users_index.pop(node, None)
-                if entries:
-                    self._kill_entries(entries)
-
-        connected: Set[NodeId] = set(gateways)
-        down = topology.down_ids
-        traces = self._traces
-        adjacency = topology.adjacency_view()
-        table_list = tables.tables
-        gateway_set = set(gateways)
-        walk_ttl = self.walk_ttl
-        for node in topology.node_ids:
-            if node in connected or node in down:
-                continue
-            cached = traces.get(node)
-            if cached is not None:
-                stats.hits += 1
-                path = cached[0]
-                reached = cached[1]
-            else:
-                path, reached = _walk_trace_fast(
-                    node, adjacency, table_list, gateway_set, walk_ttl
-                )
-                stats.walks += 1
-                self._remember(node, path, reached)
-            if reached:
-                connected.update(path)
-        return connected
-
-    def _remember(self, start: NodeId, path: List[NodeId], reached: bool) -> None:
-        self._trace_seq += 1
-        trace_id = self._trace_seq
-        self._traces[start] = (path, reached, trace_id)
-        entry = (start, trace_id)
-        compact_at = self._COMPACT_AT
-        # A success never reads the terminal gateway's table or edges,
-        # so don't index it — route churn *at* gateways is constant and
-        # would invalidate every path ending there for nothing.
-        users_index = self._users
-        hop_users = self._hop_users
-        last = len(path) - 1
-        prev = None
-        for position, node in enumerate(path):
-            if prev is not None:
-                hop = (prev, node)
-                entries = hop_users.get(hop)
-                if entries is None:
-                    hop_users[hop] = [entry]
-                else:
-                    entries.append(entry)
-                    if len(entries) >= compact_at:
-                        self._compact(entries)
-            if position != last or not reached:
-                entries = users_index.get(node)
-                if entries is None:
-                    users_index[node] = [entry]
-                else:
-                    entries.append(entry)
-                    if len(entries) >= compact_at:
-                        self._compact(entries)
-            prev = node
-
-    def _kill_entries(self, entries: List[Tuple[NodeId, int]]) -> None:
-        """Drop every still-live trace referenced by an index entry list."""
-        traces = self._traces
-        invalidated = 0
-        for start, trace_id in entries:
-            cached = traces.get(start)
-            if cached is not None and cached[2] == trace_id:
-                del traces[start]
-                invalidated += 1
-        self.stats.invalidated += invalidated
-
-    def _compact(self, entries: List[Tuple[NodeId, int]]) -> None:
-        """Drop stale (superseded) entries from one index list in place."""
-        traces = self._traces
-        entries[:] = [
-            entry
-            for entry in entries
-            if (cached := traces.get(entry[0])) is not None and cached[2] == entry[1]
-        ]
-
-    def _flush(self) -> None:
-        self._traces.clear()
-        self._users.clear()
-        self._hop_users.clear()
-
-
 class FunctionalConnectivity:
     """:func:`connected_nodes` via the *effective next hop* function.
 
@@ -377,15 +188,14 @@ class FunctionalConnectivity:
     rare — tables point toward gateways — so the fallback stays cold.
 
     ``eff`` is maintained across steps from the topology's edge-delta
-    stream and the per-table version counters (escalating to a
-    signature comparison, exactly like :class:`ConnectivityCache`);
-    the doubling pass itself is rebuilt each call.  The result set is
-    identical to :func:`connected_nodes` by the argument above, which
-    the test suite property-checks under mobility, faults and route
-    churn.  Stats: ``hits`` counts starts the doubling resolved (and
-    whole-result replays when nothing changed), ``walks`` exact walks,
-    ``invalidated`` recomputed ``eff`` entries, ``flushes`` full
-    rebuilds.
+    stream and the tables' touched set (a touched table counts only if
+    its next-hop signature changed); the doubling pass itself is rebuilt
+    each call.  The result set is identical to :func:`connected_nodes`
+    by the argument above, which the test suite property-checks under
+    mobility, faults and route churn.  Stats: ``hits`` counts starts the
+    doubling resolved (and whole-result replays when nothing changed),
+    ``walks`` exact walks, ``invalidated`` recomputed ``eff`` entries,
+    ``flushes`` full rebuilds.
     """
 
     def __init__(

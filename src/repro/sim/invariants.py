@@ -17,7 +17,8 @@ layers rely on but none of them owns:
   walks, so connectivity can never be computed through a down link,
 * the incremental topology engine's indices are sound: the reverse
   adjacency mirrors the forward one, and (for geometric topologies) the
-  maintained adjacency equals a fresh rebuild-from-scratch computation,
+  maintained adjacency equals a fresh rebuild-from-scratch computation
+  by the topology's reference sorted-sweep oracle,
 * the traffic plane conserves payloads exactly: ``generated ==
   delivered + expired + dropped + alive``, the ledger's copy counts
   match the buffers' physical contents, and no queue exceeds capacity.
@@ -175,6 +176,9 @@ class InvariantChecker:
     def _scan_topology(self, problems: List[str], node_ids, down) -> None:
         topology = self.world.topology
         blocked = topology.blocked_edges
+        # Every check below tests membership in ``down`` or ``blocked``.
+        if not down and not blocked:
+            return
         for node in sorted(node_ids):
             neighbors = topology.out_neighbors(node)
             if node in down and neighbors:
@@ -252,9 +256,10 @@ class InvariantChecker:
 
         Cross-validates the reverse-adjacency index against the forward
         adjacency and, for geometric topologies, the maintained
-        adjacency against a fresh naive recompute — so a divergence in
-        the incremental bookkeeping fails the step it happens, not the
-        metric it later corrupts.
+        adjacency against a fresh evaluation of the sorted-sweep oracle
+        (``Topology._compute_adjacency``) — every step, so a divergence
+        in the incremental bookkeeping fails the step it happens, not
+        the metric it later corrupts.
         """
         checker = getattr(self.world.topology, "consistency_problems", None)
         if checker is not None:

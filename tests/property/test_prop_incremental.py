@@ -1,15 +1,16 @@
-"""Property tests: incremental topology and connectivity-cache equivalence.
+"""Property tests: incremental topology and connectivity equivalence.
 
 The incremental engine's contract is bit-identity with the naive
 rebuild-from-scratch computation — under mobility, crashes, recoveries,
 link blackouts and radio degradation, under both evaluations of the
 link kernel (the dense all-pairs block and the sorted column grid).  These
 tests drive randomized traces and compare graphs (and the delta-aware
-connectivity result) step by step, and check the kernel itself against
-the brute-force predicate at sizes where both evaluations run.
+connectivity result) step by step, and check the kernel and the
+rebuild's sorted-sweep oracle against the brute-force predicate.
 """
 
 import contextlib
+import math
 import random
 
 import numpy as np
@@ -18,13 +19,11 @@ from hypothesis import strategies as st
 
 import repro.net.topology as topology_module
 from repro.net.generator import GeneratorConfig, generate_manet_network
+from repro.net.geometry import Arena, Point
+from repro.net.node import Node
 from repro.net.radio import HeterogeneousRange
-from repro.net.topology import edge_delta, link_edges
-from repro.routing.connectivity import (
-    ConnectivityCache,
-    FunctionalConnectivity,
-    connected_nodes,
-)
+from repro.net.topology import Topology, edge_delta, link_edges
+from repro.routing.connectivity import FunctionalConnectivity, connected_nodes
 from repro.routing.table import RouteEntry, TableBank
 from repro.routing.world import RoutingWorld, RoutingWorldConfig
 
@@ -226,6 +225,65 @@ class TestLinkKernel:
         assert removed.tolist() == sorted(old - new)
 
 
+class _Radio:
+    """A radio of any range, zero included."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def current_range(self):
+        return self.value
+
+
+class TestReferenceSweep:
+    """The rebuild's sorted-x sweep oracle against the brute-force predicate."""
+
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_matches_brute_force(self, n, seed):
+        rng = random.Random(seed)
+        extent = rng.choice([1.0, 50.0, 300.0, 1e6])
+        # Coarse coordinates tie many x values and make exact-range pairs
+        # common; some radios are off (range 0), some reach across the
+        # arena, some are vanishingly small next to it.
+        x = [rng.randrange(8) * extent / 7 for __ in range(n)]
+        y = [rng.randrange(8) * extent / 7 for __ in range(n)]
+        reaches = [0.0, extent * 1e-18, extent / 7, extent / 3, 2 * extent]
+        r = [rng.choice(reaches + [extent * rng.random()]) for __ in range(n)]
+        if n >= 2:
+            # Boundary pairs on a horizontal line: |dx| at the sender's
+            # range and one ulp either side of it.
+            base = rng.choice([0.0, extent * rng.random()])
+            y[1] = y[0]
+            x[0] = base
+            x[1] = base + rng.choice(
+                [r[0], math.nextafter(r[0], math.inf), math.nextafter(r[0], 0.0)]
+            )
+            if rng.random() < 0.5:
+                x[0], x[1] = x[1], x[0]
+        nodes = [Node(i, Point(x[i], y[i]), _Radio(r[i])) for i in range(n)]
+        topology = Topology(nodes, Arena(2 * extent, 2 * extent))
+        for node in rng.sample(range(n), k=rng.randint(0, n // 3)):
+            topology.set_node_down(node)
+        for __ in range(rng.randrange(6)):
+            source, destination = rng.randrange(n), rng.randrange(n)
+            if source != destination:
+                topology.block_edge(source, destination)
+        live = [u for u in range(n) if not topology.is_down(u)]
+        blocked = {u * n + v for u, v in topology.blocked_edges}
+        expected = [
+            edge
+            for edge in brute_force_edges(x, y, r, live, live)
+            if edge not in blocked
+        ]
+        edges = topology._compute_adjacency()
+        assert edges.dtype == np.int64
+        assert edges.tolist() == expected
+
+
 class TestBatchCandidateRows:
     @given(st.integers(min_value=0, max_value=10_000), st.booleans())
     @settings(max_examples=10, deadline=None)
@@ -250,40 +308,6 @@ class TestBatchCandidateRows:
                     assert got == want
                     if cand is not None:
                         assert valid[row].sum() == len(want)
-
-
-class TestConnectivityCacheEquivalence:
-    @given(
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=0, max_value=10_000),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_cache_matches_naive_walks_under_crash_recover(self, seed, ops_seed):
-        topology = build(seed, incremental=True)
-        bank = TableBank(NODES)
-        cache = ConnectivityCache(topology, bank, walk_ttl=16)
-        gateways = topology.all_gateway_ids
-        rng = random.Random(ops_seed)
-        for step in range(12):
-            topology.advance()
-            # Crash / recover random nodes (the cache must flush when a
-            # gateway's liveness flips and re-walk affected starts
-            # otherwise).
-            apply_ops(topology, random_fault_ops(rng, step))
-            # Install a couple of random routes — some useful, some
-            # dangling — so walks succeed, fail and change outcome.
-            for __ in range(rng.randrange(4)):
-                node = rng.randrange(NODES)
-                bank.table(node).install(
-                    RouteEntry(
-                        gateway=rng.choice(gateways),
-                        next_hop=rng.randrange(NODES),
-                        hops=1 + rng.randrange(4),
-                        installed_at=step,
-                        gateway_seen_at=step,
-                    )
-                )
-            assert cache.connected() == connected_nodes(topology, bank, walk_ttl=16)
 
 
 class TestFunctionalConnectivityEquivalence:

@@ -1,7 +1,10 @@
 """Unit tests for the connectivity metric's validity walk."""
 
+import pytest
+
 from repro.net.manual import fixed_topology
 from repro.routing.connectivity import (
+    FunctionalConnectivity,
     connected_nodes,
     connectivity_fraction,
     walk_to_gateway,
@@ -142,3 +145,46 @@ class TestConnectedNodes:
         install(bank, 0, gateway=1, next_hop=1)
         assert walk_to_gateway(0, topology, bank) is None
         assert connectivity_fraction(topology, bank) == 0.5  # just the gateway
+
+
+def _reroute_into_dead_end(topology, bank):
+    # A fresher sighting at node 2 wins its table but points at 3, away
+    # from the gateway: the chain breaks for 2 and 3.
+    bank.table(2).install(
+        RouteEntry(gateway=0, next_hop=3, hops=1, installed_at=9, gateway_seen_at=9)
+    )
+
+
+#: one change per case, applied between two ``connected()`` calls, and
+#: the connected set it leaves.
+CHANGES = {
+    "nothing": (lambda topology, bank: None, {0, 1, 2, 3}),
+    "hop_edge_blocked": (lambda topology, bank: topology.block_edge(2, 1), {0, 1}),
+    "route_rerouted": (_reroute_into_dead_end, {0, 1}),
+    "same_route_reinstalled": (
+        lambda topology, bank: install(bank, 2, gateway=0, next_hop=1, hops=2, installed_at=8),
+        {0, 1, 2, 3},
+    ),
+    "gateway_crashed": (lambda topology, bank: topology.set_node_down(0), set()),
+    "full_rebuild": (lambda topology, bank: topology.force_full_rebuild(), None),
+}
+
+
+class TestFunctionalConnectivity:
+    """The delta-maintained metric against the :func:`connected_nodes` oracle."""
+
+    @pytest.mark.parametrize("change", sorted(CHANGES))
+    def test_matches_connected_nodes_after(self, change):
+        topology = line_with_gateway()
+        bank = TableBank(4)
+        install(bank, 3, gateway=0, next_hop=2, hops=3)
+        install(bank, 2, gateway=0, next_hop=1, hops=2)
+        install(bank, 1, gateway=0, next_hop=0, hops=1)
+        functional = FunctionalConnectivity(topology, bank)
+        assert functional.connected() == {0, 1, 2, 3}
+        apply, expected = CHANGES[change]
+        apply(topology, bank)
+        result = functional.connected()
+        assert result == connected_nodes(topology, bank)
+        if expected is not None:
+            assert result == expected
