@@ -49,14 +49,14 @@ def test_connectivity_metric_250_nodes(benchmark):
 
 def test_knowledge_merge_2000_edges(benchmark):
     rng = random.Random(4)
-    source = TopologyKnowledge()
+    source = TopologyKnowledge(300)
     for node in range(300):
         source.observe_node(node, [rng.randrange(300) for __ in range(7)], node)
     edges = source.shareable_edges()
     visits = source.shareable_visits()
 
     def merge():
-        sink = TopologyKnowledge()
+        sink = TopologyKnowledge(300)
         sink.absorb(edges, visits)
         return sink.known_edge_count
 

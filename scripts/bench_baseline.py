@@ -177,7 +177,7 @@ def _workloads(scale):
         return connectivity_fraction(warm.topology, warm.tables)
 
     rng = random.Random(4)
-    source = TopologyKnowledge()
+    source = TopologyKnowledge(merge_nodes)
     for node in range(merge_nodes):
         source.observe_node(
             node, [rng.randrange(merge_nodes) for __ in range(7)], node
@@ -186,7 +186,7 @@ def _workloads(scale):
     visits = source.shareable_visits()
 
     def knowledge_merge():
-        sink = TopologyKnowledge()
+        sink = TopologyKnowledge(merge_nodes)
         sink.absorb(edges, visits)
         return sink.known_edge_count
 

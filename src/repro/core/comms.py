@@ -10,7 +10,10 @@ other agent there knows, stored as second-hand knowledge.  We compute the
 group's combined knowledge once and let each member absorb it; absorbing
 one's own contribution is a harmless no-op for movement (an agent's own
 first-hand recency already dominates its combined view), and it turns a
-quadratic all-pairs exchange into a linear one.
+quadratic all-pairs exchange into a linear one.  The pooled map is one
+edge bitset and one visit vector (see :mod:`repro.core.knowledge`), so
+pooling and absorbing are word-level ``|``/``&`` and ``np.maximum``; the
+payload size counts the edges and the visited nodes in it.
 
 Routing (§III-F, only when ``visiting`` is enabled): the group adopts the
 best gateway track per gateway and every member ends up with the merged
@@ -21,13 +24,16 @@ are going to be identical in terms of history knowledge".
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.core.history import VisitHistory
+from repro.core.knowledge import pool_knowledge
 from repro.core.mapping_agents import MappingAgent
 from repro.core.routing_agents import GatewayTrack, RoutingAgent
 from repro.net.channel import ChannelModel
-from repro.types import Edge, NEVER, NodeId, Time
+from repro.types import NEVER, NodeId, Time
 
 __all__ = [
     "group_by_location",
@@ -81,19 +87,13 @@ def exchange_mapping_knowledge(
         if len(group) < 2:
             continue
         meetings += 1
-        combined_edges: Set[Edge] = set()
-        combined_visits: Dict[NodeId, Time] = {}
-        for agent in group:
-            combined_edges.update(agent.knowledge.shareable_edges())
-            for node, time in agent.knowledge.shareable_visits().items():
-                if time > combined_visits.get(node, NEVER):
-                    combined_visits[node] = time
-        payload = len(combined_edges) + len(combined_visits)
+        edges, visits = pool_knowledge(agent.knowledge for agent in group)
+        payload = len(edges) + int(np.count_nonzero(visits > NEVER))
         for agent in group:
             agent.overhead.meetings += 1
             if not _payload_received(channel, agent, now):
                 continue
-            agent.knowledge.absorb(combined_edges, combined_visits)
+            agent.knowledge.absorb(edges, visits)
             agent.overhead.items_received += payload
     return meetings
 

@@ -6,25 +6,122 @@ knowledge learned from peers during co-located meetings.  Conscientious
 agents move using first-hand visit recency only; super-conscientious
 agents combine both; the finishing-time metric counts an agent as done
 when its *combined* edge knowledge covers the whole network.
+
+Representation.  The network's node count ``n`` is fixed when a store
+is built, so a set of directed edges is one Python int used as a
+bitset: edge ``(u, v)`` is bit ``u * n + v`` (row-major, the same
+packing as :meth:`repro.net.topology.Topology.packed_edges`).  A meeting
+then merges whole maps with a handful of word-level ``|``/``&`` over
+``n * n`` bits instead of hashing thousands of tuples, most of which
+teach the receiver nothing.  Visit recency is two length-``n`` int64
+vectors filled with :data:`~repro.types.NEVER`: first-hand (the time of
+the agent's own latest observation, overwritten) and second-hand (the
+freshest peer report, merged with ``np.maximum``).  Ids outside
+``0..n-1`` raise :class:`ValueError` everywhere.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Set
+from collections.abc import Set as AbstractSet
+from typing import FrozenSet, Iterable, Iterator, Tuple
+
+import numpy as np
 
 from repro.types import Edge, NEVER, NodeId, Time
 
-__all__ = ["TopologyKnowledge"]
+__all__ = ["EdgeBits", "TopologyKnowledge", "pool_knowledge", "popcount"]
+
+
+def _count_ones(value: int) -> int:
+    return bin(value).count("1")
+
+
+#: Number of set bits of a non-negative int (``int.bit_count`` needs 3.10).
+popcount = getattr(int, "bit_count", _count_ones)
+
+
+def _bad_node(node: NodeId, node_count: int) -> ValueError:
+    return ValueError(f"node id {node} outside 0..{node_count - 1}")
+
+
+def _check_node(node: NodeId, node_count: int) -> None:
+    if not 0 <= node < node_count:
+        raise _bad_node(node, node_count)
+
+
+def _edge_position(edge: Edge, node_count: int) -> int:
+    source, destination = edge
+    _check_node(source, node_count)
+    _check_node(destination, node_count)
+    return source * node_count + destination
+
+
+class EdgeBits(AbstractSet):
+    """An immutable set of directed edges over ``node_count`` nodes.
+
+    ``bits`` holds edge ``(u, v)`` at bit ``u * node_count + v``;
+    ``len()`` is the number of edges, kept beside the bits so asking
+    costs nothing.  It is what a knowledge store shares in a meeting and
+    the live-edge mask coverage is measured against.  Iteration decodes
+    ``(u, v)`` tuples in row-major order; it is for queries and tests,
+    not for the meeting path.
+    """
+
+    __slots__ = ("bits", "node_count", "_size")
+
+    def __init__(self, bits: int, node_count: int) -> None:
+        self.bits = bits
+        self.node_count = node_count
+        self._size = popcount(bits)
+
+    @classmethod
+    def from_edges(cls, edges: Iterable[Edge], node_count: int) -> "EdgeBits":
+        """Encode ``(u, v)`` pairs; ids outside ``0..node_count-1`` raise."""
+        bits = 0
+        for edge in edges:
+            bits |= 1 << _edge_position(edge, node_count)
+        return cls(bits, node_count)
+
+    @classmethod
+    def from_packed(cls, packed: np.ndarray, node_count: int) -> "EdgeBits":
+        """Encode a packed ``u * n + v`` array (see ``Topology.packed_edges``)."""
+        flags = np.zeros(node_count * node_count, dtype=bool)
+        flags[packed] = True
+        packed_bytes = np.packbits(flags, bitorder="little").tobytes()
+        return cls(int.from_bytes(packed_bytes, "little"), node_count)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __contains__(self, edge: Edge) -> bool:  # type: ignore[override]
+        return bool(self.bits >> _edge_position(edge, self.node_count) & 1)
+
+    def __iter__(self) -> Iterator[Edge]:
+        node_count = self.node_count
+        raw = self.bits.to_bytes((node_count * node_count + 7) // 8, "little")
+        flags = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        sources, destinations = np.divmod(np.flatnonzero(flags), node_count)
+        return zip(sources.tolist(), destinations.tolist())
+
+    def _from_iterable(self, edges: Iterable[Edge]) -> FrozenSet[Edge]:
+        # The Set mixin's operators build their results through this hook.
+        return frozenset(edges)
 
 
 class TopologyKnowledge:
     """First- and second-hand topology knowledge of one agent."""
 
-    def __init__(self) -> None:
-        self._edges_first: Set[Edge] = set()
-        self._edges_all: Set[Edge] = set()
-        self._visits_first: Dict[NodeId, Time] = {}
-        self._visits_second: Dict[NodeId, Time] = {}
+    def __init__(self, node_count: int) -> None:
+        if node_count < 0:
+            raise ValueError(f"node_count must be >= 0, got {node_count}")
+        self.node_count = node_count
+        #: Every known edge (either hand) and how many there are.
+        self._known = 0
+        self._known_count = 0
+        #: Per node, the out-neighbour bits the agent has seen itself.
+        self._first_rows = [0] * node_count
+        self._visits_first = np.full(node_count, NEVER, dtype=np.int64)
+        self._visits_second = np.full(node_count, NEVER, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # First-hand learning
@@ -34,27 +131,49 @@ class TopologyKnowledge:
         self, node: NodeId, out_neighbors: Iterable[NodeId], time: Time
     ) -> None:
         """Record standing on ``node`` at ``time`` and seeing its out-edges."""
-        self._visits_first[node] = time
+        node_count = self.node_count
+        _check_node(node, node_count)
+        row = 0
         for neighbor in out_neighbors:
-            edge = (node, neighbor)
-            self._edges_first.add(edge)
-            self._edges_all.add(edge)
+            if not 0 <= neighbor < node_count:
+                raise _bad_node(neighbor, node_count)
+            row |= 1 << neighbor
+        self._visits_first[node] = time
+        seen = self._first_rows[node]
+        fresh = row & ~seen
+        if not fresh:
+            return  # this row shows nothing it has not shown before
+        self._first_rows[node] = row | seen
+        # Only this node's row of the big bitset is read and written.
+        offset = node * node_count
+        new = fresh & ~((fresh << offset & self._known) >> offset)
+        if new:
+            self._known |= new << offset
+            self._known_count += popcount(new)
 
     # ------------------------------------------------------------------
     # Second-hand learning (meetings)
     # ------------------------------------------------------------------
 
-    def absorb(self, edges: Iterable[Edge], visits: Dict[NodeId, Time]) -> None:
+    def absorb(self, edges: EdgeBits, visits: np.ndarray) -> None:
         """Merge peer-provided edges and visit times as second-hand knowledge.
 
-        Visit times keep the most recent report per node; edges accumulate
-        monotonically.  Absorbing is idempotent.
+        ``edges`` and ``visits`` are what :meth:`shareable_edges` and
+        :meth:`shareable_visits` (or :func:`pool_knowledge`) hand out.
+        Visit times keep the most recent report per node; edges
+        accumulate monotonically.  Absorbing is idempotent.
         """
-        self._edges_all.update(edges)
-        mine = self._visits_second
-        for node, time in visits.items():
-            if time > mine.get(node, NEVER):
-                mine[node] = time
+        if edges.node_count != self.node_count or visits.shape != (self.node_count,):
+            raise ValueError(
+                f"payload is for {edges.node_count} nodes / {visits.shape} visits, "
+                f"this store for {self.node_count} nodes"
+            )
+        known = self._known
+        merged = known | edges.bits
+        if merged != known:  # something in ``offered & ~known`` is new
+            self._known = merged
+            self._known_count = popcount(merged)
+        np.maximum(self._visits_second, visits, out=self._visits_second)
 
     # ------------------------------------------------------------------
     # Queries
@@ -63,32 +182,47 @@ class TopologyKnowledge:
     @property
     def known_edge_count(self) -> int:
         """Number of distinct edges known first- or second-hand."""
-        return len(self._edges_all)
+        return self._known_count
 
     @property
     def first_hand_edges(self) -> FrozenSet[Edge]:
         """Edges the agent traversed or observed itself."""
-        return frozenset(self._edges_first)
+        node_count = self.node_count
+        bits = 0
+        for node, row in enumerate(self._first_rows):
+            if row:
+                bits |= row << (node * node_count)
+        return frozenset(EdgeBits(bits, node_count))
 
     @property
     def all_edges(self) -> FrozenSet[Edge]:
         """Every known edge, first- or second-hand."""
-        return frozenset(self._edges_all)
+        return frozenset(self.shareable_edges())
 
     def knows_edge(self, edge: Edge) -> bool:
         """Whether ``edge`` is known (either hand)."""
-        return edge in self._edges_all
+        return bool(self._known >> _edge_position(edge, self.node_count) & 1)
+
+    def count_known(self, edges: EdgeBits) -> int:
+        """How many of ``edges`` are known (either hand)."""
+        if edges.node_count != self.node_count:
+            raise ValueError(
+                f"edges are over {edges.node_count} nodes, "
+                f"this store over {self.node_count}"
+            )
+        return popcount(self._known & edges.bits)
 
     def last_first_hand_visit(self, node: NodeId) -> Time:
         """When the agent itself last stood on ``node`` (``NEVER`` if not)."""
-        return self._visits_first.get(node, NEVER)
+        if 0 <= node < self.node_count:
+            return self._visits_first.item(node)
+        raise _bad_node(node, self.node_count)
 
     def last_combined_visit(self, node: NodeId) -> Time:
         """Most recent visit to ``node`` by anyone the agent knows of."""
-        return max(
-            self._visits_first.get(node, NEVER),
-            self._visits_second.get(node, NEVER),
-        )
+        if 0 <= node < self.node_count:
+            return max(self._visits_first.item(node), self._visits_second.item(node))
+        raise _bad_node(node, self.node_count)
 
     def completeness(self, total_edges: int) -> float:
         """Fraction of the network's edges this agent knows."""
@@ -100,19 +234,38 @@ class TopologyKnowledge:
     # Sharing (what a peer receives in a meeting)
     # ------------------------------------------------------------------
 
-    def shareable_edges(self) -> Set[Edge]:
+    def shareable_edges(self) -> EdgeBits:
         """Edges to hand to a peer — everything known, per Minar's model.
 
-        Returns the live internal set for speed; callers must not mutate.
+        An immutable snapshot: later learning does not change it.
         """
-        return self._edges_all
+        return EdgeBits(self._known, self.node_count)
 
-    def shareable_visits(self) -> Dict[NodeId, Time]:
-        """Visit-recency map to hand to a peer (live internal view)."""
-        # A peer cares about the freshest visit per node regardless of
-        # which hand it is on our side; compute the combined view.
-        combined = dict(self._visits_second)
-        for node, time in self._visits_first.items():
-            if time > combined.get(node, NEVER):
-                combined[node] = time
-        return combined
+    def shareable_visits(self) -> np.ndarray:
+        """Visit recency to hand to a peer, as a fresh length-``n`` vector.
+
+        A peer cares about the freshest visit per node regardless of
+        which hand it is on our side, so this is the combined view;
+        ``NEVER`` marks nodes nobody the agent knows of has visited.
+        """
+        return np.maximum(self._visits_first, self._visits_second)
+
+
+def pool_knowledge(
+    stores: Iterable[TopologyKnowledge],
+) -> Tuple[EdgeBits, np.ndarray]:
+    """The union of the stores' edges and their freshest visit per node.
+
+    What a meeting broadcasts: every member absorbs this one payload.
+    """
+    stores = iter(stores)
+    first = next(stores)
+    bits = first._known
+    visits = first.shareable_visits()
+    for store in stores:
+        if store.node_count != first.node_count:
+            raise ValueError("cannot pool stores over different node counts")
+        bits |= store._known
+        np.maximum(visits, store._visits_first, out=visits)
+        np.maximum(visits, store._visits_second, out=visits)
+    return EdgeBits(bits, first.node_count), visits

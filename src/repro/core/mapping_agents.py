@@ -50,6 +50,7 @@ class MappingAgent:
         agent_id: AgentId,
         start: NodeId,
         rng: random.Random,
+        node_count: int,
         stigmergic: bool = False,
         epsilon: float = 0.0,
     ) -> None:
@@ -65,7 +66,7 @@ class MappingAgent:
         #: agents across the network" (§II-C.3); stigmergy is the paper's
         #: alternative to this hack (compare the abl3 experiment).
         self.epsilon = epsilon
-        self.knowledge = TopologyKnowledge()
+        self.knowledge = TopologyKnowledge(node_count)
         self.overhead = OverheadMeter()
         self.migration = MigrationState()
         self._rng = rng
@@ -122,7 +123,7 @@ class MappingAgent:
         """
         del time  # mapping knowledge is re-observed, not time-stamped here
         self.location = start
-        self.knowledge = TopologyKnowledge()
+        self.knowledge = TopologyKnowledge(self.knowledge.node_count)
         self.migration.reset()
 
     # -- policy ----------------------------------------------------------
@@ -132,8 +133,13 @@ class MappingAgent:
 
     def _least_recent(self, candidates: List[NodeId], recency) -> NodeId:
         """Uniform choice among the candidates with the oldest recency."""
-        best_time = min(recency(candidate) for candidate in candidates)
-        best = [candidate for candidate in candidates if recency(candidate) == best_time]
+        times = [recency(candidate) for candidate in candidates]
+        best_time = min(times)
+        best = [
+            candidate
+            for candidate, time in zip(candidates, times)
+            if time == best_time
+        ]
         if len(best) == 1:
             return best[0]
         return self._rng.choice(best)
@@ -187,10 +193,11 @@ def make_mapping_agent(
     agent_id: AgentId,
     start: NodeId,
     rng: random.Random,
+    node_count: int,
     stigmergic: bool = False,
     epsilon: float = 0.0,
 ) -> MappingAgent:
-    """Instantiate a mapping agent by kind name."""
+    """Instantiate a mapping agent by kind name for a ``node_count``-node network."""
     try:
         cls = MAPPING_AGENT_KINDS[kind]
     except KeyError:
@@ -198,4 +205,4 @@ def make_mapping_agent(
             f"unknown mapping agent kind {kind!r}; "
             f"expected one of {sorted(MAPPING_AGENT_KINDS)}"
         ) from None
-    return cls(agent_id, start, rng, stigmergic=stigmergic, epsilon=epsilon)
+    return cls(agent_id, start, rng, node_count, stigmergic=stigmergic, epsilon=epsilon)

@@ -9,8 +9,9 @@ tracker records per-step average and minimum completeness.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence
+from typing import AbstractSet, List, Optional, Sequence
 
+from repro.core.knowledge import EdgeBits
 from repro.core.mapping_agents import MappingAgent
 from repro.types import Edge, Time
 
@@ -24,7 +25,9 @@ class KnowledgeTracker:
     world mutates the topology mid-run (link degradation) it must instead
     check coverage of the *live* edge set — an agent may "know" edges that
     no longer exist, and those must not count toward finishing.  The
-    world switches modes by passing ``live_edges``.
+    world switches modes by passing ``live_edges``, an
+    :class:`~repro.core.knowledge.EdgeBits` mask it builds once per
+    topology change, so coverage is one popcount per agent.
     """
 
     def __init__(self, total_edges: int) -> None:
@@ -38,7 +41,7 @@ class KnowledgeTracker:
         self,
         time: Time,
         agents: Sequence[MappingAgent],
-        live_edges: Optional[FrozenSet[Edge]] = None,
+        live_edges: Optional[AbstractSet[Edge]] = None,
     ) -> bool:
         """Record one step; return True the first time the team finishes."""
         if live_edges is None:
@@ -46,9 +49,7 @@ class KnowledgeTracker:
                 agent.knowledge.completeness(self.total_edges) for agent in agents
             ]
         else:
-            fractions = [
-                _coverage(agent, live_edges) for agent in agents
-            ]
+            fractions = _coverage(agents, live_edges)
         average = sum(fractions) / len(fractions)
         minimum = min(fractions)
         self.times.append(time)
@@ -65,9 +66,13 @@ class KnowledgeTracker:
         return self.finishing_time is not None
 
 
-def _coverage(agent: MappingAgent, live_edges: FrozenSet[Edge]) -> float:
-    """Fraction of the currently existing edges the agent knows."""
+def _coverage(
+    agents: Sequence[MappingAgent], live_edges: AbstractSet[Edge]
+) -> List[float]:
+    """Per agent, the fraction of the currently existing edges it knows."""
     if not live_edges:
-        return 1.0
-    known = sum(1 for edge in live_edges if agent.knowledge.knows_edge(edge))
-    return known / len(live_edges)
+        return [1.0] * len(agents)
+    if not isinstance(live_edges, EdgeBits):
+        live_edges = EdgeBits.from_edges(live_edges, agents[0].knowledge.node_count)
+    total = len(live_edges)
+    return [agent.knowledge.count_known(live_edges) / total for agent in agents]

@@ -28,6 +28,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.comms import exchange_mapping_knowledge
+from repro.core.knowledge import EdgeBits
 from repro.core.mapping_agents import MappingAgent, make_mapping_agent
 from repro.core.migration import ABANDONED, DELIVERED, ReliableMigration
 from repro.core.overhead import aggregate_overheads
@@ -153,7 +154,7 @@ class MappingWorld:
         # Once the topology can mutate mid-run, completeness has to be
         # checked against the live edge set, not a simple count.
         mutable = config.degrade_at is not None or config.fault_plan is not None
-        self._live_edges = topology.edge_set() if mutable else None
+        self._live_edges = self._live_edge_mask() if mutable else None
         self.meetings = 0
         self.injector: Optional[FaultInjector] = None
         self.resilience: Optional[ResilienceTracker] = None
@@ -224,6 +225,7 @@ class MappingWorld:
                     agent_id,
                     start,
                     agent_rng,
+                    self.topology.node_count,
                     stigmergic=self.config.stigmergic,
                     epsilon=self.config.epsilon,
                 )
@@ -255,7 +257,11 @@ class MappingWorld:
         is measured against must follow the current topology.
         """
         self.tracker.total_edges = self.topology.edge_count
-        self._live_edges = self.topology.edge_set()
+        self._live_edges = self._live_edge_mask()
+
+    def _live_edge_mask(self) -> EdgeBits:
+        topology = self.topology
+        return EdgeBits.from_packed(topology.packed_edges(), topology.node_count)
 
     def _active_agents(self) -> List[MappingAgent]:
         """Agents acting this step (faults may kill or suspend some)."""

@@ -98,7 +98,7 @@ class TestLossyMeetingOrderIndependence:
         def build():
             agents = []
             for i in range(population):
-                agent = ConscientiousAgent(i, 1, random.Random(i))
+                agent = ConscientiousAgent(i, 1, random.Random(i), population + 10)
                 agent.knowledge.observe_node(i, [i + 10], time=i + 1)
                 agent.location = 1
                 agents.append(agent)

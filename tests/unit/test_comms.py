@@ -10,9 +10,11 @@ from repro.core.comms import (
 from repro.core.mapping_agents import ConscientiousAgent
 from repro.core.routing_agents import GatewayTrack, OldestNodeAgent, RandomRoutingAgent
 
+NODES = 20
+
 
 def mapping_agent(agent_id, location, seed=1):
-    return ConscientiousAgent(agent_id, location, random.Random(seed))
+    return ConscientiousAgent(agent_id, location, random.Random(seed), NODES)
 
 
 def routing_agent(agent_id, location, visiting=True, seed=1):

@@ -1,36 +1,50 @@
 """Unit tests for agent topology knowledge."""
 
-from repro.core.knowledge import TopologyKnowledge
+import random
+
+import numpy as np
+
+from repro.core.knowledge import EdgeBits, TopologyKnowledge, _count_ones, popcount
 from repro.types import NEVER
+
+NODES = 50
+
+
+def payload(edges, visits):
+    """A meeting payload holding exactly ``edges`` and ``visits``."""
+    vector = np.full(NODES, NEVER, dtype=np.int64)
+    for node, time in visits.items():
+        vector[node] = time
+    return EdgeBits.from_edges(edges, NODES), vector
 
 
 class TestObserve:
     def test_first_hand_edges_recorded(self):
-        knowledge = TopologyKnowledge()
+        knowledge = TopologyKnowledge(NODES)
         knowledge.observe_node(0, [1, 2], time=5)
         assert knowledge.first_hand_edges == {(0, 1), (0, 2)}
         assert knowledge.all_edges == {(0, 1), (0, 2)}
         assert knowledge.known_edge_count == 2
 
     def test_visit_time_recorded(self):
-        knowledge = TopologyKnowledge()
+        knowledge = TopologyKnowledge(NODES)
         knowledge.observe_node(3, [], time=7)
         assert knowledge.last_first_hand_visit(3) == 7
         assert knowledge.last_combined_visit(3) == 7
 
     def test_revisit_updates_time(self):
-        knowledge = TopologyKnowledge()
+        knowledge = TopologyKnowledge(NODES)
         knowledge.observe_node(3, [], time=7)
         knowledge.observe_node(3, [], time=9)
         assert knowledge.last_first_hand_visit(3) == 9
 
     def test_unvisited_is_never(self):
-        knowledge = TopologyKnowledge()
+        knowledge = TopologyKnowledge(NODES)
         assert knowledge.last_first_hand_visit(42) == NEVER
         assert knowledge.last_combined_visit(42) == NEVER
 
     def test_observe_idempotent_edges(self):
-        knowledge = TopologyKnowledge()
+        knowledge = TopologyKnowledge(NODES)
         knowledge.observe_node(0, [1], time=1)
         knowledge.observe_node(0, [1], time=2)
         assert knowledge.known_edge_count == 1
@@ -38,74 +52,84 @@ class TestObserve:
 
 class TestAbsorb:
     def test_second_hand_edges_count(self):
-        knowledge = TopologyKnowledge()
-        knowledge.absorb({(4, 5)}, {4: 3})
+        knowledge = TopologyKnowledge(NODES)
+        knowledge.absorb(*payload({(4, 5)}, {4: 3}))
         assert knowledge.known_edge_count == 1
         assert knowledge.first_hand_edges == frozenset()
         assert knowledge.knows_edge((4, 5))
 
     def test_second_hand_visits_dont_touch_first_hand(self):
-        knowledge = TopologyKnowledge()
-        knowledge.absorb(set(), {4: 10})
+        knowledge = TopologyKnowledge(NODES)
+        knowledge.absorb(*payload(set(), {4: 10}))
         assert knowledge.last_first_hand_visit(4) == NEVER
         assert knowledge.last_combined_visit(4) == 10
 
     def test_combined_takes_max(self):
-        knowledge = TopologyKnowledge()
+        knowledge = TopologyKnowledge(NODES)
         knowledge.observe_node(4, [], time=3)
-        knowledge.absorb(set(), {4: 10})
+        knowledge.absorb(*payload(set(), {4: 10}))
         assert knowledge.last_combined_visit(4) == 10
         knowledge.observe_node(4, [], time=20)
         assert knowledge.last_combined_visit(4) == 20
 
     def test_absorb_keeps_freshest_report(self):
-        knowledge = TopologyKnowledge()
-        knowledge.absorb(set(), {4: 10})
-        knowledge.absorb(set(), {4: 6})
+        knowledge = TopologyKnowledge(NODES)
+        knowledge.absorb(*payload(set(), {4: 10}))
+        knowledge.absorb(*payload(set(), {4: 6}))
         assert knowledge.last_combined_visit(4) == 10
 
     def test_absorb_idempotent(self):
-        knowledge = TopologyKnowledge()
-        knowledge.absorb({(1, 2)}, {1: 5})
+        knowledge = TopologyKnowledge(NODES)
+        knowledge.absorb(*payload({(1, 2)}, {1: 5}))
         before = (knowledge.known_edge_count, knowledge.last_combined_visit(1))
-        knowledge.absorb({(1, 2)}, {1: 5})
+        knowledge.absorb(*payload({(1, 2)}, {1: 5}))
         assert (knowledge.known_edge_count, knowledge.last_combined_visit(1)) == before
 
 
 class TestCompleteness:
     def test_empty_network_complete(self):
-        assert TopologyKnowledge().completeness(0) == 1.0
+        assert TopologyKnowledge(NODES).completeness(0) == 1.0
 
     def test_fraction(self):
-        knowledge = TopologyKnowledge()
+        knowledge = TopologyKnowledge(NODES)
         knowledge.observe_node(0, [1, 2], time=1)
         assert knowledge.completeness(4) == 0.5
 
     def test_capped_at_one(self):
-        knowledge = TopologyKnowledge()
+        knowledge = TopologyKnowledge(NODES)
         knowledge.observe_node(0, [1, 2], time=1)
         assert knowledge.completeness(1) == 1.0
 
 
 class TestSharing:
     def test_shareable_edges_includes_both_hands(self):
-        knowledge = TopologyKnowledge()
+        knowledge = TopologyKnowledge(NODES)
         knowledge.observe_node(0, [1], time=1)
-        knowledge.absorb({(2, 3)}, {})
+        knowledge.absorb(*payload({(2, 3)}, {}))
         assert knowledge.shareable_edges() == {(0, 1), (2, 3)}
 
     def test_shareable_visits_combined(self):
-        knowledge = TopologyKnowledge()
+        knowledge = TopologyKnowledge(NODES)
         knowledge.observe_node(0, [], time=5)
-        knowledge.absorb(set(), {0: 2, 1: 9})
+        knowledge.absorb(*payload(set(), {0: 2, 1: 9}))
         shared = knowledge.shareable_visits()
         assert shared[0] == 5  # own, fresher
         assert shared[1] == 9  # peer-provided
 
     def test_round_trip_through_peer(self):
-        source = TopologyKnowledge()
+        source = TopologyKnowledge(NODES)
         source.observe_node(0, [1, 2], time=4)
-        sink = TopologyKnowledge()
+        sink = TopologyKnowledge(NODES)
         sink.absorb(source.shareable_edges(), source.shareable_visits())
         assert sink.knows_edge((0, 1))
         assert sink.last_combined_visit(0) == 4
+
+
+class TestPopcount:
+    def test_shim_agrees_with_bin_count(self):
+        rng = random.Random(7)
+        values = [0] + [rng.getrandbits(bits) for bits in (1, 30, 64, 1000, 90_000)]
+        for value in values:
+            assert popcount(value) == _count_ones(value) == bin(value).count("1")
+            if hasattr(int, "bit_count"):
+                assert value.bit_count() == _count_ones(value)

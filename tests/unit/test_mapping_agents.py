@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.knowledge import TopologyKnowledge
 from repro.core.mapping_agents import (
     ConscientiousAgent,
     MAPPING_AGENT_KINDS,
@@ -15,8 +16,19 @@ from repro.core.stigmergy import StigmergyField
 from repro.errors import ConfigurationError
 
 
+NODES = 10
+
+
 def agent_of(cls, start=0, seed=1, stigmergic=False):
-    return cls(0, start, random.Random(seed), stigmergic=stigmergic)
+    return cls(0, start, random.Random(seed), NODES, stigmergic=stigmergic)
+
+
+def peer_report(visits):
+    """The meeting payload of a peer that stood on ``visits`` at those times."""
+    peer = TopologyKnowledge(NODES)
+    for node, time in visits.items():
+        peer.observe_node(node, [], time)
+    return peer.shareable_edges(), peer.shareable_visits()
 
 
 class TestFactory:
@@ -28,14 +40,14 @@ class TestFactory:
         }
 
     def test_make_by_kind(self):
-        agent = make_mapping_agent("random", 3, 7, random.Random(1))
+        agent = make_mapping_agent("random", 3, 7, random.Random(1), NODES)
         assert isinstance(agent, RandomAgent)
         assert agent.agent_id == 3
         assert agent.location == 7
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
-            make_mapping_agent("clever", 0, 0, random.Random(1))
+            make_mapping_agent("clever", 0, 0, random.Random(1), NODES)
 
 
 class TestRandomAgent:
@@ -70,7 +82,7 @@ class TestConscientiousAgent:
         agent.knowledge.observe_node(1, [], time=5)
         # A peer reports node 2 visited very recently; conscientious
         # ignores that and still sees node 2 as never-visited.
-        agent.knowledge.absorb(set(), {2: 100})
+        agent.knowledge.absorb(*peer_report({2: 100}))
         assert agent.choose_next([1, 2], time=101) == 2
 
     def test_tie_break_among_equally_old(self):
@@ -84,14 +96,14 @@ class TestSuperConscientiousAgent:
     def test_uses_second_hand(self):
         agent = agent_of(SuperConscientiousAgent)
         agent.knowledge.observe_node(1, [], time=5)
-        agent.knowledge.absorb(set(), {2: 100})
+        agent.knowledge.absorb(*peer_report({2: 100}))
         # Node 2 was (reportedly) visited at 100, node 1 first-hand at 5.
         assert agent.choose_next([1, 2], time=101) == 1
 
     def test_first_hand_still_counts(self):
         agent = agent_of(SuperConscientiousAgent)
         agent.knowledge.observe_node(1, [], time=50)
-        agent.knowledge.absorb(set(), {2: 10})
+        agent.knowledge.absorb(*peer_report({2: 10}))
         assert agent.choose_next([1, 2], time=60) == 2
 
 

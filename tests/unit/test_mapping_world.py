@@ -9,6 +9,8 @@ from repro.errors import ConfigurationError
 from repro.mapping.metrics import KnowledgeTracker
 from repro.mapping.world import MappingWorld, MappingWorldConfig, run_mapping
 
+NODES = 10
+
 
 class TestConfig:
     def test_validation(self):
@@ -28,7 +30,7 @@ class TestConfig:
 class TestKnowledgeTracker:
     def test_records_fractions(self):
         tracker = KnowledgeTracker(total_edges=4)
-        agent = ConscientiousAgent(0, 0, random.Random(1))
+        agent = ConscientiousAgent(0, 0, random.Random(1), NODES)
         agent.knowledge.observe_node(0, [1, 2], time=1)
         finished = tracker.record(1, [agent])
         assert not finished
@@ -37,7 +39,7 @@ class TestKnowledgeTracker:
 
     def test_finishing_detected_once(self):
         tracker = KnowledgeTracker(total_edges=1)
-        agent = ConscientiousAgent(0, 0, random.Random(1))
+        agent = ConscientiousAgent(0, 0, random.Random(1), NODES)
         agent.knowledge.observe_node(0, [1], time=1)
         assert tracker.record(1, [agent])
         assert tracker.finishing_time == 1
@@ -46,19 +48,48 @@ class TestKnowledgeTracker:
 
     def test_minimum_gates_finishing(self):
         tracker = KnowledgeTracker(total_edges=1)
-        done = ConscientiousAgent(0, 0, random.Random(1))
+        done = ConscientiousAgent(0, 0, random.Random(1), NODES)
         done.knowledge.observe_node(0, [1], time=1)
-        behind = ConscientiousAgent(1, 0, random.Random(2))
+        behind = ConscientiousAgent(1, 0, random.Random(2), NODES)
         assert not tracker.record(1, [done, behind])
         assert tracker.minimum_knowledge == [0.0]
 
     def test_live_edges_mode_ignores_vanished_edges(self):
         tracker = KnowledgeTracker(total_edges=2)
-        agent = ConscientiousAgent(0, 0, random.Random(1))
+        agent = ConscientiousAgent(0, 0, random.Random(1), NODES)
         agent.knowledge.observe_node(0, [1, 2], time=1)  # knows (0,1), (0,2)
         live = frozenset({(0, 1), (5, 6)})
         assert not tracker.record(1, [agent], live_edges=live)
         assert tracker.minimum_knowledge == [0.5]  # (0,2) no longer counts
+
+
+class TestLiveEdgeCoverage:
+    def test_degraded_world_matches_explicit_walk(self, small_static_network):
+        config = MappingWorldConfig(
+            population=4,
+            max_steps=40,
+            degrade_at=10,
+            degrade_fraction=0.5,
+            degrade_amount=0.6,
+        )
+        world = MappingWorld(small_static_network, config, seed=4)
+        original = world.topology.edge_set()
+        degraded_steps = []
+
+        def walk(time, average, minimum):
+            live = world.topology.edge_set()
+            fractions = [
+                sum(1 for edge in live if agent.knowledge.knows_edge(edge)) / len(live)
+                for agent in world.agents
+            ]
+            assert average == sum(fractions) / len(fractions)
+            assert minimum == min(fractions)
+            if live != original:
+                degraded_steps.append(time)
+
+        world.engine.hooks.subscribe("knowledge_recorded", walk)
+        world.run()
+        assert degraded_steps and degraded_steps[0] >= 10
 
 
 class TestMappingWorld:

@@ -10,6 +10,8 @@ from repro.core.stigmergy import StigmergyField
 from repro.errors import ConfigurationError
 from repro.mapping.world import MappingWorldConfig, run_mapping
 
+NODES = 10
+
 
 class TestOverheadMeter:
     def test_starts_zero(self):
@@ -38,20 +40,20 @@ class TestOverheadMeter:
 
 class TestAgentCounting:
     def test_decisions_and_candidates_counted(self):
-        agent = ConscientiousAgent(0, 0, random.Random(1))
+        agent = ConscientiousAgent(0, 0, random.Random(1), NODES)
         agent.choose_next([1, 2, 3], time=1)
         agent.choose_next([4], time=2)
         assert agent.overhead.decisions == 2
         assert agent.overhead.candidates_examined == 4
 
     def test_stranded_agent_counts_nothing(self):
-        agent = ConscientiousAgent(0, 0, random.Random(1))
+        agent = ConscientiousAgent(0, 0, random.Random(1), NODES)
         agent.choose_next([], time=1)
         assert agent.overhead.decisions == 0
 
     def test_stigmergic_ops_counted(self):
         field = StigmergyField()
-        agent = ConscientiousAgent(0, 0, random.Random(1), stigmergic=True)
+        agent = ConscientiousAgent(0, 0, random.Random(1), NODES, stigmergic=True)
         target = agent.choose_next([1, 2], time=1, field=field)
         agent.leave_footprint(target, time=1, field=field)
         assert agent.overhead.footprint_lookups == 1
@@ -59,7 +61,7 @@ class TestAgentCounting:
 
     def test_plain_agent_has_no_board_ops(self):
         field = StigmergyField()
-        agent = ConscientiousAgent(0, 0, random.Random(1), stigmergic=False)
+        agent = ConscientiousAgent(0, 0, random.Random(1), NODES, stigmergic=False)
         target = agent.choose_next([1, 2], time=1, field=field)
         agent.leave_footprint(target, time=1, field=field)
         assert agent.overhead.footprint_lookups == 0
@@ -83,30 +85,30 @@ class TestWorldOverheadAggregation:
 class TestEpsilon:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            ConscientiousAgent(0, 0, random.Random(1), epsilon=1.5)
+            ConscientiousAgent(0, 0, random.Random(1), NODES, epsilon=1.5)
         with pytest.raises(ConfigurationError):
             MappingWorldConfig(epsilon=-0.1)
 
     def test_factory_passes_epsilon(self):
         agent = make_mapping_agent(
-            "super-conscientious", 0, 0, random.Random(1), epsilon=0.2
+            "super-conscientious", 0, 0, random.Random(1), NODES, epsilon=0.2
         )
         assert agent.epsilon == 0.2
 
     def test_epsilon_zero_is_pure_policy(self):
-        agent = ConscientiousAgent(0, 0, random.Random(1), epsilon=0.0)
+        agent = ConscientiousAgent(0, 0, random.Random(1), NODES, epsilon=0.0)
         agent.knowledge.observe_node(1, [], time=5)
         picks = {agent.choose_next([1, 2], time=6) for __ in range(30)}
         assert picks == {2}
 
     def test_epsilon_one_is_uniform(self):
-        agent = ConscientiousAgent(0, 0, random.Random(1), epsilon=1.0)
+        agent = ConscientiousAgent(0, 0, random.Random(1), NODES, epsilon=1.0)
         agent.knowledge.observe_node(1, [], time=5)
         picks = {agent.choose_next([1, 2], time=6) for __ in range(60)}
         assert picks == {1, 2}
 
     def test_intermediate_epsilon_mixes(self):
-        agent = ConscientiousAgent(0, 0, random.Random(7), epsilon=0.5)
+        agent = ConscientiousAgent(0, 0, random.Random(7), NODES, epsilon=0.5)
         agent.knowledge.observe_node(1, [], time=5)
         picks = [agent.choose_next([1, 2], time=6) for __ in range(200)]
         # Policy always says 2; epsilon moves ~25% of picks to node 1.
