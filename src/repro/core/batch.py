@@ -509,9 +509,7 @@ class BatchAgentEngine:
         for index in acts.tolist():
             groups.setdefault(loc_list[index], []).append(index)
         channel = self._world.channel
-        channel_fast = (
-            channel.config.lossless and not channel._bursts and not channel._gray
-        )
+        channel_fast = channel.hops_lossless
         capacity = self._capacity
         agents = self._agents
         meetings = 0
@@ -617,7 +615,7 @@ class BatchAgentEngine:
         mover_rows = _np.nonzero(targets[acts] >= 0)[0]
         movers = acts[mover_rows]
         channel = world.channel
-        channel_fast = channel.config.lossless and not channel._bursts
+        channel_fast = channel.hops_lossless
         if channel_fast and world._obs is None and not self._pending:
             step_installs, stayed = self._move_fast(acts, movers, targets, now, live_gw)
         else:

@@ -17,13 +17,15 @@ teach the receiver nothing.  Visit recency is two length-``n`` int64
 vectors filled with :data:`~repro.types.NEVER`: first-hand (the time of
 the agent's own latest observation, overwritten) and second-hand (the
 freshest peer report, merged with ``np.maximum``).  Ids outside
-``0..n-1`` raise :class:`ValueError` everywhere.
+``0..n-1`` raise :class:`ValueError` everywhere except the two
+hot-path entry points, :meth:`TopologyKnowledge.observe_row` and
+:meth:`TopologyKnowledge.least_recent`, whose callers vouch for them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
-from typing import FrozenSet, Iterable, Iterator, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -115,9 +117,10 @@ class TopologyKnowledge:
         if node_count < 0:
             raise ValueError(f"node_count must be >= 0, got {node_count}")
         self.node_count = node_count
-        #: Every known edge (either hand) and how many there are.
+        #: Every known edge (either hand).
         self._known = 0
-        self._known_count = 0
+        #: Number of distinct edges known first- or second-hand (read-only).
+        self.known_edge_count = 0
         #: Per node, the out-neighbour bits the agent has seen itself.
         self._first_rows = [0] * node_count
         self._visits_first = np.full(node_count, NEVER, dtype=np.int64)
@@ -138,6 +141,16 @@ class TopologyKnowledge:
             if not 0 <= neighbor < node_count:
                 raise _bad_node(neighbor, node_count)
             row |= 1 << neighbor
+        self.observe_row(node, row, time)
+
+    def observe_row(self, node: NodeId, row: int, time: Time) -> None:
+        """:meth:`observe_node` with the out-neighbours already encoded.
+
+        ``row`` has bit ``v`` set for each out-neighbour ``v``.  Nothing
+        is validated: the caller vouches that ``node`` and every bit of
+        ``row`` are ids in ``0..node_count-1`` (the mapping world encodes
+        each row once per topology version, from the topology itself).
+        """
         self._visits_first[node] = time
         seen = self._first_rows[node]
         fresh = row & ~seen
@@ -145,11 +158,11 @@ class TopologyKnowledge:
             return  # this row shows nothing it has not shown before
         self._first_rows[node] = row | seen
         # Only this node's row of the big bitset is read and written.
-        offset = node * node_count
+        offset = node * self.node_count
         new = fresh & ~((fresh << offset & self._known) >> offset)
         if new:
             self._known |= new << offset
-            self._known_count += popcount(new)
+            self.known_edge_count += popcount(new)
 
     # ------------------------------------------------------------------
     # Second-hand learning (meetings)
@@ -172,17 +185,12 @@ class TopologyKnowledge:
         merged = known | edges.bits
         if merged != known:  # something in ``offered & ~known`` is new
             self._known = merged
-            self._known_count = popcount(merged)
+            self.known_edge_count = popcount(merged)
         np.maximum(self._visits_second, visits, out=self._visits_second)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-
-    @property
-    def known_edge_count(self) -> int:
-        """Number of distinct edges known first- or second-hand."""
-        return self._known_count
 
     @property
     def first_hand_edges(self) -> FrozenSet[Edge]:
@@ -223,6 +231,34 @@ class TopologyKnowledge:
         if 0 <= node < self.node_count:
             return max(self._visits_first.item(node), self._visits_second.item(node))
         raise _bad_node(node, self.node_count)
+
+    def least_recent(
+        self, candidates: Sequence[NodeId], combined: bool = False
+    ) -> List[NodeId]:
+        """The candidates with the oldest visit recency, in candidate order.
+
+        Recency is first-hand (:meth:`last_first_hand_visit`), or with
+        ``combined`` the freshest of either hand
+        (:meth:`last_combined_visit`).  Read straight from the visit
+        vectors for the movement policies' hot path, so ids are not
+        validated: ``candidates`` must be non-empty and in range.
+        """
+        first = self._visits_first.item
+        second = self._visits_second.item if combined else None
+        best_time = None
+        best: List[NodeId] = []
+        for candidate in candidates:
+            visited = first(candidate)
+            if second is not None:
+                reported = second(candidate)
+                if reported > visited:
+                    visited = reported
+            if best_time is None or visited < best_time:
+                best_time = visited
+                best = [candidate]
+            elif visited == best_time:
+                best.append(candidate)
+        return best
 
     def completeness(self, total_edges: int) -> float:
         """Fraction of the network's edges this agent knows."""

@@ -20,7 +20,7 @@ contribution) flavour, selected by the ``stigmergic`` flag.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.knowledge import TopologyKnowledge
 from repro.core.migration import MigrationState
@@ -73,9 +73,20 @@ class MappingAgent:
 
     # -- step protocol --------------------------------------------------
 
-    def observe(self, out_neighbors: Sequence[NodeId], time: Time) -> None:
-        """Phase 1: learn the out-edges of the current node (first-hand)."""
-        self.knowledge.observe_node(self.location, out_neighbors, time)
+    def observe(
+        self, out_neighbors: Sequence[NodeId], time: Time, row: Optional[int] = None
+    ) -> None:
+        """Phase 1: learn the out-edges of the current node (first-hand).
+
+        ``row``, when given, is ``out_neighbors`` already encoded as bits
+        (bit ``v`` per neighbour ``v``); the world passes the row it
+        caches per topology version, so nothing is re-encoded or
+        re-validated.
+        """
+        if row is None:
+            self.knowledge.observe_node(self.location, out_neighbors, time)
+        else:
+            self.knowledge.observe_row(self.location, row, time)
 
     def choose_next(
         self,
@@ -85,18 +96,21 @@ class MappingAgent:
     ) -> Optional[NodeId]:
         """Phase 3: pick the next node, or ``None`` when stranded.
 
-        When the agent is stigmergic and a field is supplied, fresh
-        footprints on the current node veto candidates first (falling
-        back to all candidates if the veto empties the set).
+        ``out_neighbors`` must be in ascending id order (the world passes
+        its cached sorted rows) and is never modified.  When the agent is
+        stigmergic and a field is supplied, fresh footprints on the
+        current node veto candidates first (falling back to all
+        candidates if the veto empties the set).
         """
-        candidates: List[NodeId] = sorted(out_neighbors)
-        if not candidates:
+        if not out_neighbors:
             return None
-        self.overhead.decisions += 1
+        overhead = self.overhead
+        overhead.decisions += 1
+        candidates = out_neighbors
         if self.stigmergic and field is not None:
-            self.overhead.footprint_lookups += 1
+            overhead.footprint_lookups += 1
             candidates = field.filter_candidates(self.location, candidates, time)
-        self.overhead.candidates_examined += len(candidates)
+        overhead.candidates_examined += len(candidates)
         if self.epsilon > 0.0 and self._rng.random() < self.epsilon:
             return self._rng.choice(candidates)
         return self._pick(candidates)
@@ -128,18 +142,12 @@ class MappingAgent:
 
     # -- policy ----------------------------------------------------------
 
-    def _pick(self, candidates: List[NodeId]) -> NodeId:
+    def _pick(self, candidates: Sequence[NodeId]) -> NodeId:
         raise NotImplementedError
 
-    def _least_recent(self, candidates: List[NodeId], recency) -> NodeId:
+    def _least_recent(self, candidates: Sequence[NodeId], combined: bool) -> NodeId:
         """Uniform choice among the candidates with the oldest recency."""
-        times = [recency(candidate) for candidate in candidates]
-        best_time = min(times)
-        best = [
-            candidate
-            for candidate, time in zip(candidates, times)
-            if time == best_time
-        ]
+        best = self.knowledge.least_recent(candidates, combined)
         if len(best) == 1:
             return best[0]
         return self._rng.choice(best)
@@ -154,7 +162,7 @@ class RandomAgent(MappingAgent):
 
     kind = "random"
 
-    def _pick(self, candidates: List[NodeId]) -> NodeId:
+    def _pick(self, candidates: Sequence[NodeId]) -> NodeId:
         return self._rng.choice(candidates)
 
 
@@ -167,8 +175,8 @@ class ConscientiousAgent(MappingAgent):
 
     kind = "conscientious"
 
-    def _pick(self, candidates: List[NodeId]) -> NodeId:
-        return self._least_recent(candidates, self.knowledge.last_first_hand_visit)
+    def _pick(self, candidates: Sequence[NodeId]) -> NodeId:
+        return self._least_recent(candidates, combined=False)
 
 
 class SuperConscientiousAgent(MappingAgent):
@@ -176,8 +184,8 @@ class SuperConscientiousAgent(MappingAgent):
 
     kind = "super-conscientious"
 
-    def _pick(self, candidates: List[NodeId]) -> NodeId:
-        return self._least_recent(candidates, self.knowledge.last_combined_visit)
+    def _pick(self, candidates: Sequence[NodeId]) -> NodeId:
+        return self._least_recent(candidates, combined=True)
 
 
 #: kind-string -> class, for configs and the CLI.

@@ -16,8 +16,7 @@ marks), honouring the paper's "negligible overhead" claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.types import AgentId, NodeId, Time
@@ -31,9 +30,12 @@ DEFAULT_CAPACITY = 16
 DEFAULT_FRESHNESS: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class Footprint:
-    """One mark: who stamped it, where they said they were going, when."""
+class Footprint(NamedTuple):
+    """One mark: who stamped it, where they said they were going, when.
+
+    A named tuple, so stamping one (once per stigmergic decision) costs a
+    tuple allocation rather than a frozen dataclass's ``__init__``.
+    """
 
     agent: AgentId
     target: NodeId
@@ -74,24 +76,33 @@ class FootprintBoard:
 
         Replaces the agent's previous mark on this node, if any.
         """
-        self._marks[agent] = Footprint(agent=agent, target=target, time=time)
+        self._marks[agent] = Footprint(agent, target, time)
         if len(self._marks) > self.capacity:
             oldest = min(self._marks, key=lambda a: (self._marks[a].time, a))
             del self._marks[oldest]
 
-    def _is_fresh(self, mark: Footprint, now: Time) -> bool:
-        return self.freshness is None or now - mark.time < self.freshness
+    def _stale_before(self, now: Time) -> Optional[Time]:
+        """Marks stamped at or before this time are stale (``None``: none are).
+
+        ``now - time < freshness`` is ``time > now - freshness``: one
+        compare per mark against a cutoff computed once per query.
+        """
+        return None if self.freshness is None else now - self.freshness
 
     def fresh_marks(self, now: Time) -> List[Footprint]:
         """Fresh marks, oldest first (at most one per agent)."""
+        cutoff = self._stale_before(now)
         return sorted(
-            (m for m in self._marks.values() if self._is_fresh(m, now)),
+            (m for m in self._marks.values() if cutoff is None or m.time > cutoff),
             key=lambda m: (m.time, m.agent),
         )
 
     def fresh_targets(self, now: Time) -> Set[NodeId]:
         """Targets pointed at by any fresh mark."""
-        return {m.target for m in self._marks.values() if self._is_fresh(m, now)}
+        cutoff = self._stale_before(now)
+        return {
+            m.target for m in self._marks.values() if cutoff is None or m.time > cutoff
+        }
 
     def all_marks(self) -> List[Footprint]:
         """Every mark, fresh or stale, oldest first (inspection)."""
@@ -137,20 +148,20 @@ class StigmergyField:
         return existing.fresh_targets(now)
 
     def filter_candidates(
-        self, node: NodeId, candidates: Iterable[NodeId], now: Time
-    ) -> List[NodeId]:
+        self, node: NodeId, candidates: Sequence[NodeId], now: Time
+    ) -> Sequence[NodeId]:
         """Candidates minus freshly-targeted nodes; falls back when empty.
 
         The fallback to the unfiltered candidates is essential: an agent
         boxed in (every neighbour recently targeted) must still move, or
-        stigmergy would deadlock small networks.
+        stigmergy would deadlock small networks.  When nothing is vetoed
+        the result is ``candidates`` itself, so treat it as read-only.
         """
-        ordered = list(candidates)
         avoided = self.avoided_targets(node, now)
         if not avoided:
-            return ordered
-        filtered = [candidate for candidate in ordered if candidate not in avoided]
-        return filtered if filtered else ordered
+            return candidates
+        filtered = [candidate for candidate in candidates if candidate not in avoided]
+        return filtered if filtered else candidates
 
     def clear_board(self, node: NodeId) -> int:
         """Wipe the board on ``node`` (a crashed node loses its marks).

@@ -45,9 +45,15 @@ class KnowledgeTracker:
     ) -> bool:
         """Record one step; return True the first time the team finishes."""
         if live_edges is None:
-            fractions = [
-                agent.knowledge.completeness(self.total_edges) for agent in agents
-            ]
+            total = self.total_edges
+            if total <= 0:
+                fractions = [1.0] * len(agents)
+            else:
+                # TopologyKnowledge.completeness, with the counts read directly.
+                fractions = [
+                    min(1.0, agent.knowledge.known_edge_count / total)
+                    for agent in agents
+                ]
         else:
             fractions = _coverage(agents, live_edges)
         average = sum(fractions) / len(fractions)

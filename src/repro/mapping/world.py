@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.comms import exchange_mapping_knowledge
 from repro.core.knowledge import EdgeBits
@@ -150,6 +150,10 @@ class MappingWorld:
         if config.health is not None:
             self.health = HealthMonitor(config.health, self.engine.hooks)
         self.agents: List[MappingAgent] = self._spawn_agents()
+        # Sorted out-neighbours and row bits per node, for one topology
+        # epoch (see _neighbor_rows).
+        self._rows: List[Optional[Tuple[List[NodeId], int]]] = []
+        self._rows_epoch = -1
         self.tracker = KnowledgeTracker(topology.edge_count)
         # Once the topology can mutate mid-run, completeness has to be
         # checked against the live edge set, not a simple count.
@@ -269,6 +273,28 @@ class MappingWorld:
             return self.agents
         return self.injector.active_agents()
 
+    def _neighbor_rows(self) -> List[Optional[Tuple[List[NodeId], int]]]:
+        """Per node, its sorted out-neighbours and their row bits, or ``None``.
+
+        Rows are filled on first use and dropped whenever the topology's
+        epoch moves (degradation, faults), so every agent observes and
+        chooses from the current links.
+        """
+        topology = self.topology
+        topology.adjacency_view()  # apply any pending refresh first
+        if topology.epoch != self._rows_epoch:
+            self._rows_epoch = topology.epoch
+            self._rows = [None] * topology.node_count
+        return self._rows
+
+    def _fill_row(self, node: NodeId) -> Tuple[List[NodeId], int]:
+        neighbors = sorted(self.topology.out_neighbors(node))
+        bits = 0
+        for neighbor in neighbors:
+            bits |= 1 << neighbor
+        row = self._rows[node] = (neighbors, bits)
+        return row
+
     def _step(self, now: Time) -> None:
         # Profiling laps partition the step into the paper's phases; with
         # no profiler (the default) each guard is a single None check.
@@ -279,16 +305,16 @@ class MappingWorld:
         if not agents:
             raise StopSimulation("all-agents-dead")
         topology = self.topology
-        if self.health is not None:
-            self.health.advance(now)
+        health = self.health
+        if health is not None:
+            health.advance(now)
         # Phase 1: first-hand observation.
-        neighbor_cache: Dict[NodeId, Sequence[NodeId]] = {}
+        rows = self._neighbor_rows()
         for agent in agents:
-            neighbors = neighbor_cache.get(agent.location)
-            if neighbors is None:
-                neighbors = sorted(topology.out_neighbors(agent.location))
-                neighbor_cache[agent.location] = neighbors
-            agent.observe(neighbors, now)
+            row = rows[agent.location]
+            if row is None:
+                row = self._fill_row(agent.location)
+            agent.observe(row[0], now, row[1])
         if profiler is not None:
             phase_started = profiler.lap("observe", phase_started)
         # Phase 2: meetings.
@@ -300,48 +326,35 @@ class MappingWorld:
         if profiler is not None:
             phase_started = profiler.lap("meet", phase_started)
         # Phases 3 & 4: choose (or retry a pending hop), footprint; moves
-        # commit afterwards, each gated on the channel delivering it.
+        # commit afterwards, each gated on the channel delivering it.  An
+        # agent with no pending hop always decides afresh, so the
+        # retry/backoff protocol is consulted only for the others.
+        field = self.field
         moves: List[Tuple[MappingAgent, NodeId]] = []
         for agent in agents:
-            neighbors = neighbor_cache[agent.location]
-            needs_decision, forced = self._migration.resolve_intent(
-                agent, now, neighbors
-            )
-            if needs_decision:
-                if self.health is not None:
-                    neighbors = self.health.filter_targets(
-                        agent.location, neighbors
-                    )
-                target = agent.choose_next(neighbors, now, field=self.field)
-                if target is None:
-                    continue
-                agent.leave_footprint(target, now, self.field)
-            elif forced is None:
-                continue  # waiting out a backoff
-            else:
-                target = forced  # retry without re-planning or re-stamping
+            neighbors = rows[agent.location][0]
+            if agent.migration.target is not None:
+                needs_decision, forced = self._migration.resolve_intent(
+                    agent, now, neighbors
+                )
+                if not needs_decision:
+                    if forced is not None:
+                        # Retry without re-planning or re-stamping.
+                        moves.append((agent, forced))
+                    continue  # otherwise waiting out a backoff
+            if health is not None:
+                neighbors = health.filter_targets(agent.location, neighbors)
+            target = agent.choose_next(neighbors, now, field=field)
+            if target is None:
+                continue
+            agent.leave_footprint(target, now, field)
             moves.append((agent, target))
         if profiler is not None:
             phase_started = profiler.lap("decide", phase_started)
-        for agent, target in moves:
-            origin = agent.location
-            outcome = self._migration.attempt_hop(agent, target, now)
-            if self.health is not None:
-                self.health.observe(origin, target, outcome == DELIVERED, now)
-            if outcome != DELIVERED:
-                if outcome == ABANDONED:
-                    self.engine.hooks.fire(
-                        "link_suspected",
-                        time=now,
-                        node=agent.location,
-                        neighbor=target,
-                        dropped=0,
-                    )
-                continue
-            agent.move_to(target)
-            self.engine.hooks.fire(
-                "agent_moved", time=now, agent=agent.agent_id, to=target
-            )
+        if self.channel.hops_lossless:
+            self._deliver_all(moves, now)
+        else:
+            self._attempt_all(moves, now)
         if profiler is not None:
             phase_started = profiler.lap("move", phase_started)
         if self._obs is not None:
@@ -363,17 +376,67 @@ class MappingWorld:
             )
             self._obs_last_topo = (stats.edges_added, stats.edges_removed)
         finished = self.tracker.record(now, agents, live_edges=self._live_edges)
-        self.engine.hooks.fire(
-            "knowledge_recorded",
-            time=now,
-            average=self.tracker.average_knowledge[-1],
-            minimum=self.tracker.minimum_knowledge[-1],
-        )
+        hooks = self.engine.hooks
+        if hooks.is_live("knowledge_recorded"):
+            hooks.fire(
+                "knowledge_recorded",
+                time=now,
+                average=self.tracker.average_knowledge[-1],
+                minimum=self.tracker.minimum_knowledge[-1],
+            )
         if profiler is not None:
             phase_started = profiler.lap("record", phase_started)
             profiler.add("step", phase_started - step_started)
         if finished:
             raise StopSimulation("perfect-knowledge")
+
+    def _deliver_all(self, moves: List[Tuple[MappingAgent, NodeId]], now: Time) -> None:
+        """Commit every move when no hop can be lost.
+
+        Exactly what :meth:`ReliableMigration.attempt_hop` does for a hop
+        that delivers, without the per-hop call: one attempt counted on
+        the agent and on the channel, and any pending hop cleared.  The
+        ``agent_moved`` payload is built only when someone receives it.
+        """
+        stats = self.channel.stats
+        health = self.health
+        hooks = self.engine.hooks
+        announce = hooks.is_live("agent_moved")
+        for agent, target in moves:
+            agent.overhead.hops_attempted += 1
+            stats.attempts += 1
+            if agent.migration.target is not None:
+                agent.migration.reset()
+            if health is not None:
+                health.observe(agent.location, target, True, now)
+                # A callback of the monitor's hooks may have subscribed.
+                announce = hooks.is_live("agent_moved")
+            agent.move_to(target)
+            if announce:
+                hooks.fire("agent_moved", time=now, agent=agent.agent_id, to=target)
+
+    def _attempt_all(self, moves: List[Tuple[MappingAgent, NodeId]], now: Time) -> None:
+        """Attempt every move through the retry/backoff protocol."""
+        health = self.health
+        hooks = self.engine.hooks
+        for agent, target in moves:
+            origin = agent.location
+            outcome = self._migration.attempt_hop(agent, target, now)
+            if health is not None:
+                health.observe(origin, target, outcome == DELIVERED, now)
+            if outcome != DELIVERED:
+                if outcome == ABANDONED:
+                    hooks.fire(
+                        "link_suspected",
+                        time=now,
+                        node=agent.location,
+                        neighbor=target,
+                        dropped=0,
+                    )
+                continue
+            agent.move_to(target)
+            if hooks.is_live("agent_moved"):
+                hooks.fire("agent_moved", time=now, agent=agent.agent_id, to=target)
 
     # ------------------------------------------------------------------
     # Driving

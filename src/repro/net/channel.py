@@ -262,6 +262,16 @@ class ChannelModel:
         self._gray: Dict[NodeId, float] = {}
         self.stats = ChannelStats()
 
+    @property
+    def hops_lossless(self) -> bool:
+        """Whether no agent hop (or meeting payload) can be lost right now.
+
+        True when the config is lossless and no loss burst is active.
+        Gray failures do not count: they only drop the data-plane kinds
+        in :data:`GRAY_KINDS`, never an agent migration or a meeting.
+        """
+        return self.config.lossless and not self._bursts
+
     # ------------------------------------------------------------------
     # Probability
     # ------------------------------------------------------------------

@@ -61,6 +61,14 @@ class HookRegistry:
             callback(**payload)
         profiler.add(f"hook:{hook}", perf_counter() - started)
 
+    def is_live(self, hook: str) -> bool:
+        """Whether firing ``hook`` does anything: a subscriber or a profiler.
+
+        Hot loops check this once so they can skip building a payload
+        nobody receives and no profiler times.
+        """
+        return self._profiler is not None or bool(self._subscribers.get(hook))
+
     def subscriber_count(self, hook: str) -> int:
         """Number of callbacks currently attached to ``hook``."""
         return len(self._subscribers.get(hook, ()))

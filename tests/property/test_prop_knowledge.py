@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -241,3 +242,37 @@ def test_out_of_range_ids_raise(case):
     # A rejected observation leaves the store untouched.
     assert knowledge.known_edge_count == 0
     assert knowledge.last_first_hand_visit(0) == NEVER
+
+
+@given(
+    observations,
+    st.lists(times, min_size=NODES, max_size=NODES),
+    st.lists(nodes, min_size=1, max_size=8, unique=True),
+    st.booleans(),
+)
+@settings(max_examples=100)
+def test_least_recent_matches_the_per_node_queries(obs, reported, candidates, combined):
+    knowledge = build(obs)
+    visits = np.array(reported, dtype=np.int64)
+    knowledge.absorb(EdgeBits(0, NODES), visits)
+    recency = (
+        knowledge.last_combined_visit if combined else knowledge.last_first_hand_visit
+    )
+    times_of = [recency(candidate) for candidate in candidates]
+    expected = [c for c, t in zip(candidates, times_of) if t == min(times_of)]
+    assert knowledge.least_recent(candidates, combined) == expected
+
+
+@given(observations)
+@settings(max_examples=50)
+def test_observe_row_matches_observe_node(obs):
+    by_row = TopologyKnowledge(NODES)
+    for node, neighbors, time in obs:
+        by_row.observe_row(node, sum(1 << v for v in set(neighbors)), time)
+    by_ids = build(obs)
+    assert by_row.all_edges == by_ids.all_edges
+    assert by_row.first_hand_edges == by_ids.first_hand_edges
+    assert by_row.known_edge_count == by_ids.known_edge_count
+    assert [by_row.last_first_hand_visit(n) for n in range(NODES)] == [
+        by_ids.last_first_hand_visit(n) for n in range(NODES)
+    ]

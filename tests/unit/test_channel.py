@@ -187,6 +187,17 @@ class TestChannelModel:
         assert not channel.attempt(0, 1, 3, "hop:0")
         assert channel.attempt(1, 2, 3, "hop:1")
 
+    def test_hops_lossless_tracks_config_and_bursts_not_gray(self):
+        channel = ChannelModel(line3(), ChannelConfig(), seed=5)
+        assert channel.hops_lossless
+        channel.set_grayfail(1, 0.9)  # payload kinds only: hops still safe
+        assert channel.hops_lossless
+        channel.set_burst(0, 0.5)
+        assert not channel.hops_lossless
+        channel.clear_burst(0)
+        assert channel.hops_lossless
+        assert not ChannelModel(line3(), ChannelConfig(loss=0.1), seed=5).hops_lossless
+
     def test_burst_validation(self):
         channel = ChannelModel(line3(), ChannelConfig(), seed=5)
         with pytest.raises(ConfigurationError):

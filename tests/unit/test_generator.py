@@ -1,6 +1,8 @@
 """Unit tests for the network generators."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.net.generator import (
@@ -11,6 +13,7 @@ from repro.net.generator import (
     generate_manet_network,
     generate_mapping_network,
 )
+from repro.net.geometry import Point
 from repro.net.mobility import Stationary
 
 
@@ -162,3 +165,87 @@ class TestManetGeneration:
         )
         topology = generate_manet_network(1, config)
         assert len(topology.gateway_ids) == 12
+
+
+def _count_edges_oracle(positions, factors, scale):
+    """The pairwise walk ``_count_edges`` replaced, kept as its oracle."""
+    count = 0
+    for i, (pos, factor) in enumerate(zip(positions, factors)):
+        radius_sq = (scale * factor) ** 2
+        for j, other in enumerate(positions):
+            if i != j and pos.distance_squared_to(other) <= radius_sq:
+                count += 1
+    return count
+
+
+_coordinate = st.floats(min_value=0.0, max_value=50.0, allow_nan=False, width=64)
+_factor = st.one_of(
+    st.just(0.0), st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
+)
+
+
+class TestCountEdges:
+    count = staticmethod(NetworkGenerator._count_edges)
+
+    def test_pairs_at_exactly_the_range_count(self):
+        positions = [Point(0.0, 0.0), Point(3.0, 4.0)]
+        assert self.count(positions, [1.0, 1.0], 5.0) == 2
+        assert self.count(positions, [1.0, 1.0], 4.999999) == 0
+
+    def test_coincident_points_link_but_never_self(self):
+        positions = [Point(1.5, 2.5)] * 3
+        assert self.count(positions, [0.0, 0.0, 0.0], 10.0) == 6
+        assert self.count(positions[:1], [1.0], 10.0) == 0
+
+    def test_zero_factor_reaches_only_coincident_points(self):
+        positions = [Point(0.0, 0.0), Point(0.0, 0.0), Point(1.0, 0.0)]
+        assert self.count(positions, [0.0, 1.0, 1.0], 1.0) == 1 + 2 + 2
+
+    def test_matches_oracle_on_a_generated_layout(self):
+        import random
+
+        rng = random.Random(5)
+        positions = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(120)]
+        factors = [rng.uniform(0.7, 1.3) for _ in positions]
+        for scale in (0.0, 3.0, 11.5, 40.0, 200.0):
+            assert self.count(positions, factors, scale) == _count_edges_oracle(
+                positions, factors, scale
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(_coordinate, _coordinate, _factor), min_size=0, max_size=25),
+        st.floats(min_value=0.0, max_value=80.0, allow_nan=False),
+        st.booleans(),
+    )
+    def test_matches_oracle(self, nodes, scale, snap):
+        if snap and nodes:
+            # Put coordinates on a coarse grid so ties at exactly the
+            # range and coincident points are common.
+            nodes = [(round(x), round(y), round(f * 2) / 2) for x, y, f in nodes]
+            scale = float(round(scale))
+        positions = [Point(x, y) for x, y, _ in nodes]
+        factors = [f for _, _, f in nodes]
+        assert self.count(positions, factors, scale) == _count_edges_oracle(
+            positions, factors, scale
+        )
+
+    def test_blocks_do_not_change_the_count(self, monkeypatch):
+        import random
+
+        from repro.net import generator
+
+        rng = random.Random(9)
+        positions = [Point(rng.uniform(0, 30), rng.uniform(0, 30)) for _ in range(40)]
+        factors = [rng.uniform(0.5, 1.5) for _ in positions]
+        whole = self.count(positions, factors, 6.0)
+        monkeypatch.setattr(generator, "_COUNT_BLOCK_CELLS", 7 * len(positions))
+        assert self.count(positions, factors, 6.0) == whole
+        assert whole == _count_edges_oracle(positions, factors, 6.0)
+
+    def test_paper_network_is_unchanged(self):
+        from repro.experiments.config import PAPER
+
+        config = PAPER.mapping_generator_config()
+        topology = NetworkGenerator(config, seed=2010).generate_static()
+        assert topology.edge_count == 2233

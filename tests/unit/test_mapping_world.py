@@ -180,3 +180,86 @@ class TestMappingWorld:
         result = world.run()
         assert small_static_network.edge_count < edges_before
         assert result.finished
+
+
+class TestNeighbourRowCache:
+    """The world's per-epoch neighbour rows follow every topology change."""
+
+    DEGRADE_AT = 5
+    BLACKOUT_AT = 10
+
+    @staticmethod
+    def _network():
+        from repro.net.generator import GeneratorConfig, NetworkGenerator
+
+        config = GeneratorConfig(
+            node_count=30,
+            target_edges=None,
+            range_heterogeneity=0.3,
+            require_strong_connectivity=True,
+        )
+        return NetworkGenerator(config, seed=99).generate_static()
+
+    def _world(self, plan=None):
+        config = MappingWorldConfig(
+            population=6,
+            max_steps=30,
+            degrade_at=self.DEGRADE_AT,
+            degrade_fraction=0.5,
+            degrade_amount=0.6,
+            fault_plan=plan,
+            check_invariants=False,
+        )
+        return MappingWorld(self._network(), config, seed=3)
+
+    def _blackout_plan(self):
+        """Block an out-link of the node agent 0 stands on when it fires."""
+        from repro.faults.plan import FaultPlan
+
+        dry = self._world()
+        for __ in range(self.BLACKOUT_AT - 1):
+            dry.engine.step()
+        source = dry.agents[0].location
+        destination = min(dry.topology.out_neighbors(source))
+        plan = FaultPlan().blackout(self.BLACKOUT_AT, source, destination)
+        return plan, source
+
+    def test_agents_observe_and_choose_from_post_change_rows(self, monkeypatch):
+        from repro.core.mapping_agents import MappingAgent
+
+        plan, blocked_source = self._blackout_plan()
+        world = self._world(plan)
+        topology = world.topology
+        original = {node: sorted(topology.out_neighbors(node)) for node in topology.node_ids}
+        observed, chosen_from = [], []
+        observe, choose_next = MappingAgent.observe, MappingAgent.choose_next
+
+        def spy_observe(agent, out_neighbors, time, row=None):
+            live = sorted(topology.out_neighbors(agent.location))
+            observed.append((time, agent.location, list(out_neighbors), row, live))
+            return observe(agent, out_neighbors, time, row)
+
+        def spy_choose(agent, out_neighbors, time, field=None):
+            live = sorted(topology.out_neighbors(agent.location))
+            chosen_from.append((time, list(out_neighbors), live))
+            return choose_next(agent, out_neighbors, time, field)
+
+        monkeypatch.setattr(MappingAgent, "observe", spy_observe)
+        monkeypatch.setattr(MappingAgent, "choose_next", spy_choose)
+        world.run()
+
+        changed_after_degrade = changed_after_blackout = 0
+        for time, location, neighbors, row, live in observed:
+            assert neighbors == live, (time, location)
+            assert row == sum(1 << neighbor for neighbor in live), (time, location)
+            if live != original[location]:
+                if time < self.BLACKOUT_AT:
+                    changed_after_degrade += 1
+                elif location == blocked_source:
+                    changed_after_blackout += 1
+        for time, neighbors, live in chosen_from:
+            assert neighbors == live, time
+        # Both changes reached rows the agents then stood on, so a cache
+        # that was never dropped would have shown them the old links.
+        assert changed_after_degrade > 0
+        assert changed_after_blackout > 0

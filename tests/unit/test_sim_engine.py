@@ -163,6 +163,18 @@ class TestHookRegistry:
         hooks.unsubscribe("h", callback)
         assert hooks.subscriber_count("h") == 0
 
+    def test_is_live_needs_a_subscriber_or_a_profiler(self):
+        hooks = HookRegistry()
+        assert not hooks.is_live("h")
+        callback = lambda: None  # noqa: E731
+        hooks.subscribe("h", callback)
+        assert hooks.is_live("h")
+        assert not hooks.is_live("other")
+        hooks.unsubscribe("h", callback)
+        assert not hooks.is_live("h")
+        hooks.set_profiler(object())
+        assert hooks.is_live("h")
+
     def test_unsubscribe_missing_is_noop(self):
         HookRegistry().unsubscribe("h", lambda: None)
 
