@@ -20,7 +20,7 @@ from collections import Counter
 
 from repro import RoutingWorld, RoutingWorldConfig, generate_manet_network
 from repro.net.generator import GeneratorConfig
-from repro.net.graphutils import bfs_hops
+from repro.net.graphutils import bfs_hops, reversed_adjacency
 
 NETWORK = GeneratorConfig(
     node_count=120,
@@ -40,11 +40,7 @@ VARIANTS = {
 
 def gateway_distance_histogram(world) -> Counter:
     """How far from the nearest gateway the agents currently sit."""
-    reverse = {n: set() for n in world.topology.node_ids}
-    adjacency = world.topology.adjacency_copy()
-    for u, successors in adjacency.items():
-        for v in successors:
-            reverse[v].add(u)
+    reverse = reversed_adjacency(world.topology.adjacency_copy())
     distance = {}
     for gateway in world.topology.gateway_ids:
         for node, hops in bfs_hops(reverse, gateway).items():

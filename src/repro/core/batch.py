@@ -55,7 +55,7 @@ writes everything else back, which is what lets
 from __future__ import annotations
 
 from dataclasses import fields as dataclass_fields
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as _np
 
@@ -300,7 +300,7 @@ class BatchAgentEngine:
         self,
         acts: "_np.ndarray",
         now: Time,
-        adjacency: Dict[NodeId, Set[NodeId]],
+        adjacency: Sequence[Sequence[NodeId]],
         targets: "_np.ndarray",
         fresh: "_np.ndarray",
     ) -> None:
@@ -382,7 +382,7 @@ class BatchAgentEngine:
         node ids padded with ``-1``, ``deg`` the per-row candidate count
         and ``valid`` the pad mask.  Rows are the topology's packed edge
         array read as CSR, so candidates ascend within each row — the
-        order ``sorted(out_neighbors)`` gives the per-object path.
+        order of the rows the per-object path reads.
         ``cand`` is a view into a per-engine workspace, valid only until
         the next call (the decide pass consumes it immediately).
         """
@@ -425,7 +425,7 @@ class BatchAgentEngine:
         self,
         acts: "_np.ndarray",
         now: Time,
-        adjacency: Dict[NodeId, Set[NodeId]],
+        adjacency: Sequence[Sequence[NodeId]],
         targets: "_np.ndarray",
         fresh: "_np.ndarray",
     ) -> None:

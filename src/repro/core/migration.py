@@ -95,7 +95,7 @@ class ReliableMigration:
         agents: Sequence,
         indices: Iterable[int],
         now: Time,
-        adjacency: Dict[NodeId, Container[NodeId]],
+        adjacency: Sequence[Container[NodeId]],
         locations,
     ) -> Dict[int, Tuple[bool, Optional[NodeId]]]:
         """Resolve pending-hop intents for the given agent indices only.

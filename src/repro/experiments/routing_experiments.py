@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.analysis.compare import welch_t_test
+from repro.errors import ConfigurationError
 from repro.experiments.config import DEFAULT_MASTER_SEED, Scale
 from repro.experiments.report import ExperimentReport
 from repro.experiments.runner import (
@@ -18,6 +19,15 @@ from repro.routing.world import RoutingWorldConfig
 __all__ = [
     "fig7", "fig8", "fig9", "fig10", "fig11", "ext1", "ext2", "abl6", "faults1",
 ]
+
+
+def _require_paired_runs(experiment_id: str, scale: Scale) -> None:
+    """Refuse, before any simulation, a run count Welch's test cannot use."""
+    if scale.runs < 2:
+        raise ConfigurationError(
+            f"{experiment_id} compares variants with Welch's t-test, which "
+            f"needs at least 2 runs per variant (got --runs {scale.runs})"
+        )
 
 
 def _world(
@@ -168,6 +178,7 @@ def _visiting_figure(
     master_seed: int,
     progress: Optional[ProgressCallback],
 ) -> ExperimentReport:
+    _require_paired_runs(experiment_id, scale)
     variants: Dict[str, RoutingWorldConfig] = {}
     for history in scale.visiting_history_sizes:
         for visiting in (False, True):
@@ -253,6 +264,7 @@ def ext1(
     progress: Optional[ProgressCallback] = None,
 ) -> ExperimentReport:
     """Extension (paper future work): stigmergy in dynamic routing."""
+    _require_paired_runs("ext1", scale)
     variants = {
         "oldest-node (plain)": _world(scale),
         "oldest-node (stigmergic)": _world(scale, stigmergic=True),

@@ -288,7 +288,7 @@ class MappingWorld:
         return self._rows
 
     def _fill_row(self, node: NodeId) -> Tuple[List[NodeId], int]:
-        neighbors = sorted(self.topology.out_neighbors(node))
+        neighbors = self.topology.out_neighbors(node)
         bits = 0
         for neighbor in neighbors:
             bits |= 1 << neighbor

@@ -15,6 +15,7 @@ from repro.types import NodeId
 __all__ = [
     "Adjacency",
     "reachable_from",
+    "reversed_adjacency",
     "is_strongly_connected",
     "strongly_connected_components",
     "bfs_hops",
@@ -43,7 +44,8 @@ def reachable_from(adjacency: Adjacency, start: NodeId) -> Set[NodeId]:
     return seen
 
 
-def _reversed_adjacency(adjacency: Adjacency) -> Adjacency:
+def reversed_adjacency(adjacency: Adjacency) -> Adjacency:
+    """Every edge turned around: node -> set of its in-neighbours."""
     reversed_adj: Adjacency = {node: set() for node in adjacency}
     for node, successors in adjacency.items():
         for successor in successors:
@@ -59,7 +61,7 @@ def is_strongly_connected(adjacency: Adjacency) -> bool:
     start = nodes[0]
     if len(reachable_from(adjacency, start)) != len(nodes):
         return False
-    return len(reachable_from(_reversed_adjacency(adjacency), start)) == len(nodes)
+    return len(reachable_from(reversed_adjacency(adjacency), start)) == len(nodes)
 
 
 def strongly_connected_components(adjacency: Adjacency) -> List[Set[NodeId]]:

@@ -14,7 +14,9 @@ pinned graph exactly as they do from a geometric one.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import Iterable, Optional, Sequence
+
+import numpy as _np
 
 from repro.errors import TopologyError
 from repro.net.geometry import Arena, Point
@@ -54,16 +56,18 @@ def fixed_topology(
 
     if node_count < 1:
         raise TopologyError(f"node_count must be >= 1, got {node_count}")
-    pinned: Dict[NodeId, Set[NodeId]] = {n: set() for n in range(node_count)}
+    ids = range(node_count)
+    packed = []
     for source, destination in edges:
-        if source not in pinned or destination not in pinned:
+        if source not in ids or destination not in ids:
             raise TopologyError(
                 f"edge ({source}, {destination}) refers to a node outside "
                 f"0..{node_count - 1}"
             )
         if source == destination:
             raise TopologyError(f"self-loop ({source}, {destination}) not allowed")
-        pinned[source].add(destination)
+        packed.append(source * node_count + destination)
+    pinned = _np.unique(_np.array(packed, dtype=_np.int64))
 
     arena = arena if arena is not None else Arena(100.0, 100.0)
     gateway_set = set(gateways)
@@ -89,22 +93,11 @@ def fixed_topology(
     topology._pinned = True
 
     def recompute() -> None:
-        # Restore the pinned adjacency, then apply fault state the same
-        # way Topology.recompute does: crashed nodes lose every link,
-        # blacked-out links are removed last.  Installing through
-        # _install_adjacency keeps the reverse index and the edge-delta
-        # stream truthful (an unchanged pinned graph yields an empty
-        # delta, so downstream caches stay warm).
-        down = topology._down
-        adjacency = {
-            n: set() if n in down else {d for d in s if d not in down}
-            for n, s in pinned.items()
-        }
-        for source, destination in topology._blocked:
-            successors = adjacency.get(source)
-            if successors is not None:
-                successors.discard(destination)
-        topology._install_adjacency(adjacency)
+        # Restore the pinned edges minus the fault state (crashed nodes
+        # lose every link, blacked-out links are removed), through the
+        # same apply step as a geometric refresh: an unchanged pinned
+        # graph yields an empty delta, so downstream caches stay warm.
+        topology._apply(topology._without_faults(pinned))
 
     topology.recompute = recompute  # type: ignore[method-assign]
     topology.recompute()

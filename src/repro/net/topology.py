@@ -15,13 +15,17 @@ paper's 60-node QUICK MANET), a sorted column grid for larger ones (its
 250-node MANET and up).  The sharded runtime's tiles call the same
 kernel over their halos.
 
-:class:`Topology` keeps the packed array of the current adjacency.  A
-refresh recomputes it, diffs it against the previous one
-(:func:`edge_delta`, a sorted merge) and applies only the flips to the
-dict adjacency, the reverse index that answers ``in_neighbors`` in
-O(in-degree), and the edge-delta stream (:class:`TopologyDelta`) that
-the delta-aware connectivity metric consumes.  A refresh that finds no
-position, range or fault change does no edge work at all.
+:class:`Topology` keeps that sorted packed array as its only adjacency.
+Sorted by ``u * n + v``, it is CSR by construction: node ``u``'s
+out-neighbours are the entries in ``[u * n, (u + 1) * n)``, ascending.
+Consumers read it as rows (:func:`csr_rows`, built once per changed
+epoch); in-neighbours are answered on demand from the array.  A refresh
+recomputes the array, diffs it against the previous one
+(:func:`edge_delta`, a sorted merge) and appends the packed diff to the
+edge-delta stream (:class:`TopologyDelta`) that the delta-aware
+connectivity metric consumes.  A refresh that finds no position, range
+or fault change does no edge work at all.  Pinned graphs
+(:mod:`repro.net.manual`) go through the same apply step.
 
 The rebuild-from-scratch path (``incremental=False`` or
 :meth:`Topology.force_full_rebuild`) is the reference implementation, a
@@ -32,15 +36,14 @@ sender's x-window.  The two are bit-identical because both evaluate that
 predicate exactly; the test suite property-checks the sweep against a
 pure-Python brute force and the engine against the sweep on randomized
 mobility and fault traces, and :meth:`Topology.consistency_problems`
-lets the runtime invariant checker compare the maintained adjacency and
-reverse index against a fresh sweep every step.
+lets the runtime invariant checker compare the packed array and the
+rows served from it against a fresh sweep every step.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as _np
@@ -48,13 +51,21 @@ import numpy as _np
 from repro.errors import TopologyError
 from repro.net.battery import ExponentialDrain, LinearDrain, NoDrain
 from repro.net.geometry import Arena, Point
-from repro.net.graphutils import Adjacency, edge_count, is_strongly_connected
+from repro.net.graphutils import Adjacency, is_strongly_connected
 from repro.net.mobility import RandomVelocity, Stationary
 from repro.net.node import Node
 from repro.net.radio import BatteryCoupledRange, FixedRange, HeterogeneousRange
 from repro.types import Edge, NodeId
 
-__all__ = ["Topology", "TopologyDelta", "TopologyStats", "edge_delta", "link_edges"]
+__all__ = [
+    "EdgeDeltaStream",
+    "Topology",
+    "TopologyDelta",
+    "TopologyStats",
+    "csr_rows",
+    "edge_delta",
+    "link_edges",
+]
 
 #: buffered delta edges beyond which the stream collapses into a full
 #: flush — protects worlds that never attach a delta consumer.
@@ -82,18 +93,64 @@ class TopologyStats:
     edges_removed: int = 0
 
 
+def _no_edges():
+    return _np.empty(0, dtype=_np.int64)
+
+
 @dataclass
 class TopologyDelta:
     """One drained batch of edge changes since the previous drain.
 
-    ``full`` means the adjacency was rebuilt wholesale (first build,
-    naive mode, or buffer overflow) and consumers must flush anything
-    derived from earlier state; ``added``/``removed`` are then empty.
+    ``added``/``removed`` are packed ``u * n + v`` int64 arrays, one
+    sorted run per refresh.  ``full`` means the adjacency was rebuilt
+    wholesale (first build, naive mode, or buffer overflow) and
+    consumers must flush anything derived from earlier state;
+    ``added``/``removed`` are then empty.
     """
 
     full: bool = False
-    added: List[Edge] = field(default_factory=list)
-    removed: List[Edge] = field(default_factory=list)
+    added: object = field(default_factory=_no_edges)
+    removed: object = field(default_factory=_no_edges)
+
+
+class EdgeDeltaStream:
+    """The packed edge changes recorded since the previous drain.
+
+    Opens ``full``, like a freshly built adjacency; overflowing
+    ``_DELTA_CAP`` collapses it back to ``full``, which protects
+    adjacencies that never get a delta consumer.
+    """
+
+    def __init__(self) -> None:
+        self.flush()
+
+    def flush(self) -> None:
+        """Collapse the stream into a ``full`` marker."""
+        self.full = True
+        self.added: List = []
+        self.removed: List = []
+        self.size = 0
+
+    def record(self, added, removed) -> None:
+        """Append one refresh's packed diff (no-op while ``full``)."""
+        if self.full:
+            return
+        self.added.append(added)
+        self.removed.append(removed)
+        self.size += added.size + removed.size
+        if self.size > _DELTA_CAP:
+            self.flush()
+
+    def take(self) -> TopologyDelta:
+        """Drain the stream; the next drain starts empty, not ``full``."""
+        delta = TopologyDelta(
+            self.full,
+            _np.concatenate([_no_edges()] + self.added),
+            _np.concatenate([_no_edges()] + self.removed),
+        )
+        self.flush()
+        self.full = False
+        return delta
 
 
 # ----------------------------------------------------------------------
@@ -253,38 +310,15 @@ def edge_delta(new, old):
     return new[~kept], old[gone]
 
 
-def _pack(adjacency: Adjacency, n: int, transposed: bool = False):
-    """The sorted packed edge array of a dict adjacency.
+def csr_rows(edges, n: int) -> List[List[NodeId]]:
+    """Per node ``0..n-1``, its ascending out-neighbours in ``edges``.
 
-    ``transposed`` reads the rows as in-neighbour sets (a reverse index),
-    so both views of one edge set pack to the same array.  A row naming
-    an id outside ``0..n-1`` raises :class:`ValueError`: its packed value
-    would alias an edge of another row.
+    ``edges`` is a sorted packed ``u * n + v`` array, so each node's row
+    is one contiguous run of it.
     """
-    rows = adjacency.values()
-    degrees = _np.fromiter(map(len, rows), _np.int64, len(adjacency))
-    edges = _np.fromiter(chain.from_iterable(rows), _np.int64, int(degrees.sum()))
-    if edges.size and (edges.min() < 0 or edges.max() >= n):
-        raise ValueError("adjacency row names an unknown node")
-    keys = _np.repeat(_np.fromiter(adjacency, _np.int64, len(adjacency)), degrees)
-    if transposed:
-        edges *= n
-        edges += keys
-    else:
-        edges += keys * n
-    edges.sort()
-    return edges
-
-
-def _unpack(edges, n: int) -> Tuple[Adjacency, Adjacency]:
-    """The dict adjacency and reverse index of a packed edge array."""
-    adjacency: Adjacency = {u: set() for u in range(n)}
-    reverse: Adjacency = {u: set() for u in range(n)}
-    src, dst = _np.divmod(edges, n)
-    for u, v in zip(src.tolist(), dst.tolist()):
-        adjacency[u].add(v)
-        reverse[v].add(u)
-    return adjacency, reverse
+    bounds = _np.searchsorted(edges, _np.arange(0, n * n + 1, n)).tolist()
+    targets = (edges % n).tolist()
+    return [targets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -406,8 +440,10 @@ class Topology:
             raise TopologyError("node ids must be contiguous 0..n-1 in order")
         self.nodes: List[Node] = list(nodes)
         self.arena = arena
-        self._adjacency: Adjacency = {node.node_id: set() for node in nodes}
-        self._reverse: Adjacency = {node.node_id: set() for node in nodes}
+        #: sorted packed ``u * n + v`` edges: the adjacency itself.
+        self._edges = _no_edges()
+        #: :func:`csr_rows` of ``_edges``, built on first read after a change.
+        self._rows: Optional[List[List[NodeId]]] = None
         self._dirty = True
         self._down: Set[NodeId] = set()
         self._blocked: Set[Edge] = set()
@@ -415,12 +451,9 @@ class Topology:
         #: set by :mod:`repro.net.manual` for pinned (non-geometric) graphs.
         self._pinned = False
         self.stats = TopologyStats()
-        #: whether the mirrors and the packed edges below describe the
-        #: current adjacency, so the next refresh can diff against them.
+        #: whether the mirrors and ``_edges`` describe the current
+        #: adjacency, so the next refresh can diff against them.
         self._built = False
-        #: sorted packed ``u * n + v`` edges of ``_adjacency``; ``None``
-        #: until packed (naive rebuilds and pinned installs pack lazily).
-        self._edges = None
         #: float64 position and range mirrors over all nodes: the values
         #: the current adjacency was computed from, or — while
         #: :meth:`advance_motion` drives the topology — the live ones.
@@ -439,10 +472,7 @@ class Topology:
         #: ``False`` means some node defies it (custom models) and the
         #: scalar loop is permanent.
         self._advance_state: object = None
-        # --- edge-delta stream ------------------------------------------
-        self._delta_full = True
-        self._delta_added: List[Edge] = []
-        self._delta_removed: List[Edge] = []
+        self._delta = EdgeDeltaStream()
         self._epoch = 0
 
     # ------------------------------------------------------------------
@@ -464,8 +494,8 @@ class Topology:
         """Bring the adjacency up to date with positions and ranges.
 
         In incremental mode (the default) the link kernel recomputes the
-        packed edge set and only the flips against the previous one
-        touch the adjacency views; nodes marked down
+        packed edge set and only its diff against the previous one
+        enters the delta stream; nodes marked down
         (:meth:`set_node_down`) have their radios silenced and
         blacked-out links (:meth:`block_edge`) stay suppressed, exactly
         as in the naive rebuild.
@@ -478,23 +508,10 @@ class Topology:
     def force_full_rebuild(self) -> None:
         """Rebuild the adjacency from scratch (the reference path)."""
         edges = self._compute_adjacency()
-        adjacency, reverse = _unpack(edges, len(self.nodes))
-        self._edges = edges
         if self._incremental:
             self._sync_mirrors()
             self._built = True
-        self._commit_full(adjacency, reverse)
-
-    def _commit_full(self, adjacency: Adjacency, reverse: Adjacency) -> None:
-        self._adjacency = adjacency
-        self._reverse = reverse
-        self._record_full_delta()
-        self.stats.full_rebuilds += 1
-        self._epoch += 1
-        self._applied_down = set(self._down)
-        self._applied_blocked = set(self._blocked)
-        self._advance_hint = None
-        self._dirty = False
+        self._apply(edges, full=True)
 
     @property
     def incremental(self) -> bool:
@@ -585,28 +602,36 @@ class Topology:
             live = _np.flatnonzero(live)
         else:
             live = _np.arange(n)
-        edges = link_edges(self._ax, self._ay, self._ar, live, live)
-        blocked = self._blocked
-        if blocked:
-            hidden = _np.fromiter((u * n + v for u, v in blocked), _np.int64)
-            hidden.sort()
-            edges = edge_delta(edges, hidden)[0]
-        return edges
+        return self._hide_blocked(link_edges(self._ax, self._ay, self._ar, live, live))
 
-    def _packed(self):
-        if self._edges is None:
-            self._edges = _pack(self._adjacency, len(self.nodes))
-        return self._edges
+    def _hide_blocked(self, edges):
+        """``edges`` without the blacked-out links."""
+        blocked = self._blocked
+        if not blocked:
+            return edges
+        n = len(self.nodes)
+        hidden = _np.fromiter((u * n + v for u, v in blocked), _np.int64)
+        hidden.sort()
+        return edge_delta(edges, hidden)[0]
+
+    def _without_faults(self, edges):
+        """Sorted packed ``edges`` minus down nodes' links and blocked links.
+
+        How a pinned graph (:mod:`repro.net.manual`) honours fault state;
+        a geometric refresh leaves down nodes out of the kernel instead.
+        """
+        if self._down:
+            down = _np.fromiter(self._down, _np.int64)
+            ends = _np.divmod(edges, len(self.nodes))
+            edges = edges[~(_np.isin(ends[0], down) | _np.isin(ends[1], down))]
+        return self._hide_blocked(edges)
 
     def _refresh(self) -> None:
-        """Recompute the packed edges and apply the flips to the views."""
+        """Recompute the packed edges and apply their diff."""
         if not self._built:
             self._sync_mirrors()
-            edges = self._link_edges()
-            adjacency, reverse = _unpack(edges, len(self.nodes))
-            self._edges = edges
             self._built = True
-            self._commit_full(adjacency, reverse)
+            self._apply(self._link_edges(), full=True)
             return
         # Change detection.  The vectorized advance fast path hands the
         # changes over with their new values; without it (external
@@ -617,87 +642,57 @@ class Topology:
             changed = self._apply_kinematics(*hint)
         else:
             changed = self._sync_mirrors()
-        stats = self.stats
-        stats.incremental_refreshes += 1
-        self._epoch += 1
-        self._dirty = False
+        self.stats.incremental_refreshes += 1
         if (
-            not changed
-            and self._down == self._applied_down
-            and self._blocked == self._applied_blocked
+            changed
+            or self._down != self._applied_down
+            or self._blocked != self._applied_blocked
         ):
-            return
-        self._applied_down = set(self._down)
-        self._applied_blocked = set(self._blocked)
-        edges = self._link_edges()
-        added, removed = edge_delta(edges, self._packed())
-        self._edges = edges
-        if not added.size and not removed.size:
-            return
-        adjacency = self._adjacency
-        reverse = self._reverse
-        src, dst = _np.divmod(_np.concatenate((removed, added)), len(self.nodes))
-        flips = list(zip(src.tolist(), dst.tolist()))
-        removed_edges = flips[: removed.size]
-        added_edges = flips[removed.size :]
-        for u, v in removed_edges:
-            adjacency[u].discard(v)
-            reverse[v].discard(u)
-        for u, v in added_edges:
-            adjacency[u].add(v)
-            reverse[v].add(u)
-        if not self._delta_full:
-            self._delta_added.extend(added_edges)
-            self._delta_removed.extend(removed_edges)
-            if len(self._delta_added) + len(self._delta_removed) > _DELTA_CAP:
-                self._record_full_delta()
-        stats.edges_added += len(added_edges)
-        stats.edges_removed += len(removed_edges)
+            self._apply(self._link_edges())
+        else:
+            self._epoch += 1
+            self._dirty = False
 
-    def _record_full_delta(self) -> None:
-        self._delta_full = True
-        self._delta_added = []
-        self._delta_removed = []
+    def _apply(self, edges, full: bool = False) -> None:
+        """Adopt the sorted packed ``edges`` as the current adjacency.
 
-    def _install_adjacency(self, adjacency: Adjacency) -> None:
-        """Adopt an externally computed adjacency (pinned topologies).
-
-        Diffs against the current state so the reverse index, the delta
-        stream, and the stats counters stay truthful.
+        The one apply step of rebuilds, geometric refreshes and pinned
+        installs.  A ``full`` rebuild restarts the delta stream; anything
+        else diffs against the previous array so the delta stream and
+        the flip counters stay truthful, and drops the served rows only
+        when an edge changed.
         """
-        old = self._adjacency
-        reverse = self._reverse
-        added: List[Edge] = []
-        removed: List[Edge] = []
-        for u, new_out in adjacency.items():
-            old_out = old[u]
-            if new_out == old_out:
-                continue
-            for w in old_out - new_out:
-                reverse[w].discard(u)
-                removed.append((u, w))
-            for w in new_out - old_out:
-                reverse[w].add(u)
-                added.append((u, w))
-        self._adjacency = adjacency
-        if added or removed:
-            self._edges = None
-        if not self._delta_full:
-            self._delta_added.extend(added)
-            self._delta_removed.extend(removed)
-            if len(self._delta_added) + len(self._delta_removed) > _DELTA_CAP:
-                self._record_full_delta()
-        self.stats.edges_added += len(added)
-        self.stats.edges_removed += len(removed)
+        if full:
+            self._rows = None
+            self._delta.flush()
+            self.stats.full_rebuilds += 1
+            self._advance_hint = None
+        else:
+            added, removed = edge_delta(edges, self._edges)
+            if added.size or removed.size:
+                self._rows = None
+                self._delta.record(added, removed)
+                self.stats.edges_added += added.size
+                self.stats.edges_removed += removed.size
+        self._edges = edges
         self._applied_down = set(self._down)
         self._applied_blocked = set(self._blocked)
         self._epoch += 1
         self._dirty = False
 
-    def _current(self) -> Adjacency:
+    def _current(self):
+        """The up-to-date sorted packed edge array."""
         if self._dirty:
             self.recompute()
-        return self._adjacency
+        return self._edges
+
+    def _served_rows(self) -> List[List[NodeId]]:
+        """The up-to-date CSR rows, built once per changed adjacency."""
+        edges = self._current()
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = csr_rows(edges, len(self.nodes))
+        return rows
 
     # ------------------------------------------------------------------
     # Edge-delta stream
@@ -716,15 +711,7 @@ class Topology:
         rebuild or overflow) with a ``full=True`` flush marker.
         """
         self._current()
-        delta = TopologyDelta(
-            full=self._delta_full,
-            added=self._delta_added,
-            removed=self._delta_removed,
-        )
-        self._delta_full = False
-        self._delta_added = []
-        self._delta_removed = []
-        return delta
+        return self._delta.take()
 
     # ------------------------------------------------------------------
     # Queries
@@ -747,27 +734,28 @@ class Topology:
         except IndexError:
             raise TopologyError(f"no node with id {node_id}") from None
 
-    def out_neighbors(self, node_id: NodeId) -> Set[NodeId]:
-        """Nodes currently reachable in one hop *from* ``node_id``.
-
-        The returned set is the live internal one — treat it as read-only.
-        """
-        adjacency = self._current()
-        if node_id not in adjacency:
+    def _check_id(self, node_id: NodeId) -> None:
+        if not 0 <= node_id < len(self.nodes):
             raise TopologyError(f"no node with id {node_id}")
-        return adjacency[node_id]
 
-    def in_neighbors(self, node_id: NodeId) -> Set[NodeId]:
-        """Nodes that can currently reach ``node_id`` in one hop.
+    def out_neighbors(self, node_id: NodeId) -> List[NodeId]:
+        """Nodes currently reachable in one hop *from* ``node_id``, ascending.
 
-        Served from the maintained reverse-adjacency index in
-        O(in-degree); the returned set is the live internal one — treat
-        it as read-only.
+        The returned list is the served row itself — treat it as
+        read-only.
         """
-        self._current()
-        if node_id not in self._reverse:
-            raise TopologyError(f"no node with id {node_id}")
-        return self._reverse[node_id]
+        self._check_id(node_id)
+        return self._served_rows()[node_id]
+
+    def in_neighbors(self, node_id: NodeId) -> List[NodeId]:
+        """Nodes that can currently reach ``node_id`` in one hop, ascending.
+
+        Answered on demand by one scan of the packed array; no reverse
+        index is kept.
+        """
+        self._check_id(node_id)
+        sources, targets = _np.divmod(self._current(), len(self.nodes))
+        return sources[targets == node_id].tolist()
 
     def has_edge(self, source: NodeId, destination: NodeId) -> bool:
         """Whether the directed link ``source -> destination`` exists now.
@@ -776,19 +764,13 @@ class Topology:
         :meth:`out_neighbors` / :meth:`in_neighbors` — an id typo must
         never read as "no link".
         """
-        adjacency = self._current()
-        if source not in adjacency:
-            raise TopologyError(f"no node with id {source}")
-        if destination not in adjacency:
-            raise TopologyError(f"no node with id {destination}")
-        return destination in adjacency[source]
+        self._check_id(destination)
+        return destination in self.out_neighbors(source)
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate all current directed edges in deterministic order."""
-        adjacency = self._current()
-        for source in sorted(adjacency):
-            for destination in sorted(adjacency[source]):
-                yield (source, destination)
+        """Iterate all current directed edges in ascending order."""
+        sources, targets = _np.divmod(self._current(), len(self.nodes))
+        return zip(sources.tolist(), targets.tolist())
 
     def edge_set(self) -> FrozenSet[Edge]:
         """All current directed edges as a frozen set."""
@@ -797,21 +779,21 @@ class Topology:
     @property
     def edge_count(self) -> int:
         """Number of current directed edges."""
-        return edge_count(self._current())
+        return int(self._current().size)
 
     def adjacency_copy(self) -> Adjacency:
-        """A deep copy of the current adjacency (safe to mutate)."""
-        return {node: set(successors) for node, successors in self._current().items()}
+        """The current adjacency as a fresh dict of sets (safe to mutate)."""
+        return {node: set(row) for node, row in enumerate(self._served_rows())}
 
-    def adjacency_view(self) -> Adjacency:
-        """The live current adjacency mapping — treat it as read-only.
+    def adjacency_view(self) -> List[List[NodeId]]:
+        """Every node's ascending out-neighbours, indexed by node id.
 
         For hot loops that would otherwise call :meth:`out_neighbors`
-        per node: one refresh check up front, then plain dict lookups.
-        The mapping and its sets are the engine's own state; the view is
-        only valid until the next refresh.
+        per node: one refresh check up front, then plain list indexing.
+        The rows are the engine's own — treat them as read-only, valid
+        until the next refresh.
         """
-        return self._current()
+        return self._served_rows()
 
     def packed_edges(self):
         """The current edges as a sorted packed ``u * n + v`` int64 array.
@@ -821,12 +803,11 @@ class Topology:
         engine's own state — treat it as read-only, valid until the next
         refresh.
         """
-        self._current()
-        return self._packed()
+        return self._current()
 
     def is_strongly_connected(self) -> bool:
         """Whether every node can currently reach every other node."""
-        return is_strongly_connected(self._current())
+        return is_strongly_connected(dict(enumerate(self._served_rows())))
 
     @property
     def gateway_ids(self) -> List[NodeId]:
@@ -851,60 +832,45 @@ class Topology:
     # ------------------------------------------------------------------
 
     def consistency_problems(self) -> List[str]:
-        """Cross-validate the engine's internal indices; [] when sound.
+        """Cross-validate the served adjacency; [] when sound.
 
-        Checks that the reverse index mirrors the adjacency exactly,
-        that the packed edge array holds as many edges, and — for
-        geometric (non-pinned) topologies — that the maintained
-        adjacency is bit-identical to a fresh rebuild-from-scratch
-        computation (:meth:`_compute_adjacency`).  Wired into the
-        runtime invariant checker, which calls it every step.  The
-        adjacency and the transposed reverse index are packed and
-        compared as arrays; only a mismatch pays for the edge-by-edge
-        walks that name each broken edge.  The packed array is the next
-        refresh's diff base, so any other disagreement with the
-        adjacency surfaces as a rebuild mismatch one refresh later; the
-        property suite compares it row by row.
+        Compares the packed edge array, and the rows served from it this
+        epoch (if any were read), against a fresh rebuild from scratch
+        (:meth:`_compute_adjacency`); a pinned graph has no geometry, so
+        its rows are compared against its array.  Wired into the runtime
+        invariant checker, which calls it every step.  A sound structure
+        costs one compare each; only a mismatch pays for the messages
+        naming each missing and phantom edge.
         """
-        problems: List[str] = []
-        adjacency = self._current()
-        reverse = self._reverse
+        edges = self._current()
         n = len(self.nodes)
-        try:
-            forward = _pack(adjacency, n)
-            backward = _pack(reverse, n, transposed=True)
-        except ValueError:
-            forward = backward = None
-        if forward is None or not _np.array_equal(forward, backward):
-            for u, outs in adjacency.items():
-                for w in outs:
-                    if u not in reverse.get(w, ()):
-                        problems.append(
-                            f"reverse index missing edge {u}->{w}"
-                        )
-            for w, ins in reverse.items():
-                for u in ins:
-                    if w not in adjacency.get(u, ()):
-                        problems.append(
-                            f"reverse index has phantom edge {u}->{w}"
-                        )
-        if self._edges is not None and self._edges.size != edge_count(adjacency):
-            problems.append("packed edge array disagrees with the adjacency")
-        if not self._pinned:
-            edges = self._compute_adjacency()
-            if forward is None or not _np.array_equal(forward, edges):
-                expected = _unpack(edges, n)[0]
-                for u in expected:
-                    missing = expected[u] - adjacency.get(u, set())
-                    phantom = adjacency.get(u, set()) - expected[u]
-                    for w in sorted(missing):
-                        problems.append(
-                            f"incremental adjacency missing edge {u}->{w}"
-                        )
-                    for w in sorted(phantom):
-                        problems.append(
-                            f"incremental adjacency has phantom edge {u}->{w}"
-                        )
+        expected = edges if self._pinned else self._compute_adjacency()
+        problems: List[str] = []
+        if not _np.array_equal(edges, expected):
+            for kind, wrong in (
+                ("missing", _np.setdiff1d(expected, edges)),
+                ("has phantom", _np.setdiff1d(edges, expected)),
+            ):
+                sources, targets = _np.divmod(wrong, n)
+                problems.extend(
+                    f"packed edge array {kind} edge {u}->{w}"
+                    for u, w in zip(sources.tolist(), targets.tolist())
+                )
+            if not problems:
+                problems.append("packed edge array is not sorted and duplicate-free")
+        rows = self._rows
+        wanted = csr_rows(expected, n) if rows is not None else rows
+        if rows != wanted:
+            for u, (row, want) in enumerate(zip(rows, wanted)):
+                if row == want:
+                    continue
+                have, need = set(row), set(want)
+                problems.extend(f"row of node {u} missing edge {u}->{w}" for w in sorted(need - have))
+                problems.extend(
+                    f"row of node {u} has phantom edge {u}->{w}" for w in sorted(have - need)
+                )
+                if have == need:
+                    problems.append(f"row of node {u} is not strictly ascending")
         return problems
 
     # ------------------------------------------------------------------

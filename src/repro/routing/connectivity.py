@@ -90,7 +90,7 @@ def _walk_trace_fast(
 ) -> Tuple[List[NodeId], bool]:
     """:func:`_walk_trace` against pre-resolved per-step context.
 
-    ``adjacency`` is the topology's live adjacency view, ``table_list``
+    ``adjacency`` is the topology's out-neighbour rows, ``table_list``
     the bank's node-indexed table list, and ``gateway_set`` the *live*
     gateways — hoisting them out lets a caller walking many starts pay
     the lookups once per step instead of once per hop.
@@ -239,13 +239,8 @@ class FunctionalConnectivity:
             eff = self._eff = _np.full(len(table_list), -1, dtype=_np.int64)
             dirty: Set[NodeId] = set(range(len(table_list)))
         else:
-            dirty = set()
-            if delta.removed:
-                for edge in delta.removed:
-                    dirty.add(edge[0])
-            if delta.added:
-                for edge in delta.added:
-                    dirty.add(edge[0])
+            changed = _np.concatenate((delta.removed, delta.added))
+            dirty = set(_np.unique(changed // topology.node_count).tolist())
             for node in touched:
                 signature = table_list[node].hops_by_preference()
                 if signature != sigs[node]:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.net.graphutils import bfs_hops
+from repro.net.graphutils import bfs_hops, reversed_adjacency
 from repro.net.topology import Topology
 from repro.routing.connectivity import DEFAULT_WALK_TTL, walk_to_gateway
 from repro.routing.table import TableBank
@@ -45,11 +45,7 @@ def _gateway_distances(topology: Topology) -> Dict[NodeId, int]:
     """Shortest hop count from every node to its nearest gateway."""
     # BFS from each gateway over the reversed graph gives, per node, the
     # distance *to* that gateway; keep the minimum over gateways.
-    adjacency = topology.adjacency_copy()
-    reversed_adj: Dict[NodeId, set] = {n: set() for n in adjacency}
-    for source, successors in adjacency.items():
-        for destination in successors:
-            reversed_adj[destination].add(source)
+    reversed_adj = reversed_adjacency(topology.adjacency_copy())
     nearest: Dict[NodeId, int] = {}
     for gateway in topology.gateway_ids:
         for node, hops in bfs_hops(reversed_adj, gateway).items():

@@ -24,14 +24,14 @@ sees, never the outcome.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as _np
 
 from repro.errors import ConfigurationError
 from repro.net.topology import edge_delta, link_edges
 
-__all__ = ["TileGrid", "TileAdjacency", "unpack_edges"]
+__all__ = ["TileGrid", "TileAdjacency"]
 
 
 def _factor_tiles(count: int, width: float, height: float) -> Tuple[int, int]:
@@ -111,14 +111,6 @@ class TileGrid:
             (tx + 1) * self.tile_w,
             (ty + 1) * self.tile_h,
         )
-
-
-def unpack_edges(packed, node_count: int) -> List[Tuple[int, int]]:
-    """Packed ``u * n + v`` int64 edges as ``(u, v)`` tuples."""
-    if len(packed) == 0:
-        return []
-    u, v = _np.divmod(packed, node_count)
-    return list(zip(u.tolist(), v.tolist()))
 
 
 class TileAdjacency:

@@ -28,18 +28,20 @@ metrics.
 from __future__ import annotations
 
 import multiprocessing
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as _np
 
 from repro.core.overhead import aggregate_overheads
 from repro.errors import ConfigurationError
 from repro.net.channel import ChannelStats
 from repro.net.generator import GeneratorConfig, NetworkGenerator
-from repro.net.topology import TopologyDelta
+from repro.net.topology import EdgeDeltaStream, TopologyDelta, csr_rows, edge_delta
 from repro.obs.collector import ObsCollector
 from repro.routing.connectivity import FunctionalConnectivity, connectivity_fraction
 from repro.routing.table import RouteEntry, TableBank
 from repro.routing.world import RoutingResult, RoutingWorldConfig
-from repro.shard.tiles import TileGrid, unpack_edges
+from repro.shard.tiles import TileGrid
 from repro.shard.worker import TileWorker, worker_main
 from repro.sim.engine import TimeStepEngine
 from repro.types import Time
@@ -96,25 +98,22 @@ class _MirrorTopology:
     """The coordinator's view of the global adjacency.
 
     Duck-types the slice of :class:`~repro.net.topology.Topology` the
-    connectivity metric reads: adjacency sets, gateway/node ids,
+    connectivity metric reads: out-neighbour rows, gateway/node ids,
     liveness (nothing goes down in sharded scope), and the
-    single-consumer edge-delta stream.  Fed per step from the merged
-    tile deltas; the first drained delta is ``full`` — exactly like a
-    freshly built serial topology — so the functional-connectivity
-    cache opens with its flush path.
+    single-consumer edge-delta stream.  Holds the sorted packed edge
+    array, fed per step from the merged packed tile deltas, and serves
+    rows and deltas through the topology's own helpers; the first
+    drained delta is ``full`` — exactly like a freshly built serial
+    topology — so the functional-connectivity cache opens with its
+    flush path.
     """
 
-    def __init__(
-        self, node_count: int, gateways: Tuple[int, ...], initial_edges
-    ) -> None:
+    def __init__(self, node_count: int, gateways: Tuple[int, ...], edges) -> None:
         self.node_count = node_count
         self._gateways = list(gateways)
-        self._adj: Dict[int, set] = {i: set() for i in range(node_count)}
-        for u, v in initial_edges:
-            self._adj[u].add(v)
-        self._added: List[Tuple[int, int]] = []
-        self._removed: List[Tuple[int, int]] = []
-        self._full = True
+        self._edges = edges
+        self._rows: Optional[List[List[int]]] = None
+        self._delta = EdgeDeltaStream()
 
     @property
     def gateway_ids(self) -> List[int]:
@@ -131,27 +130,27 @@ class _MirrorTopology:
     def is_down(self, node: int) -> bool:
         return False
 
-    def adjacency_view(self) -> Dict[int, set]:
-        return self._adj
+    def adjacency_view(self) -> List[List[int]]:
+        if self._rows is None:
+            self._rows = csr_rows(self._edges, self.node_count)
+        return self._rows
 
     def apply(self, added, removed) -> None:
-        """Fold one step's merged tile deltas into the adjacency."""
-        adj = self._adj
-        for u, v in added:
-            adj[u].add(v)
-        for u, v in removed:
-            adj[u].discard(v)
-        self._added.extend(added)
-        self._removed.extend(removed)
+        """Fold one step's merged sorted packed tile deltas into the edges."""
+        if not added.size and not removed.size:
+            return
+        kept = edge_delta(self._edges, removed)[0]
+        self._edges = _np.sort(_np.concatenate((kept, added)))
+        self._rows = None
+        self._delta.record(added, removed)
 
     def take_edge_delta(self) -> TopologyDelta:
-        delta = TopologyDelta(
-            full=self._full, added=self._added, removed=self._removed
-        )
-        self._full = False
-        self._added = []
-        self._removed = []
-        return delta
+        return self._delta.take()
+
+
+def _merged(arrays):
+    """The per-tile packed edge arrays as one sorted array."""
+    return _np.sort(_np.concatenate(arrays))
 
 
 class _InlineHandle:
@@ -287,11 +286,7 @@ class ShardedRoutingWorld:
                 )
                 for tile in range(self.grid.tiles)
             ]
-        initial = [
-            pair
-            for handle in self._handles
-            for pair in unpack_edges(handle.initial_edges(), n)
-        ]
+        initial = _merged([handle.initial_edges() for handle in self._handles])
         self._mirror = _MirrorTopology(n, gateways, initial)
         self._conn_cache: Optional[FunctionalConnectivity] = None
         if config.connectivity_cache:
@@ -347,14 +342,10 @@ class ShardedRoutingWorld:
         the same hook fires, the same obs pushes, the same metric
         evaluation over the merged adjacency.
         """
-        n = self.node_count
         config = self.config
         obs = self._obs
-        added: List[Tuple[int, int]] = []
-        removed: List[Tuple[int, int]] = []
-        for report in reports:
-            added.extend(unpack_edges(report.added, n))
-            removed.extend(unpack_edges(report.removed, n))
+        added = _merged([report.added for report in reports])
+        removed = _merged([report.removed for report in reports])
         self._mirror.apply(added, removed)
         if self._conn_cache is None:
             self._mirror.take_edge_delta()  # single consumer: keep it drained
@@ -406,13 +397,13 @@ class ShardedRoutingWorld:
             self._obs_last_losses = losses
         # Metric, over exactly the serial world's inputs.
         if self._conn_cache is not None:
-            fraction = len(self._conn_cache.connected()) / n
+            fraction = len(self._conn_cache.connected()) / self.node_count
         else:
             fraction = connectivity_fraction(
                 self._mirror, self.tables, config.walk_ttl
             )
         if obs is not None:
-            obs.topology_churn(now, added=len(added), removed=len(removed))
+            obs.topology_churn(now, added=added.size, removed=removed.size)
             if self._conn_cache is not None:
                 cache_stats = self._conn_cache.stats
                 last_cache = self._obs_last_cache

@@ -12,13 +12,13 @@ layers rely on but none of them owns:
   unknown node, claims fewer than one hop, or outlives its TTL,
 * every stigmergy footprint lives on a live, existing node and points
   at an existing node,
-* the link topology never exposes a down node or a blocked edge through
-  ``out_neighbors`` — which is exactly the view the connectivity metric
-  walks, so connectivity can never be computed through a down link,
-* the incremental topology engine's indices are sound: the reverse
-  adjacency mirrors the forward one, and (for geometric topologies) the
-  maintained adjacency equals a fresh rebuild-from-scratch computation
-  by the topology's reference sorted-sweep oracle,
+* the link topology never exposes a down node or a blocked edge in its
+  packed edge array — the adjacency every neighbour read is served
+  from, so connectivity can never be computed through a down link,
+* the incremental topology engine is sound: its packed edge array and
+  the out-neighbour rows served from it equal (for geometric
+  topologies) a fresh rebuild-from-scratch computation by the
+  topology's reference sorted-sweep oracle,
 * the traffic plane conserves payloads exactly: ``generated ==
   delivered + expired + dropped + alive``, the ledger's copy counts
   match the buffers' physical contents, and no queue exceeds capacity.
@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import os
 from typing import Any, List
+
+import numpy as _np
 
 from repro.errors import InvariantError
 from repro.types import Time
@@ -174,22 +176,34 @@ class InvariantChecker:
                     )
 
     def _scan_topology(self, problems: List[str], node_ids, down) -> None:
+        """No link leaves or enters a down node, and no blocked link shows.
+
+        One pass over the topology's packed edge array; only flagged
+        edges are turned into messages, in edge order: per source node
+        ascending, its down-node message first, then per neighbour
+        ascending the down-target and blocked-link messages.
+        """
         topology = self.world.topology
         blocked = topology.blocked_edges
         # Every check below tests membership in ``down`` or ``blocked``.
         if not down and not blocked:
             return
-        for node in sorted(node_ids):
-            neighbors = topology.out_neighbors(node)
-            if node in down and neighbors:
+        n = topology.node_count
+        edges = topology.packed_edges()
+        sources, targets = _np.divmod(edges, n)
+        from_down = _np.isin(sources, list(down))
+        to_down = _np.isin(targets, list(down))
+        exposed = _np.isin(edges, [u * n + v for u, v in blocked])
+        last = None
+        for k in _np.flatnonzero(from_down | to_down | exposed).tolist():
+            node, neighbor = divmod(int(edges[k]), n)
+            if from_down[k] and node != last:
+                last = node
                 problems.append(f"down node {node} still has out-links")
-            for neighbor in neighbors:
-                if neighbor in down:
-                    problems.append(
-                        f"link {node}->{neighbor} leads to a down node"
-                    )
-                if (node, neighbor) in blocked:
-                    problems.append(f"blocked link {node}->{neighbor} is exposed")
+            if to_down[k]:
+                problems.append(f"link {node}->{neighbor} leads to a down node")
+            if exposed[k]:
+                problems.append(f"blocked link {node}->{neighbor} is exposed")
 
     def _scan_traffic(self, problems: List[str]) -> None:
         """The data plane's payload-conservation contract.
@@ -254,9 +268,8 @@ class InvariantChecker:
     def _scan_engine(self, problems: List[str]) -> None:
         """The incremental topology engine's own consistency report.
 
-        Cross-validates the reverse-adjacency index against the forward
-        adjacency and, for geometric topologies, the maintained
-        adjacency against a fresh evaluation of the sorted-sweep oracle
+        Compares the packed edge array, and the rows served from it, with
+        a fresh evaluation of the sorted-sweep oracle
         (``Topology._compute_adjacency``) — every step, so a divergence
         in the incremental bookkeeping fails the step it happens, not
         the metric it later corrupts.

@@ -95,11 +95,11 @@ class TrafficRouter:
     def _live_neighbors(self, node: NodeId) -> List[NodeId]:
         """Sorted out-neighbors that are currently up."""
         topology = self.plane.topology
-        return sorted(
+        return [
             neighbor
             for neighbor in topology.out_neighbors(node)
             if not topology.is_down(neighbor)
-        )
+        ]
 
     def _usable_neighbors(
         self, node: NodeId, neighbors: List[NodeId]

@@ -81,3 +81,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "fig1" in out
         assert "scale=tiny" in out
+
+    @pytest.mark.parametrize("experiment_id", ["fig10", "fig11", "ext1"])
+    def test_welch_tested_experiment_rejects_one_run(
+        self, experiment_id, capsys, monkeypatch
+    ):
+        import repro.experiments.routing_experiments as routing_experiments
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before rejecting --runs 1")
+
+        monkeypatch.setattr(routing_experiments, "run_routing_variants", no_simulation)
+        argv = ["run", experiment_id, "--paper-scale", "--runs", "1", "--quiet", "--no-plot"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{experiment_id} compares variants with Welch's t-test" in err
+        assert "at least 2 runs" in err

@@ -59,13 +59,13 @@ def build(seed, incremental):
 
 
 def assert_csr_rows(topology):
-    """The packed edge array, read as CSR, gives sorted out-neighbours."""
+    """Every served row is exactly the packed array's CSR row, ascending."""
     packed = topology.packed_edges()
     n = topology.node_count
     rows = np.searchsorted(packed, np.arange(n + 1) * n)
     for node in topology.node_ids:
         row = packed[rows[node] : rows[node + 1]] - node * n
-        assert row.tolist() == sorted(topology.out_neighbors(node))
+        assert row.tolist() == topology.out_neighbors(node)
 
 
 def brute_force_edges(x, y, r, senders, receivers):
@@ -165,6 +165,7 @@ class TestIncrementalEquivalence:
                     topology.recompute()
                 assert incremental.edge_set() == naive.edge_set()
                 assert incremental.consistency_problems() == []
+                assert_csr_rows(incremental)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
@@ -303,7 +304,7 @@ class TestBatchCandidateRows:
                 cand, deg, valid = engine._candidate_matrix(acts)
                 topology = world.topology
                 for row, location in enumerate(engine.loc.tolist()):
-                    want = sorted(topology.out_neighbors(location))
+                    want = topology.out_neighbors(location)
                     got = cand[row, : deg[row]].tolist() if cand is not None else []
                     assert got == want
                     if cand is not None:

@@ -115,7 +115,7 @@ class TestDeltaReassembly:
         serial.engine.hooks.subscribe(
             "connectivity_recorded",
             lambda **kw: serial_steps.append(
-                {u: frozenset(vs) for u, vs in serial.topology.adjacency_view().items()}
+                [list(row) for row in serial.topology.adjacency_view()]
             ),
         )
         serial.run()
@@ -127,10 +127,7 @@ class TestDeltaReassembly:
         sharded.engine.hooks.subscribe(
             "connectivity_recorded",
             lambda **kw: sharded_steps.append(
-                {
-                    u: frozenset(vs)
-                    for u, vs in sharded._mirror.adjacency_view().items()
-                }
+                [list(row) for row in sharded._mirror.adjacency_view()]
             ),
         )
         sharded.run()

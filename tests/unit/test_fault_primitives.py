@@ -17,7 +17,7 @@ class TestTopologyFaultState:
         assert ring6.set_node_down(2) is True
         assert ring6.is_down(2)
         assert 2 in ring6.down_ids
-        assert ring6.out_neighbors(2) == frozenset()
+        assert ring6.out_neighbors(2) == []
         assert all(2 not in ring6.out_neighbors(n) for n in ring6.node_ids)
 
     def test_down_then_up_restores_links(self, ring6):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.errors import InvariantError
@@ -187,84 +188,107 @@ class TestPlantedViolations:
         """Every violation the checker reports for a topology-only world."""
         return InvariantChecker(SimpleNamespace(topology=topology, agents=[])).scan(0)
 
-    def test_reverse_index_missing_edge(self):
-        topology = self._geometric_line()
-        topology._reverse[1].discard(0)
-        assert self._topology_scan(topology) == ["reverse index missing edge 0->1"]
+    @staticmethod
+    def _plant(topology, add=(), drop=()):
+        """Corrupt the packed edge array behind the engine's back."""
+        n = topology.node_count
+        edges = set(topology.packed_edges().tolist())
+        edges.update(u * n + v for u, v in add)
+        edges.difference_update(u * n + v for u, v in drop)
+        topology._edges = np.array(sorted(edges), dtype=np.int64)
 
-    def test_reverse_index_phantom_edge(self):
+    def test_served_row_missing_edge(self):
         topology = self._geometric_line()
-        topology._reverse[3].add(0)
+        topology.adjacency_view()[0].remove(1)
+        assert self._topology_scan(topology) == ["row of node 0 missing edge 0->1"]
+
+    def test_served_row_phantom_edge(self):
+        topology = self._geometric_line()
+        topology.out_neighbors(0).append(3)
         assert self._topology_scan(topology) == [
-            "reverse index has phantom edge 0->3"
+            "row of node 0 has phantom edge 0->3"
+        ]
+
+    def test_served_row_out_of_order(self):
+        topology = self._geometric_line()
+        topology.adjacency_view()[1].reverse()
+        assert self._topology_scan(topology) == [
+            "row of node 1 is not strictly ascending"
         ]
 
     def test_adjacency_missing_edge(self):
         topology = self._geometric_line()
-        topology._adjacency[0].discard(1)
+        self._plant(topology, drop=[(0, 1)])
         assert self._topology_scan(topology) == [
-            "reverse index has phantom edge 0->1",
-            "packed edge array disagrees with the adjacency",
-            "incremental adjacency missing edge 0->1",
+            "packed edge array missing edge 0->1",
         ]
 
     def test_adjacency_phantom_edge(self):
         topology = self._geometric_line()
-        topology._adjacency[0].add(3)
+        self._plant(topology, add=[(0, 3)])
         assert self._topology_scan(topology) == [
-            "reverse index missing edge 0->3",
-            "packed edge array disagrees with the adjacency",
-            "incremental adjacency has phantom edge 0->3",
+            "packed edge array has phantom edge 0->3",
         ]
 
     def test_adjacency_naming_an_unknown_node(self):
-        # Edge 0->4 packs to 0*4+4 == 1*4+0, so dropping 1->0 as well
-        # leaves the packed adjacency (and the transposed reverse index)
-        # equal to the rebuild's: only an id range check can catch it.
+        # Edge 0->4 would pack to 0*4+4 == 1*4+0, so dropping 1->0 as
+        # well leaves the rows' packed edges equal to the rebuild's: the
+        # rows must be compared row by row, not packed.
         topology = self._geometric_line()
-        topology._adjacency[0].add(4)
-        topology._adjacency[1].discard(0)
+        rows = topology.adjacency_view()
+        rows[0].append(4)
+        rows[1].remove(0)
         assert self._topology_scan(topology) == [
-            "reverse index missing edge 0->4",
-            "reverse index has phantom edge 1->0",
-            "incremental adjacency has phantom edge 0->4",
-            "incremental adjacency missing edge 1->0",
+            "row of node 0 has phantom edge 0->4",
+            "row of node 1 missing edge 1->0",
         ]
 
     def test_down_node_keeps_out_links(self):
         topology = self._geometric_line()
         topology.set_node_down(1)
         topology.recompute()
-        topology._adjacency[1].add(0)
-        topology._reverse[0].add(1)
+        self._plant(topology, add=[(1, 0)])
         assert self._topology_scan(topology) == [
             "down node 1 still has out-links",
-            "packed edge array disagrees with the adjacency",
-            "incremental adjacency has phantom edge 1->0",
+            "packed edge array has phantom edge 1->0",
         ]
 
     def test_link_into_down_node(self):
         topology = self._geometric_line()
         topology.set_node_down(2)
         topology.recompute()
-        topology._adjacency[1].add(2)
-        topology._reverse[2].add(1)
+        self._plant(topology, add=[(1, 2)])
         assert self._topology_scan(topology) == [
             "link 1->2 leads to a down node",
-            "packed edge array disagrees with the adjacency",
-            "incremental adjacency has phantom edge 1->2",
+            "packed edge array has phantom edge 1->2",
         ]
 
     def test_blocked_link_exposed(self):
         topology = self._geometric_line()
         topology.block_edge(0, 1)
         topology.recompute()
-        topology._adjacency[0].add(1)
-        topology._reverse[1].add(0)
+        self._plant(topology, add=[(0, 1)])
         assert self._topology_scan(topology) == [
             "blocked link 0->1 is exposed",
-            "packed edge array disagrees with the adjacency",
-            "incremental adjacency has phantom edge 0->1",
+            "packed edge array has phantom edge 0->1",
+        ]
+
+    def test_topology_violations_follow_edge_order(self):
+        # Per source ascending: its down-node message first, then per
+        # neighbour ascending the down-target and blocked-link messages.
+        topology = self._geometric_line()
+        topology.set_node_down(1)
+        topology.block_edge(3, 2)
+        topology.recompute()
+        self._plant(topology, add=[(0, 1), (1, 2), (1, 0), (3, 2)])
+        assert self._topology_scan(topology) == [
+            "link 0->1 leads to a down node",
+            "down node 1 still has out-links",
+            "blocked link 3->2 is exposed",
+            "packed edge array has phantom edge 0->1",
+            "packed edge array has phantom edge 1->0",
+            "packed edge array has phantom edge 1->2",
+            "packed edge array has phantom edge 3->2",
         ]
 
     def test_collect_mode_accumulates_across_checks(self, gateway_line4):
@@ -285,3 +309,50 @@ class TestPlantedViolations:
         checker.install()
         world.engine.run(1)
         assert checker.checks == 1
+
+
+def _scan_topology_by_rows(topology):
+    """The per-node loop the vectorised topology scan must reproduce."""
+    n = topology.node_count
+    down = topology.down_ids
+    blocked = topology.blocked_edges
+    problems = []
+    for node in range(n):
+        packed = topology.packed_edges()
+        neighbors = [e - node * n for e in packed.tolist() if e // n == node]
+        if node in down and neighbors:
+            problems.append(f"down node {node} still has out-links")
+        for neighbor in neighbors:
+            if neighbor in down:
+                problems.append(f"link {node}->{neighbor} leads to a down node")
+            if (node, neighbor) in blocked:
+                problems.append(f"blocked link {node}->{neighbor} is exposed")
+    return problems
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_topology_scan_matches_the_per_node_loop(seed):
+    import random
+
+    from repro.net.generator import GeneratorConfig, generate_manet_network
+
+    topology = generate_manet_network(
+        seed, GeneratorConfig(node_count=30, target_edges=None, gateway_count=2)
+    )
+    rng = random.Random(seed)
+    n = topology.node_count
+    edges = topology.edge_set()
+    for node in rng.sample(range(n), 4):
+        topology.set_node_down(node)
+    for edge in rng.sample(sorted(edges), 6):
+        topology.block_edge(*edge)
+    topology.recompute()
+    # Plant the faults back in: every down node and blocked link leaks.
+    planted = set(topology.packed_edges().tolist())
+    planted.update(u * n + v for u, v in rng.sample(sorted(edges), 40))
+    topology._edges = np.array(sorted(planted), dtype=np.int64)
+    checker = InvariantChecker(SimpleNamespace(topology=topology, agents=[]))
+    problems = []
+    checker._scan_topology(problems, set(range(n)), topology.down_ids)
+    assert problems == _scan_topology_by_rows(topology)
+    assert problems  # the planted edges do leak

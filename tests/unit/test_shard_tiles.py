@@ -5,7 +5,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.errors import ConfigurationError
-from repro.shard.tiles import TileAdjacency, TileGrid, unpack_edges
+from repro.shard.tiles import TileAdjacency, TileGrid
 
 
 class TestTileGrid:
@@ -75,14 +75,6 @@ class TestTileGrid:
     def test_unknown_tile_bounds_rejected(self):
         with pytest.raises(ConfigurationError):
             TileGrid(100.0, 100.0, shards=2).bounds(5)
-
-
-def test_unpack_edges_roundtrip():
-    n = 11
-    pairs = [(0, 1), (3, 7), (10, 0)]
-    packed = np.array([u * n + v for u, v in pairs], dtype=np.int64)
-    assert unpack_edges(packed, n) == pairs
-    assert unpack_edges(np.empty(0, dtype=np.int64), n) == []
 
 
 def brute_out_edges(senders, ax, ay, ar):

@@ -36,9 +36,9 @@ class TestTopologyBasics:
 
     def test_line_adjacency(self):
         topology = make_line_topology()
-        assert topology.out_neighbors(0) == {1}
-        assert topology.out_neighbors(1) == {0, 2}
-        assert topology.out_neighbors(2) == {1}
+        assert topology.out_neighbors(0) == [1]
+        assert topology.out_neighbors(1) == [0, 2]
+        assert topology.out_neighbors(2) == [1]
 
     def test_edge_count_and_edges(self):
         topology = make_line_topology()
@@ -52,7 +52,7 @@ class TestTopologyBasics:
 
     def test_in_neighbors(self):
         topology = make_line_topology()
-        assert topology.in_neighbors(1) == {0, 2}
+        assert topology.in_neighbors(1) == [0, 2]
 
     def test_unknown_node_raises(self):
         topology = make_line_topology()
@@ -122,7 +122,7 @@ class TestDynamics:
         ]
         topology = Topology(nodes, arena)
         topology.advance()
-        assert topology.out_neighbors(0) == set()
+        assert topology.out_neighbors(0) == []
         assert topology.has_edge(1, 0)
 
 

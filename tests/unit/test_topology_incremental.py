@@ -14,6 +14,7 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import repro.net.topology as topology_module
@@ -23,7 +24,7 @@ from repro.net.geometry import Arena, Point
 from repro.net.manual import fixed_topology
 from repro.net.node import Node
 from repro.net.radio import FixedRange, HeterogeneousRange
-from repro.net.topology import Topology
+from repro.net.topology import Topology, csr_rows
 
 #: crossover settings that force one kernel evaluation at any size.
 EVALUATIONS = {"vector": 1 << 62, "grid": 0}
@@ -62,7 +63,7 @@ def assert_same_graph(incremental, naive):
     n = incremental.node_count
     for node in incremental.node_ids:
         row = packed[(packed >= node * n) & (packed < (node + 1) * n)] - node * n
-        assert row.tolist() == sorted(incremental.out_neighbors(node))
+        assert row.tolist() == incremental.out_neighbors(node)
 
 
 @pytest.mark.usefixtures("evaluation")
@@ -114,8 +115,8 @@ class TestIncrementalMatchesNaive:
         topology.recompute()
         topology.set_node_down(5)
         topology.recompute()
-        assert topology.out_neighbors(5) == set()
-        assert topology.in_neighbors(5) == set()
+        assert topology.out_neighbors(5) == []
+        assert topology.in_neighbors(5) == []
         assert topology.consistency_problems() == []
 
     def test_force_full_rebuild_resets_state(self):
@@ -192,9 +193,10 @@ class TestIncrementalMatchesNaive:
         topology = manet(18)
         topology.recompute()
         assert topology.consistency_problems() == []
+        u, v = divmod(int(topology._edges[0]), topology.node_count)
         topology._edges = topology._edges[1:]
         assert topology.consistency_problems() == [
-            "packed edge array disagrees with the adjacency"
+            f"packed edge array missing edge {u}->{v}"
         ]
 
     def test_static_network_refresh_does_no_edge_work(self):
@@ -218,30 +220,75 @@ class TestEdgeDeltaStream:
     def test_deltas_replay_to_current_edge_set(self):
         topology = manet(22)
         topology.take_edge_delta()
-        edges = set(topology.edge_set())
+        edges = set(topology.packed_edges().tolist())
         for __ in range(20):
             topology.advance()
             delta = topology.take_edge_delta()
             assert not delta.full
-            edges.difference_update(delta.removed)
-            edges.update(delta.added)
-            assert edges == topology.edge_set()
+            edges.difference_update(delta.removed.tolist())
+            edges.update(delta.added.tolist())
+            assert sorted(edges) == topology.packed_edges().tolist()
 
     def test_delta_is_consumed_once(self):
         topology = manet(23)
         topology.take_edge_delta()
         topology.advance()
         first = topology.take_edge_delta()
-        assert first.added or first.removed  # mobility moved something
+        assert first.added.size or first.removed.size  # mobility moved something
         second = topology.take_edge_delta()
         assert not second.full
-        assert not second.added and not second.removed
+        assert not second.added.size and not second.removed.size
 
     def test_full_rebuild_marks_delta_full(self):
         topology = manet(24)
         topology.take_edge_delta()
         topology.force_full_rebuild()
         assert topology.take_edge_delta().full
+
+
+class TestPinnedInstall:
+    """Pinned graphs go through the geometric refresh's apply step."""
+
+    def test_unchanged_reinstall_gives_empty_delta(self):
+        topology = fixed_topology(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert topology.take_edge_delta().full
+        rows = topology.adjacency_view()
+        epoch = topology.epoch
+        topology.invalidate()
+        delta = topology.take_edge_delta()
+        assert topology.epoch == epoch + 1
+        assert not delta.full
+        assert delta.added.size == 0 and delta.removed.size == 0
+        assert topology.adjacency_view() is rows  # nothing changed
+
+    def test_changed_reinstall_gives_exact_packed_diff(self):
+        n = 4
+        topology = fixed_topology(n, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 0)])
+        topology.take_edge_delta()
+        removed_before = topology.stats.edges_removed
+        topology.set_node_down(1)
+        topology.block_edge(3, 0)
+        delta = topology.take_edge_delta()
+        assert not delta.full
+        assert delta.added.tolist() == []
+        assert delta.removed.tolist() == [0 * n + 1, 1 * n + 0, 1 * n + 2, 3 * n + 0]
+        assert topology.stats.edges_removed == removed_before + 4
+        topology.set_node_up(1)
+        delta = topology.take_edge_delta()
+        assert delta.added.tolist() == [0 * n + 1, 1 * n + 0, 1 * n + 2]
+        assert delta.removed.tolist() == []
+        assert topology.packed_edges().tolist() == [1, 4, 6, 11]
+        assert topology.adjacency_view() == [[1], [0, 2], [3], []]
+
+
+def test_csr_rows_roundtrip():
+    n = 11
+    pairs = [(0, 1), (0, 7), (3, 7), (10, 0)]
+    packed = np.array([u * n + v for u, v in pairs], dtype=np.int64)
+    rows = csr_rows(packed, n)
+    assert len(rows) == n
+    assert [(u, v) for u, row in enumerate(rows) for v in row] == pairs
+    assert csr_rows(np.empty(0, dtype=np.int64), n) == [[]] * n
 
 
 class TestValidationConsistency:
