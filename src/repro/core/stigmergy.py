@@ -16,7 +16,7 @@ marks), honouring the paper's "negligible overhead" claim.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, ValuesView
 
 from repro.errors import ConfigurationError
 from repro.types import AgentId, NodeId, Time
@@ -174,6 +174,13 @@ class StigmergyField:
     def items(self) -> List[Tuple[NodeId, FootprintBoard]]:
         """Every instantiated ``(node, board)`` pair in node order."""
         return [(node, self._boards[node]) for node in sorted(self._boards)]
+
+    def marks_by_node(self) -> Iterator[Tuple[NodeId, ValuesView[Footprint]]]:
+        """Every instantiated board's marks by node, in no promised order.
+
+        For bulk scans; each ``marks`` is a live read-only view.
+        """
+        return ((node, board._marks.values()) for node, board in self._boards.items())
 
     def total_marks(self) -> int:
         """Total marks across every board (diagnostics)."""

@@ -29,15 +29,17 @@ or fault change does no edge work at all.  Pinned graphs
 
 The rebuild-from-scratch path (``incremental=False`` or
 :meth:`Topology.force_full_rebuild`) is the reference implementation, a
-sorted-x sweep (:meth:`Topology._compute_adjacency`) that shares no code
-with the kernel: it reads positions and ranges straight from the nodes,
+sorted-x sweep (:func:`_sweep_edges`) that shares no code with the
+kernel: it takes positions and ranges read straight from the nodes,
 sorts the live receivers by x and evaluates the same predicate over each
 sender's x-window.  The two are bit-identical because both evaluate that
 predicate exactly; the test suite property-checks the sweep against a
 pure-Python brute force and the engine against the sweep on randomized
 mobility and fault traces, and :meth:`Topology.consistency_problems`
 lets the runtime invariant checker compare the packed array and the
-rows served from it against a fresh sweep every step.
+rows served from it against the sweep every step.  The sweep is a pure
+function of its inputs, so the checker re-runs it only when the inputs
+it reads from the nodes that step differ from the previous step's.
 """
 
 from __future__ import annotations
@@ -321,6 +323,80 @@ def csr_rows(edges, n: int) -> List[List[NodeId]]:
     return [targets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _sweep_edges(x, y, r, down, blocked):
+    """The sorted packed ``u * n + v`` edges, computed from scratch.
+
+    The reference implementation every other path must match, and
+    deliberately a different algorithm from :func:`link_edges`: a pure
+    function of the float64 positions and ranges ``x``/``y``/``r`` over
+    all nodes, the set of ``down`` node ids and the set of ``blocked``
+    ``(u, v)`` links.  It sorts the live receivers by x and gathers each
+    live sender's receivers inside an x-window of its range.  The window
+    is padded by a relative margin far above coordinate rounding, so it
+    can only add candidates; the predicate ``dx*dx + dy*dy <= r*r``
+    alone decides each edge.  Blocked edges are dropped last.
+    """
+    n = x.size
+    live = _np.ones(n, dtype=bool)
+    if down:
+        live[list(down)] = False
+    receivers = _np.flatnonzero(live)
+    receivers = receivers[_np.argsort(x[receivers], kind="stable")]
+    xs = x[receivers]
+    senders = _np.flatnonzero(live & (r > 0.0))
+    xu = x[senders]
+    pad = r[senders] * (1.0 + 1e-9) + 1e-9 * max(1.0, float(_np.abs(x).max()))
+    lo = _np.searchsorted(xs, xu - pad, "left")
+    counts = _np.searchsorted(xs, xu + pad, "right") - lo
+    # Sender k's candidates are receivers[lo[k] : lo[k] + counts[k]].
+    u = _np.repeat(senders, counts)
+    at = _np.arange(u.size) + _np.repeat(lo - (_np.cumsum(counts) - counts), counts)
+    v = receivers[at]
+    dx = x[u] - x[v]
+    dy = y[u] - y[v]
+    ok = dx * dx + dy * dy <= r[u] * r[u]
+    ok &= u != v
+    edges = (u * n + v)[ok]
+    if blocked:
+        packed = _np.fromiter((s * n + d for s, d in blocked), _np.int64, len(blocked))
+        edges = edges[~_np.isin(edges, packed)]
+    edges.sort()
+    return edges
+
+
+@dataclass
+class _OracleRun:
+    """One evaluation of :func:`_sweep_edges`: its inputs and its results.
+
+    The inputs are private copies (fresh reads and frozen sets), so
+    nothing the engine does can change them after the fact.
+    """
+
+    x: object
+    y: object
+    r: object
+    down: FrozenSet[NodeId]
+    blocked: FrozenSet[Edge]
+    edges: object
+    #: :func:`csr_rows` of ``edges``, built the first time rows are served.
+    rows: Optional[List[List[NodeId]]] = None
+
+    def same_inputs(self, x, y, r, down, blocked) -> bool:
+        """Whether the sweep of these inputs is this run's sweep.
+
+        Element-wise float equality: ``0.0`` and ``-0.0`` (the only
+        non-identical equal pair; NaN never matches) give the predicate,
+        the sort and the windows the same outcome.
+        """
+        return (
+            self.down == down
+            and self.blocked == blocked
+            and _np.array_equal(x, self.x)
+            and _np.array_equal(y, self.y)
+            and _np.array_equal(r, self.r)
+        )
+
+
 @dataclass
 class _DrainGroup:
     """One distinct drain model: its batteries and their level mirror."""
@@ -474,6 +550,10 @@ class Topology:
         self._advance_state: object = None
         self._delta = EdgeDeltaStream()
         self._epoch = 0
+        #: the consistency check's last oracle evaluation, reused while
+        #: the inputs read from the nodes stay equal.  Per instance: the
+        #: service runs worlds as threads.
+        self._oracle_run: Optional[_OracleRun] = None
 
     # ------------------------------------------------------------------
     # Recomputation
@@ -525,51 +605,22 @@ class Topology:
             self._built = False
             self._dirty = True
 
-    def _compute_adjacency(self):
-        """The sorted packed ``u * n + v`` edges, computed from scratch.
+    def _read_inputs(self):
+        """Float64 positions and ranges read from the nodes themselves.
 
-        The reference implementation every other path must match, and
-        deliberately a different algorithm from :func:`link_edges`: it
-        reads positions and ranges from the nodes themselves (never the
-        engine's mirrors), sorts the live receivers by x, and gathers
-        each live sender's receivers inside an x-window of its range.
-        The window is padded by a relative margin far above coordinate
-        rounding, so it can only add candidates; the predicate
-        ``dx*dx + dy*dy <= r*r`` alone decides each edge.  Blocked edges
-        are dropped last.
+        Never the engine's mirrors: the reference path must see what the
+        nodes hold, including changes made behind a missed invalidate.
         """
         nodes = self.nodes
         n = len(nodes)
         x = _np.fromiter((node.position.x for node in nodes), _np.float64, n)
         y = _np.fromiter((node.position.y for node in nodes), _np.float64, n)
         r = _np.fromiter((node.current_range() for node in nodes), _np.float64, n)
-        live = _np.ones(n, dtype=bool)
-        if self._down:
-            live[list(self._down)] = False
-        receivers = _np.flatnonzero(live)
-        receivers = receivers[_np.argsort(x[receivers], kind="stable")]
-        xs = x[receivers]
-        senders = _np.flatnonzero(live & (r > 0.0))
-        xu = x[senders]
-        pad = r[senders] * (1.0 + 1e-9) + 1e-9 * max(1.0, float(_np.abs(x).max()))
-        lo = _np.searchsorted(xs, xu - pad, "left")
-        counts = _np.searchsorted(xs, xu + pad, "right") - lo
-        # Sender k's candidates are receivers[lo[k] : lo[k] + counts[k]].
-        u = _np.repeat(senders, counts)
-        at = _np.arange(u.size) + _np.repeat(lo - (_np.cumsum(counts) - counts), counts)
-        v = receivers[at]
-        dx = x[u] - x[v]
-        dy = y[u] - y[v]
-        ok = dx * dx + dy * dy <= r[u] * r[u]
-        ok &= u != v
-        edges = (u * n + v)[ok]
-        if self._blocked:
-            blocked = _np.fromiter(
-                (s * n + d for s, d in self._blocked), _np.int64, len(self._blocked)
-            )
-            edges = edges[~_np.isin(edges, blocked)]
-        edges.sort()
-        return edges
+        return x, y, r
+
+    def _compute_adjacency(self):
+        """The reference sweep (:func:`_sweep_edges`) of the current state."""
+        return _sweep_edges(*self._read_inputs(), self._down, self._blocked)
 
     # ------------------------------------------------------------------
     # Incremental engine
@@ -728,11 +779,9 @@ class Topology:
         return range(len(self.nodes))
 
     def node(self, node_id: NodeId) -> Node:
-        """The node object with id ``node_id``."""
-        try:
-            return self.nodes[node_id]
-        except IndexError:
-            raise TopologyError(f"no node with id {node_id}") from None
+        """The node object with id ``node_id`` (negative ids are unknown)."""
+        self._check_id(node_id)
+        return self.nodes[node_id]
 
     def _check_id(self, node_id: NodeId) -> None:
         if not 0 <= node_id < len(self.nodes):
@@ -835,16 +884,34 @@ class Topology:
         """Cross-validate the served adjacency; [] when sound.
 
         Compares the packed edge array, and the rows served from it this
-        epoch (if any were read), against a fresh rebuild from scratch
-        (:meth:`_compute_adjacency`); a pinned graph has no geometry, so
-        its rows are compared against its array.  Wired into the runtime
-        invariant checker, which calls it every step.  A sound structure
-        costs one compare each; only a mismatch pays for the messages
-        naming each missing and phantom edge.
+        epoch (if any were read), against the reference sweep
+        (:func:`_sweep_edges`); a pinned graph has no geometry, so its
+        rows are compared against its array.  Wired into the runtime
+        invariant checker, which calls it every step.
+
+        Positions and ranges are read from the nodes on every call.  The
+        sweep's edges and rows are reused only when those reads, the down
+        set and the blocked set all equal the previous call's inputs;
+        the sweep is a pure function of them, so reuse returns exactly
+        what a fresh sweep would.  Nothing the engine keeps (mirrors,
+        change hints, epochs) takes part, so a moved node, a missed
+        :meth:`invalidate`, a corrupted array or a mutated row is
+        flagged in the call that first sees it.  A sound structure costs
+        one compare each; only a mismatch pays for the messages naming
+        each missing and phantom edge.
         """
         edges = self._current()
         n = len(self.nodes)
-        expected = edges if self._pinned else self._compute_adjacency()
+        rows = self._rows
+        if self._pinned:
+            expected = edges
+            wanted = csr_rows(expected, n) if rows is not None else rows
+        else:
+            run = self._oracle()
+            expected = run.edges
+            if rows is not None and run.rows is None:
+                run.rows = csr_rows(expected, n)
+            wanted = run.rows if rows is not None else rows
         problems: List[str] = []
         if not _np.array_equal(edges, expected):
             for kind, wrong in (
@@ -858,8 +925,6 @@ class Topology:
                 )
             if not problems:
                 problems.append("packed edge array is not sorted and duplicate-free")
-        rows = self._rows
-        wanted = csr_rows(expected, n) if rows is not None else rows
         if rows != wanted:
             for u, (row, want) in enumerate(zip(rows, wanted)):
                 if row == want:
@@ -872,6 +937,18 @@ class Topology:
                 if have == need:
                     problems.append(f"row of node {u} is not strictly ascending")
         return problems
+
+    def _oracle(self) -> _OracleRun:
+        """The reference sweep of the inputs the nodes hold right now."""
+        x, y, r = self._read_inputs()
+        run = self._oracle_run
+        if run is None or not run.same_inputs(x, y, r, self._down, self._blocked):
+            down = frozenset(self._down)
+            blocked = frozenset(self._blocked)
+            run = self._oracle_run = _OracleRun(
+                x, y, r, down, blocked, _sweep_edges(x, y, r, down, blocked)
+            )
+        return run
 
     # ------------------------------------------------------------------
     # Fault state

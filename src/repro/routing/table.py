@@ -25,7 +25,8 @@ Staleness is controlled on two axes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.errors import RoutingError
 from repro.types import NodeId, Time
@@ -500,6 +501,10 @@ class TableBank:
         own = len(self.table(node))
         self.table(node).clear()
         return own + sum(table.drop_routes_via(node) for table in self._tables)
+
+    def all_entries(self) -> Iterator[RouteEntry]:
+        """Every table's entries, in no promised order (bulk scans)."""
+        return chain.from_iterable(table._entries.values() for table in self._tables)
 
     def total_entries(self) -> int:
         """Total live entries across all tables (diagnostics)."""

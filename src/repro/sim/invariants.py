@@ -17,11 +17,19 @@ layers rely on but none of them owns:
   from, so connectivity can never be computed through a down link,
 * the incremental topology engine is sound: its packed edge array and
   the out-neighbour rows served from it equal (for geometric
-  topologies) a fresh rebuild-from-scratch computation by the
-  topology's reference sorted-sweep oracle,
+  topologies) what the topology's reference sorted-sweep oracle
+  computes from scratch for this step's positions, ranges and faults,
 * the traffic plane conserves payloads exactly: ``generated ==
   delivered + expired + dropped + alive``, the ledger's copy counts
   match the buffers' physical contents, and no queue exceeds capacity.
+
+Every step pays only for what it can have changed.  The routing-table
+and footprint contracts are first tested with a few set and min
+expressions over all entries and marks; the ordered per-node walk that
+names each violation runs only when that test fails.  The oracle's
+edges are reused while its inputs are unchanged (see
+:meth:`~repro.net.topology.Topology.consistency_problems`).  Neither
+shortcut can delay a verdict: both decide from this step's state alone.
 
 The checker is opt-in per world (``check_invariants`` in the world
 configs, ``--check-invariants`` on the CLI) and on by default under the
@@ -34,7 +42,8 @@ broken contract; pass ``raise_on_violation=False`` to collect instead
 from __future__ import annotations
 
 import os
-from typing import Any, List
+from operator import attrgetter
+from typing import Any, FrozenSet, List
 
 import numpy as _np
 
@@ -45,6 +54,13 @@ __all__ = ["InvariantChecker", "default_invariants_enabled"]
 
 #: Environment variable that switches the default on (tests set it).
 ENV_FLAG = "REPRO_CHECK_INVARIANTS"
+
+
+_GATEWAY = attrgetter("gateway")
+_NEXT_HOP = attrgetter("next_hop")
+_HOPS = attrgetter("hops")
+_INSTALLED_AT = attrgetter("installed_at")
+_TARGET = attrgetter("target")
 
 
 def default_invariants_enabled() -> bool:
@@ -73,6 +89,8 @@ class InvariantChecker:
         #: every violation message collected across the run.
         self.violations: List[str] = []
         self._installed = False
+        #: every node id of the world's topology (fixed per topology).
+        self._node_ids: FrozenSet[int] = frozenset()
 
     def install(self) -> None:
         """Subscribe to the engine's ``step_end`` hook (idempotent)."""
@@ -104,7 +122,9 @@ class InvariantChecker:
         """Every currently broken contract, as human-readable messages."""
         problems: List[str] = []
         topology = self.world.topology
-        node_ids = set(topology.node_ids)
+        node_ids = self._node_ids
+        if len(node_ids) != topology.node_count:
+            node_ids = self._node_ids = frozenset(topology.node_ids)
         down = topology.down_ids
         self._scan_agents(problems, node_ids, down)
         self._scan_tables(problems, now, node_ids, down)
@@ -135,45 +155,13 @@ class InvariantChecker:
 
     def _scan_tables(self, problems: List[str], now: Time, node_ids, down) -> None:
         tables = getattr(self.world, "tables", None)
-        if tables is None:
-            return
-        for node in sorted(node_ids):
-            for entry in tables.table(node).entries():
-                where = f"table of node {node}, gateway {entry.gateway}"
-                if entry.gateway not in node_ids or entry.next_hop not in node_ids:
-                    problems.append(f"{where}: references unknown node")
-                    continue
-                if entry.next_hop in down:
-                    problems.append(
-                        f"{where}: next hop {entry.next_hop} is down"
-                    )
-                if entry.hops < 1:
-                    problems.append(f"{where}: claims {entry.hops} hops")
-                ttl = tables.ttl
-                if ttl is not None and entry.installed_at <= now - ttl:
-                    problems.append(
-                        f"{where}: entry installed at {entry.installed_at} "
-                        f"outlived ttl {ttl} at step {now}"
-                    )
+        if tables is not None and _tables_violated(tables, now, node_ids, down):
+            problems.extend(_table_problems(tables, now, node_ids, down))
 
     def _scan_footprints(self, problems: List[str], node_ids, down) -> None:
         field = getattr(self.world, "field", None)
-        if field is None:
-            return
-        for node, board in field.items():
-            if len(board) == 0:
-                continue
-            if node not in node_ids:
-                problems.append(f"footprint board on unknown node {node}")
-                continue
-            if node in down:
-                problems.append(f"footprint board survives on down node {node}")
-            for mark in board.all_marks():
-                if mark.target not in node_ids:
-                    problems.append(
-                        f"footprint on node {node} points at unknown "
-                        f"node {mark.target}"
-                    )
+        if field is not None and _footprints_violated(field, node_ids, down):
+            problems.extend(_footprint_problems(field, node_ids, down))
 
     def _scan_topology(self, problems: List[str], node_ids, down) -> None:
         """No link leaves or enters a down node, and no blocked link shows.
@@ -269,11 +257,107 @@ class InvariantChecker:
         """The incremental topology engine's own consistency report.
 
         Compares the packed edge array, and the rows served from it, with
-        a fresh evaluation of the sorted-sweep oracle
-        (``Topology._compute_adjacency``) — every step, so a divergence
-        in the incremental bookkeeping fails the step it happens, not
-        the metric it later corrupts.
+        the sorted-sweep oracle's edges for the positions, ranges and
+        fault state the nodes hold this step — every step, so a
+        divergence in the incremental bookkeeping fails the step it
+        happens, not the metric it later corrupts.  The topology re-runs
+        the sweep only when those inputs changed since its previous
+        check (``Topology.consistency_problems``).
         """
         checker = getattr(self.world.topology, "consistency_problems", None)
         if checker is not None:
             problems.extend(checker())
+
+
+# ----------------------------------------------------------------------
+# Routing tables and footprints: a set test, then the ordered walk
+# ----------------------------------------------------------------------
+#
+# Each scan comes in two parts.  The ``*_violated`` test answers
+# "is anything broken?" with a few set and min expressions over every
+# entry (or mark) at once; the ``*_problems`` walk visits nodes in id
+# order and names each broken contract.  The walk runs only when the
+# test says something is broken, so a sound step never pays for it and
+# a broken one gets exactly the walk's messages, in the walk's order.
+# The test is true exactly when the walk returns messages (property-
+# checked on planted violations).
+
+
+def _tables_violated(tables, now: Time, node_ids: FrozenSet[int], down) -> bool:
+    """Whether :func:`_table_problems` would report anything.
+
+    Every entry's gateway and next hop are known nodes, no next hop is
+    down, every entry claims at least one hop and, under a TTL, every
+    entry was installed after ``now - ttl``.
+    """
+    entries = list(tables.all_entries())
+    if not entries:
+        return False
+    next_hops = set(map(_NEXT_HOP, entries))
+    ttl = tables.ttl
+    return not (
+        next_hops <= node_ids
+        and next_hops.isdisjoint(down)
+        and set(map(_GATEWAY, entries)) <= node_ids
+        and min(map(_HOPS, entries)) >= 1
+        and (ttl is None or min(map(_INSTALLED_AT, entries)) > now - ttl)
+    )
+
+
+def _table_problems(tables, now: Time, node_ids, down) -> List[str]:
+    """Every broken routing-table contract, per node ascending."""
+    problems: List[str] = []
+    for node in sorted(node_ids):
+        for entry in tables.table(node).entries():
+            where = f"table of node {node}, gateway {entry.gateway}"
+            if entry.gateway not in node_ids or entry.next_hop not in node_ids:
+                problems.append(f"{where}: references unknown node")
+                continue
+            if entry.next_hop in down:
+                problems.append(
+                    f"{where}: next hop {entry.next_hop} is down"
+                )
+            if entry.hops < 1:
+                problems.append(f"{where}: claims {entry.hops} hops")
+            ttl = tables.ttl
+            if ttl is not None and entry.installed_at <= now - ttl:
+                problems.append(
+                    f"{where}: entry installed at {entry.installed_at} "
+                    f"outlived ttl {ttl} at step {now}"
+                )
+    return problems
+
+
+def _footprints_violated(field, node_ids: FrozenSet[int], down) -> bool:
+    """Whether :func:`_footprint_problems` would report anything.
+
+    Every node holding marks is a known, live node, and every mark
+    points at a known node.
+    """
+    marked = set()
+    targets = set()
+    for node, marks in field.marks_by_node():
+        if marks:
+            marked.add(node)
+            targets.update(map(_TARGET, marks))
+    return not (marked <= node_ids and targets <= node_ids and marked.isdisjoint(down))
+
+
+def _footprint_problems(field, node_ids, down) -> List[str]:
+    """Every broken footprint contract, per board's node ascending."""
+    problems: List[str] = []
+    for node, board in field.items():
+        if len(board) == 0:
+            continue
+        if node not in node_ids:
+            problems.append(f"footprint board on unknown node {node}")
+            continue
+        if node in down:
+            problems.append(f"footprint board survives on down node {node}")
+        for mark in board.all_marks():
+            if mark.target not in node_ids:
+                problems.append(
+                    f"footprint on node {node} points at unknown "
+                    f"node {mark.target}"
+                )
+    return problems

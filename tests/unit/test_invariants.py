@@ -356,3 +356,84 @@ def test_topology_scan_matches_the_per_node_loop(seed):
     checker._scan_topology(problems, set(range(n)), topology.down_ids)
     assert problems == _scan_topology_by_rows(topology)
     assert problems  # the planted edges do leak
+
+
+class TestOracleReuse:
+    """Reusing the reference sweep never delays a verdict.
+
+    The consistency check re-runs the sweep only when the positions,
+    ranges, down set or blocked set it reads from the nodes change; each
+    case below warms that reuse on a static mapping network, breaks the
+    structure one way, and expects the break in the very next check.
+    """
+
+    @staticmethod
+    def _warm():
+        from repro.net.generator import GeneratorConfig, generate_mapping_network
+
+        topology = generate_mapping_network(
+            7, GeneratorConfig(node_count=30, target_edges=90, gateway_count=2)
+        )
+        topology.adjacency_view()  # serve rows, so they are checked too
+        assert topology.consistency_problems() == []
+        run = topology._oracle_run
+        assert topology.consistency_problems() == []
+        assert topology._oracle_run is run  # static inputs: the sweep is reused
+        return topology
+
+    @staticmethod
+    def _phantoms(topology, edges):
+        """The messages for served ``edges`` the sweep no longer produces."""
+        array = [f"packed edge array has phantom edge {u}->{v}" for u, v in sorted(edges)]
+        rows = [f"row of node {u} has phantom edge {u}->{v}" for u, v in sorted(edges)]
+        return array + rows
+
+    def test_moved_node_without_invalidate(self):
+        topology = self._warm()
+        touching = [(u, v) for u, v in topology.edges() if 0 in (u, v)]
+        assert touching
+        node = topology.node(0)
+        node.position = Point(node.position.x - 1e6, node.position.y)
+        assert topology.consistency_problems() == self._phantoms(topology, touching)
+
+    def test_phantom_edge_in_the_packed_array(self):
+        topology = self._warm()
+        run = topology._oracle_run
+        u, v = next(
+            (u, v)
+            for u in topology.node_ids
+            for v in topology.node_ids
+            if u != v and not topology.has_edge(u, v)
+        )
+        TestPlantedViolations._plant(topology, add=[(u, v)])
+        assert topology.consistency_problems() == [
+            f"packed edge array has phantom edge {u}->{v}"
+        ]
+        assert topology._oracle_run is run
+
+    def test_mutated_served_row(self):
+        topology = self._warm()
+        row = topology.adjacency_view()[4]
+        dropped = row.pop(0)
+        assert topology.consistency_problems() == [
+            f"row of node 4 missing edge 4->{dropped}"
+        ]
+
+    def test_node_down_behind_the_engine(self):
+        topology = self._warm()
+        touching = [(u, v) for u, v in topology.edges() if 3 in (u, v)]
+        topology._down.add(3)  # no invalidate: positions and ranges unchanged
+        assert topology.consistency_problems() == self._phantoms(topology, touching)
+
+    def test_blocked_edge_behind_the_engine(self):
+        topology = self._warm()
+        u, v = next(topology.edges())
+        topology._blocked.add((u, v))  # no invalidate
+        assert topology.consistency_problems() == self._phantoms(topology, [(u, v)])
+
+    def test_recovered_state_is_sound_again(self):
+        topology = self._warm()
+        topology.set_node_down(5)
+        assert topology.consistency_problems() == []
+        topology.set_node_up(5)
+        assert topology.consistency_problems() == []

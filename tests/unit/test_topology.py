@@ -61,6 +61,23 @@ class TestTopologyBasics:
         with pytest.raises(TopologyError):
             topology.node(99)
 
+    def test_negative_ids_are_unknown(self):
+        # Python's negative indexing must not turn -1 into the last node.
+        topology = make_line_topology()
+        with pytest.raises(TopologyError):
+            topology.node(-1)
+        with pytest.raises(TopologyError):
+            topology.set_node_down(-1)
+        with pytest.raises(TopologyError):
+            topology.set_node_up(-1)
+        with pytest.raises(TopologyError):
+            topology.block_edge(-1, 0)
+        with pytest.raises(TopologyError):
+            topology.block_edge(0, -1)
+        assert topology.down_ids == frozenset()
+        assert topology.blocked_edges == frozenset()
+        assert topology.out_neighbors(2) == [1]
+
     def test_adjacency_copy_is_independent(self):
         topology = make_line_topology()
         copy = topology.adjacency_copy()
