@@ -361,6 +361,7 @@ def _command_list(args: argparse.Namespace) -> int:
 
 def _command_run(args: argparse.Namespace) -> int:
     import dataclasses
+    import pathlib
 
     from repro.experiments import runner
 
@@ -373,76 +374,63 @@ def _command_run(args: argparse.Namespace) -> int:
         ids = [e.experiment_id for e in list_experiments()]
     else:
         ids = [args.experiment]
-    if getattr(args, "workers", 1) > 1:
-        runner.set_default_workers(args.workers)
-    if args.faults:
-        from repro.faults.plan import parse_fault_plan
+    fields = runner.overlay_fields(
+        {
+            "faults": args.faults,
+            "loss": args.loss,
+            "traffic": args.traffic,
+            "adversary": args.adversary,
+            "quarantine": args.quarantine,
+            "route_ttl": args.route_ttl,
+            # without the flag, defer to REPRO_CHECK_INVARIANTS, not force off
+            "check_invariants": args.check_invariants or None,
+        }
+    )
+    if args.hop_retries is not None:
+        from repro.net.channel import ChannelConfig
 
-        runner.set_default_fault_plan(parse_fault_plan(args.faults))
-    if args.loss or args.hop_retries is not None:
-        from repro.net.channel import ChannelConfig, parse_channel_spec
-
-        channel = parse_channel_spec(args.loss) if args.loss else ChannelConfig()
-        if args.hop_retries is not None:
-            channel = dataclasses.replace(channel, hop_retries=args.hop_retries)
-        runner.set_default_channel(channel)
-    if (
-        args.traffic
-        or args.queue_cap is not None
-        or args.payload_ttl is not None
-        or args.router is not None
-    ):
-        from repro.traffic.plane import TrafficConfig, parse_traffic_spec
-
-        traffic = parse_traffic_spec(args.traffic) if args.traffic else TrafficConfig()
-        overrides = {}
-        if args.queue_cap is not None:
-            overrides["queue_capacity"] = args.queue_cap
-        if args.payload_ttl is not None:
-            overrides["payload_ttl"] = args.payload_ttl
-        if args.router is not None:
-            overrides["router"] = args.router
-        if overrides:
-            traffic = dataclasses.replace(traffic, **overrides)
-        runner.set_default_traffic(traffic)
-    if args.adversary:
-        from repro.faults.plan import parse_adversary_spec
-
-        runner.set_default_adversary(parse_adversary_spec(args.adversary))
-    if args.quarantine:
-        from repro.net.health import HealthConfig
-        from repro.routing.table import TableGuard
-
-        runner.set_default_health(HealthConfig())
-        runner.set_default_table_guard(TableGuard())
-    if args.route_ttl is not None:
-        runner.set_default_route_ttl(args.route_ttl)
-    if args.shards is not None or args.tile_size is not None:
-        runner.set_default_shards(
-            args.shards if args.shards is not None else 1, args.tile_size
+        fields["channel"] = dataclasses.replace(
+            fields.get("channel") or ChannelConfig(), hop_retries=args.hop_retries
         )
-    if args.check_invariants:
-        runner.set_default_check_invariants(True)
+    traffic_overrides = {
+        field: value
+        for field, value in (
+            ("queue_capacity", args.queue_cap),
+            ("payload_ttl", args.payload_ttl),
+            ("router", args.router),
+        )
+        if value is not None
+    }
+    if traffic_overrides:
+        from repro.traffic.plane import TrafficConfig
+
+        fields["traffic"] = dataclasses.replace(
+            fields.get("traffic") or TrafficConfig(), **traffic_overrides
+        )
+    if args.shards is not None or args.tile_size is not None:
+        fields["shards"] = args.shards if args.shards is not None else 1
+        fields["tile_size"] = args.tile_size
     if args.checkpoint_dir:
-        runner.set_default_checkpoint_dir(args.checkpoint_dir)
-    if args.task_timeout is not None or args.task_retries is not None:
-        runner.set_task_limits(args.task_timeout, args.task_retries)
+        fields["checkpoint_dir"] = pathlib.Path(args.checkpoint_dir)
+    if args.task_retries is not None:
+        fields["task_retries"] = args.task_retries
 
     accumulator = None
-    obs_wanted = bool(args.metrics_out or args.trace_out or args.profile)
-    if obs_wanted:
+    if args.metrics_out or args.trace_out or args.profile:
         from repro.obs import ObsAccumulator, ObsConfig
 
-        obs_config = ObsConfig(
+        fields["obs"] = ObsConfig(
             metrics=bool(args.metrics_out),
             events=bool(args.trace_out),
             profile=bool(args.profile),
         )
-        accumulator = ObsAccumulator()
-        runner.set_default_obs(obs_config, accumulator)
+        accumulator = fields["obs_accumulator"] = ObsAccumulator()
+    defaults = runner.RunDefaults(
+        workers=args.workers, task_timeout=args.task_timeout, **fields
+    )
 
     progress = _progress_printer(args.quiet)
-    try:
+    with runner.defaults_scope(defaults):
         for experiment_id in ids:
             experiment = get_experiment(experiment_id)
             if accumulator is not None:
@@ -465,9 +453,6 @@ def _command_run(args: argparse.Namespace) -> int:
             if args.profile and accumulator is not None:
                 print(accumulator.profile_text(experiment_id))
             print()
-    finally:
-        if obs_wanted:
-            runner.set_default_obs(None, None)
 
     if accumulator is not None:
         from repro.obs import build_manifest
@@ -478,7 +463,7 @@ def _command_run(args: argparse.Namespace) -> int:
             experiments=ids,
             options={
                 "runs": scale.runs,
-                "workers": getattr(args, "workers", 1),
+                "workers": args.workers,
                 "faults": args.faults,
                 "loss": args.loss,
                 "hop_retries": args.hop_retries,

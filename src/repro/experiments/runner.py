@@ -45,7 +45,7 @@ import pathlib
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.analysis.series import TimeSeries, average_series
 from repro.analysis.stats import RunSummary, summarize
@@ -58,9 +58,14 @@ from repro.experiments.persistence import (
     routing_result_from_dict,
     routing_result_to_dict,
 )
-from repro.faults.plan import AdversarySpec, FaultPlan
+from repro.faults.plan import (
+    AdversarySpec,
+    FaultPlan,
+    parse_adversary_spec,
+    parse_fault_plan,
+)
 from repro.mapping.world import MappingResult, MappingWorld, MappingWorldConfig
-from repro.net.channel import ChannelConfig
+from repro.net.channel import ChannelConfig, parse_channel_spec
 from repro.net.generator import GeneratorConfig, NetworkGenerator
 from repro.net.health import HealthConfig
 from repro.net.topology import Topology
@@ -69,7 +74,7 @@ from repro.obs.output import ObsAccumulator
 from repro.routing.table import TableGuard
 from repro.routing.world import RoutingResult, RoutingWorld, RoutingWorldConfig
 from repro.rng import derive_seed
-from repro.traffic.plane import TrafficConfig
+from repro.traffic.plane import TrafficConfig, parse_traffic_spec
 
 __all__ = [
     "MappingVariantResult",
@@ -77,23 +82,10 @@ __all__ = [
     "RunDefaults",
     "current_defaults",
     "defaults_scope",
+    "overlay_fields",
     "run_mapping_variants",
     "run_routing_variants",
     "clear_topology_cache",
-    "set_default_workers",
-    "set_default_fault_plan",
-    "set_default_channel",
-    "set_default_route_ttl",
-    "set_default_check_invariants",
-    "set_default_checkpoint_dir",
-    "set_default_obs",
-    "set_default_traffic",
-    "set_default_health",
-    "set_default_table_guard",
-    "set_default_adversary",
-    "set_default_batch_agents",
-    "set_default_shards",
-    "set_task_limits",
 ]
 
 #: most static topologies kept alive at once; a sweep touches one or two,
@@ -188,16 +180,15 @@ ProgressCallback = Callable[[str, int, int], None]
 _POLL_INTERVAL = 0.02
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunDefaults:
     """Every run-shaping default a sweep call can inherit.
 
-    The module keeps one global instance that the ``set_default_*``
-    functions (the CLI flag plumbing) mutate, exactly as before.  The
-    experiment *service* instead builds a fresh instance per job and
-    activates it with :func:`defaults_scope`, so concurrent jobs each
-    see their own hermetic overlay set — scoped defaults replace (never
-    merge with) the global ones.
+    One frozen instance describes one invocation: ``repro run`` builds it
+    from its flags and the experiment *service* builds one per sweep
+    unit, and each activates it with :func:`defaults_scope` for exactly
+    the sweeps it runs.  Outside any scope the pristine ``RunDefaults()``
+    applies, so no run's overlays outlive it.
     """
 
     #: process-pool size used when a call does not pass ``workers``.
@@ -217,7 +208,8 @@ class RunDefaults:
     task_timeout: Optional[float] = None
     task_retries: int = 1
     #: observability config applied to variants that carry none, and the
-    #: accumulator completed runs report into.
+    #: accumulator completed runs report into, in canonical (variant, run)
+    #: order so serial and pooled sweeps merge identically.
     obs: Optional[ObsConfig] = None
     obs_accumulator: Optional[ObsAccumulator] = None
     #: traffic config applied to every variant that has none of its own.
@@ -229,29 +221,41 @@ class RunDefaults:
     #: adversary spec materialized into a seeded fault plan for variants
     #: that carry no plan of their own.
     adversary: Optional[AdversarySpec] = None
-    #: batch-agent engine override for routing variants that leave it on
-    #: auto (``None``).  Mapping worlds carry no such knob and are skipped.
-    batch_agents: Optional[bool] = None
     #: sharded-arena tiling for routing variants that carry none of their
     #: own: shard count and optional explicit tile edge length (see
     #: :mod:`repro.shard`).  Mapping worlds carry no such knob.
     shards: Optional[int] = None
     tile_size: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
+        if self.route_ttl is not None and self.route_ttl < 1:
+            raise ConfigurationError(f"route ttl must be >= 1, got {self.route_ttl}")
+        if self.shards is not None and self.shards < 1:
+            raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
+        if self.tile_size is not None and self.tile_size <= 0:
+            raise ConfigurationError(f"tile_size must be > 0, got {self.tile_size}")
+        if self.task_timeout is not None and self.task_timeout <= 0:
+            raise ConfigurationError(
+                f"task timeout must be > 0, got {self.task_timeout}"
+            )
+        if self.task_retries < 0:
+            raise ConfigurationError(
+                f"task retries must be >= 0, got {self.task_retries}"
+            )
 
-#: the process-wide defaults the CLI flag setters mutate.
-_GLOBAL_DEFAULTS = RunDefaults()
 
-#: a scoped replacement for the globals (see :func:`defaults_scope`).
-_SCOPED_DEFAULTS: "contextvars.ContextVar[Optional[RunDefaults]]" = (
-    contextvars.ContextVar("repro_run_defaults", default=None)
+#: the defaults scoped by :func:`defaults_scope`; the pristine
+#: ``RunDefaults()`` outside any scope.
+_SCOPED_DEFAULTS: "contextvars.ContextVar[RunDefaults]" = contextvars.ContextVar(
+    "repro_run_defaults", default=RunDefaults()
 )
 
 
 def current_defaults() -> RunDefaults:
-    """The defaults active in this context (scoped if any, else global)."""
-    scoped = _SCOPED_DEFAULTS.get()
-    return scoped if scoped is not None else _GLOBAL_DEFAULTS
+    """The defaults active in this context (scoped if any, else pristine)."""
+    return _SCOPED_DEFAULTS.get()
 
 
 @contextlib.contextmanager
@@ -259,8 +263,8 @@ def defaults_scope(defaults: RunDefaults) -> Iterator[RunDefaults]:
     """Activate ``defaults`` for the enclosed block (and this thread only).
 
     Backed by a :class:`contextvars.ContextVar`, so concurrent service
-    workers each scope their own job's overlays without touching the
-    globals the CLI flags set.
+    workers each scope their own job's overlays, and nothing is left
+    behind once the block exits.
     """
     token = _SCOPED_DEFAULTS.set(defaults)
     try:
@@ -269,140 +273,33 @@ def defaults_scope(defaults: RunDefaults) -> Iterator[RunDefaults]:
         _SCOPED_DEFAULTS.reset(token)
 
 
-def set_default_workers(workers: int) -> None:
-    """Set the pool size used by runs that do not pass ``workers``."""
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    _GLOBAL_DEFAULTS.workers = workers
+def overlay_fields(overlays: Mapping[str, Any]) -> Dict[str, Any]:
+    """Parse the overlays ``repro run`` and the service share into
+    :class:`RunDefaults` field values.
 
-
-def set_default_fault_plan(plan: Optional[FaultPlan]) -> None:
-    """Set the fault plan injected into variants that carry none.
-
-    The CLI's ``repro run <fig> --faults PLAN`` routes through here so
-    every registry experiment can be stressed without a bespoke flag.
+    Keys are the sweep-spec overlay names: the spec strings ``faults``,
+    ``loss``, ``traffic`` and ``adversary`` (parsed by their modules'
+    parsers), the ``quarantine`` flag (health monitoring plus table
+    guards), ``route_ttl`` and ``check_invariants``.  Absent and
+    ``None`` entries, empty spec strings and a false ``quarantine`` leave
+    their fields unset.
     """
-    _GLOBAL_DEFAULTS.fault_plan = plan
-
-
-def set_default_channel(channel: Optional[ChannelConfig]) -> None:
-    """Set the channel config injected into variants that carry none.
-
-    The CLI's ``--loss``/``--hop-retries`` flags route through here so
-    every registry experiment can be run over a lossy channel.
-    """
-    _GLOBAL_DEFAULTS.channel = channel
-
-
-def set_default_route_ttl(ttl: Optional[int]) -> None:
-    """Force a route TTL onto every routing variant (``None`` = leave be)."""
-    if ttl is not None and ttl < 1:
-        raise ConfigurationError(f"route ttl must be >= 1, got {ttl}")
-    _GLOBAL_DEFAULTS.route_ttl = ttl
-
-
-def set_default_check_invariants(check: Optional[bool]) -> None:
-    """Set the invariant-checking default for variants that leave it unset."""
-    _GLOBAL_DEFAULTS.check_invariants = check
-
-
-def set_default_checkpoint_dir(directory: Union[str, pathlib.Path, None]) -> None:
-    """Set the checkpoint directory used when a call passes none."""
-    _GLOBAL_DEFAULTS.checkpoint_dir = (
-        None if directory is None else pathlib.Path(directory)
-    )
-
-
-def set_default_obs(
-    config: Optional[ObsConfig], accumulator: Optional[ObsAccumulator] = None
-) -> None:
-    """Set the observability config injected into variants that carry none.
-
-    ``accumulator`` receives every completed run's
-    :class:`~repro.obs.collector.ObsReport` in canonical (variant, run)
-    order — identical between serial and pooled sweeps — so the CLI can
-    write one merged metrics/trace artifact per invocation.  Passing
-    ``(None, None)`` switches the subsystem back off.
-    """
-    _GLOBAL_DEFAULTS.obs = config
-    _GLOBAL_DEFAULTS.obs_accumulator = accumulator
-
-
-def set_default_traffic(traffic: Optional[TrafficConfig]) -> None:
-    """Set the traffic config injected into variants that carry none.
-
-    The CLI's ``--traffic`` flag routes through here so every registry
-    experiment can move payloads over its routing state.
-    """
-    _GLOBAL_DEFAULTS.traffic = traffic
-
-
-def set_default_health(config: Optional[HealthConfig]) -> None:
-    """Set the health-monitor config injected into variants that carry none.
-
-    The CLI's ``--quarantine`` flag routes through here so any registry
-    experiment can run with suspicion/quarantine defenses switched on.
-    """
-    _GLOBAL_DEFAULTS.health = config
-
-
-def set_default_table_guard(guard: Optional[TableGuard]) -> None:
-    """Set the table-write guard injected into routing variants that
-    carry none (mapping worlds have no routing tables to guard)."""
-    _GLOBAL_DEFAULTS.table_guard = guard
-
-
-def set_default_adversary(spec: Optional[AdversarySpec]) -> None:
-    """Set the adversary spec materialized for variants without a plan.
-
-    The CLI's ``--adversary`` flag routes through here.  The spec is
-    turned into a concrete seeded :class:`~repro.faults.plan.FaultPlan`
-    per sweep (it needs the generator's node count and the variant's
-    population), with gateways excluded from victim selection.
-    """
-    _GLOBAL_DEFAULTS.adversary = spec
-
-
-def set_default_batch_agents(batch: Optional[bool]) -> None:
-    """Set the batch-agent engine default for variants that leave it on auto.
-
-    ``True`` forces the vectorized SoA engine, ``False`` forces the
-    per-object engine (the equivalence oracle), and ``None`` restores
-    auto-detection.  A variant's own explicit choice always wins.
-    """
-    _GLOBAL_DEFAULTS.batch_agents = batch
-
-
-def set_default_shards(
-    shards: Optional[int], tile_size: Optional[float] = None
-) -> None:
-    """Set the sharded-arena default for routing variants that carry none.
-
-    The CLI's ``--shards``/``--tile-size`` flags route through here:
-    every routing variant without its own tiling runs as a
-    :class:`~repro.shard.world.ShardedRoutingWorld` (bit-identical to
-    the serial world at any shard count).  ``None`` restores the serial
-    path.
-    """
-    if shards is not None and shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards}")
-    if tile_size is not None and tile_size <= 0:
-        raise ConfigurationError(f"tile_size must be > 0, got {tile_size}")
-    _GLOBAL_DEFAULTS.shards = shards
-    _GLOBAL_DEFAULTS.tile_size = tile_size
-
-
-def set_task_limits(
-    timeout: Optional[float] = None, retries: Optional[int] = None
-) -> None:
-    """Set the default per-task timeout (seconds) and retry budget."""
-    if timeout is not None and timeout <= 0:
-        raise ConfigurationError(f"task timeout must be > 0, got {timeout}")
-    if retries is not None and retries < 0:
-        raise ConfigurationError(f"task retries must be >= 0, got {retries}")
-    _GLOBAL_DEFAULTS.task_timeout = timeout
-    if retries is not None:
-        _GLOBAL_DEFAULTS.task_retries = retries
+    fields: Dict[str, Any] = {}
+    if overlays.get("faults"):
+        fields["fault_plan"] = parse_fault_plan(overlays["faults"])
+    if overlays.get("loss"):
+        fields["channel"] = parse_channel_spec(overlays["loss"])
+    if overlays.get("traffic"):
+        fields["traffic"] = parse_traffic_spec(overlays["traffic"])
+    if overlays.get("adversary"):
+        fields["adversary"] = parse_adversary_spec(overlays["adversary"])
+    if overlays.get("quarantine"):
+        fields["health"] = HealthConfig()
+        fields["table_guard"] = TableGuard()
+    for key in ("route_ttl", "check_invariants"):
+        if overlays.get(key) is not None:
+            fields[key] = overlays[key]
+    return fields
 
 
 def _resolve_workers(workers: Optional[int]) -> int:
@@ -435,7 +332,7 @@ def _with_run_defaults(
     generator_config: Optional[GeneratorConfig] = None,
     master_seed: int = 0,
 ) -> Dict[str, Any]:
-    """Overlay the CLI-set module defaults onto every variant config.
+    """Overlay the active :class:`RunDefaults` onto every variant config.
 
     Fault plan, channel, invariant checking, health monitoring, and the
     table guard fill only unset fields (a variant's own choice wins);
@@ -491,12 +388,6 @@ def _with_run_defaults(
             and config.table_guard is None
         ):
             changes["table_guard"] = defaults.table_guard
-        if (
-            defaults.batch_agents is not None
-            and hasattr(config, "batch_agents")
-            and config.batch_agents is None
-        ):
-            changes["batch_agents"] = defaults.batch_agents
         if (
             defaults.shards is not None
             and hasattr(config, "shards")

@@ -52,8 +52,8 @@ class ObsConfig:
     """Which observability layers a run records.
 
     Defaults to everything off; the CLI's ``--metrics-out`` /
-    ``--trace-out`` / ``--profile`` flags switch the layers on via
-    :func:`repro.experiments.runner.set_default_obs`.
+    ``--trace-out`` / ``--profile`` flags switch the layers on through
+    the ``obs`` field of :class:`repro.experiments.runner.RunDefaults`.
     """
 
     #: record counters / gauges / histograms / step rings.

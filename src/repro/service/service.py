@@ -5,8 +5,8 @@ long-running process with bounded concurrency.  Each job runs through
 the *existing* hardened runner — per-task timeouts, bounded retries,
 worker-crash isolation, checkpoint/resume — inside a
 :func:`~repro.experiments.runner.defaults_scope`, so concurrent jobs
-each see their own hermetic overlay set and never touch the module
-globals the CLI flags mutate.
+each see their own hermetic overlay set.  ``repro run`` scopes the
+defaults built from its flags the same way.
 
 Per job, the service materializes a directory::
 
@@ -38,7 +38,7 @@ from repro.errors import ExperimentError, ReproError
 from repro.experiments.persistence import save_report, save_svg
 from repro.experiments.registry import get_experiment
 from repro.experiments.report import ExperimentReport
-from repro.experiments.runner import RunDefaults, defaults_scope
+from repro.experiments.runner import RunDefaults, defaults_scope, overlay_fields
 from repro.obs.collector import ObsConfig
 from repro.obs.manifest import build_manifest
 from repro.obs.output import ObsAccumulator
@@ -67,47 +67,20 @@ def build_unit_defaults(
 ) -> RunDefaults:
     """Materialize one unit's overlays into a scoped :class:`RunDefaults`.
 
-    This is the service-side twin of the CLI's flag plumbing in
-    ``repro run``: the same parsers, producing the same configs, but
-    into a fresh defaults instance instead of the module globals.
+    The overlays are parsed by :func:`~repro.experiments.runner.overlay_fields`,
+    the same function ``repro run`` feeds its flags through.
     """
-    defaults = RunDefaults(
+    fields = overlay_fields(unit.overlay_dict)
+    if limits.task_retries is not None:
+        fields["task_retries"] = limits.task_retries
+    return RunDefaults(
         workers=limits.workers,
         checkpoint_dir=checkpoint_dir,
         task_timeout=limits.task_timeout,
         obs=obs_config,
         obs_accumulator=obs_accumulator,
+        **fields,
     )
-    if limits.task_retries is not None:
-        defaults.task_retries = limits.task_retries
-    overlays = unit.overlay_dict
-    if "faults" in overlays:
-        from repro.faults.plan import parse_fault_plan
-
-        defaults.fault_plan = parse_fault_plan(overlays["faults"])
-    if "loss" in overlays:
-        from repro.net.channel import parse_channel_spec
-
-        defaults.channel = parse_channel_spec(overlays["loss"])
-    if "traffic" in overlays:
-        from repro.traffic.plane import parse_traffic_spec
-
-        defaults.traffic = parse_traffic_spec(overlays["traffic"])
-    if "adversary" in overlays:
-        from repro.faults.plan import parse_adversary_spec
-
-        defaults.adversary = parse_adversary_spec(overlays["adversary"])
-    if overlays.get("quarantine"):
-        from repro.net.health import HealthConfig
-        from repro.routing.table import TableGuard
-
-        defaults.health = HealthConfig()
-        defaults.table_guard = TableGuard()
-    if "route_ttl" in overlays:
-        defaults.route_ttl = overlays["route_ttl"]
-    if "check_invariants" in overlays:
-        defaults.check_invariants = overlays["check_invariants"]
-    return defaults
 
 
 ProgressFn = Callable[[str, str, int, int], None]

@@ -15,13 +15,10 @@ from repro.experiments.persistence import (
 )
 from repro.experiments.registry import get_experiment, list_experiments
 from repro.experiments.runner import (
+    RunDefaults,
     clear_topology_cache,
+    defaults_scope,
     run_routing_variants,
-    set_default_adversary,
-    set_default_fault_plan,
-    set_default_health,
-    set_default_table_guard,
-    set_default_workers,
 )
 from repro.faults.plan import AdversarySpec, FaultPlan
 from repro.net.generator import GeneratorConfig, NetworkGenerator
@@ -52,19 +49,9 @@ TRAFFIC = TrafficConfig(
 
 
 @pytest.fixture(autouse=True)
-def reset_runner_defaults():
-    set_default_workers(1)
-    set_default_fault_plan(None)
-    set_default_adversary(None)
-    set_default_health(None)
-    set_default_table_guard(None)
+def fresh_topology_cache():
     clear_topology_cache()
     yield
-    set_default_workers(1)
-    set_default_fault_plan(None)
-    set_default_adversary(None)
-    set_default_health(None)
-    set_default_table_guard(None)
     clear_topology_cache()
 
 
@@ -145,11 +132,13 @@ class TestDisabledModeDeterminism:
 
 class TestRunnerDefaultInjection:
     def test_adversary_and_defenses_materialize_into_variants(self):
-        set_default_adversary(
-            AdversarySpec(gray_fraction=0.2, gray_rate=0.9, corrupt_agents=2)
+        defaults = RunDefaults(
+            adversary=AdversarySpec(
+                gray_fraction=0.2, gray_rate=0.9, corrupt_agents=2
+            ),
+            health=HealthConfig(),
+            table_guard=TableGuard(),
         )
-        set_default_health(HealthConfig())
-        set_default_table_guard(TableGuard())
         variants = {
             "base": RoutingWorldConfig(
                 population=8,
@@ -158,12 +147,13 @@ class TestRunnerDefaultInjection:
                 traffic=TRAFFIC,
             )
         }
-        outcomes = run_routing_variants(NET, variants, runs=1, master_seed=5)
+        with defaults_scope(defaults):
+            outcomes = run_routing_variants(NET, variants, runs=1, master_seed=5)
         result = outcomes["base"].results[0]
         assert result.health is not None
 
     def test_variant_supplied_plan_wins_over_adversary_default(self):
-        set_default_adversary(AdversarySpec(gray_fraction=0.9, gray_rate=1.0))
+        adversary = AdversarySpec(gray_fraction=0.9, gray_rate=1.0)
         explicit = FaultPlan().gray_failure(10, 5, rate=0.5)
         variants = {
             "own-plan": RoutingWorldConfig(
@@ -175,7 +165,8 @@ class TestRunnerDefaultInjection:
         }
         # Completing without the 90%-gray meltdown shows the explicit
         # plan rode through; the runner asserts nothing louder here.
-        outcomes = run_routing_variants(NET, variants, runs=1, master_seed=5)
+        with defaults_scope(RunDefaults(adversary=adversary)):
+            outcomes = run_routing_variants(NET, variants, runs=1, master_seed=5)
         assert outcomes["own-plan"].results[0].health is None
 
 

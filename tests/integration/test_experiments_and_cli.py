@@ -97,3 +97,61 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{experiment_id} compares variants with Welch's t-test" in err
         assert "at least 2 runs" in err
+
+
+class TestRunFlagsScope:
+    """``repro run`` scopes one frozen RunDefaults to its own sweeps."""
+
+    @pytest.mark.parametrize(
+        "experiment_id, code",
+        # fig1 is a mapping sweep (no shards knob, so it runs clean);
+        # fig7's sharded tiles refuse invariant checking, so it errors.
+        [("fig1", 0), ("fig7", 2)],
+    )
+    def test_flags_leave_no_defaults_behind(
+        self, experiment_id, code, capsys, monkeypatch
+    ):
+        import repro.cli as cli_module
+        from repro.experiments.runner import RunDefaults, current_defaults
+
+        monkeypatch.setattr(cli_module, "QUICK", TINY)
+        argv = [
+            "run", experiment_id, "--runs", "1", "--quiet", "--no-plot",
+            "--faults", "crash@10:3;recover@30:3;policy=respawn",
+            "--route-ttl", "7", "--check-invariants", "--shards", "2",
+        ]
+        assert main(argv) == code
+        assert current_defaults() == RunDefaults()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--workers", "0"),
+            ("--workers", "-3"),
+            ("--route-ttl", "0"),
+            ("--shards", "0"),
+            ("--tile-size", "0"),
+            ("--tile-size", "-1.5"),
+            ("--task-timeout", "0"),
+            ("--task-retries", "-1"),
+        ],
+    )
+    def test_bad_values_exit_2_before_simulating(
+        self, flag, value, capsys, monkeypatch
+    ):
+        import repro.experiments.mapping_experiments as mapping_experiments
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError(f"simulated despite {flag} {value}")
+
+        monkeypatch.setattr(mapping_experiments, "run_mapping_variants", no_simulation)
+        assert main(["run", "fig1", "--quiet", "--no-plot", flag, value]) == 2
+        assert "must be" in capsys.readouterr().err
+
+    def test_run_defaults_are_frozen(self):
+        import dataclasses
+
+        from repro.experiments.runner import RunDefaults
+
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            RunDefaults().workers = 4

@@ -10,11 +10,11 @@ baseline.
 import pytest
 
 from repro.experiments.runner import (
+    RunDefaults,
     clear_topology_cache,
+    defaults_scope,
     run_mapping_variants,
     run_routing_variants,
-    set_default_fault_plan,
-    set_default_workers,
 )
 from repro.faults.plan import FaultPlan, parse_fault_plan
 from repro.mapping.world import MappingWorldConfig, run_mapping
@@ -34,13 +34,9 @@ MAPPING_NET = GeneratorConfig(
 
 
 @pytest.fixture(autouse=True)
-def reset_runner_defaults():
-    set_default_workers(1)
-    set_default_fault_plan(None)
+def fresh_topology_cache():
     clear_topology_cache()
     yield
-    set_default_workers(1)
-    set_default_fault_plan(None)
     clear_topology_cache()
 
 
@@ -192,13 +188,16 @@ class TestAgentPolicies:
 
 class TestDefaultFaultPlanInjection:
     def test_cli_style_default_plan_applies_to_all_variants(self):
-        set_default_fault_plan(parse_fault_plan("crash@10:3;recover@25:3"))
+        plan = parse_fault_plan("crash@10:3;recover@25:3")
         variants = {
             "a": RoutingWorldConfig(population=6, total_steps=30, converged_after=15),
             "b": RoutingWorldConfig(
                 agent_kind="random", population=6, total_steps=30, converged_after=15
             ),
         }
-        outcomes = run_routing_variants(ROUTING_NET, variants, runs=1, master_seed=3)
+        with defaults_scope(RunDefaults(fault_plan=plan)):
+            outcomes = run_routing_variants(
+                ROUTING_NET, variants, runs=1, master_seed=3
+            )
         for name in variants:
             assert outcomes[name].results[0].resilience is not None

@@ -16,14 +16,11 @@ import pytest
 
 from repro.core.migration import MigrationState
 from repro.experiments.runner import (
+    RunDefaults,
     clear_topology_cache,
+    defaults_scope,
     run_mapping_variants,
     run_routing_variants,
-    set_default_channel,
-    set_default_check_invariants,
-    set_default_fault_plan,
-    set_default_route_ttl,
-    set_default_workers,
 )
 from repro.faults.plan import FaultPlan
 from repro.mapping.world import MappingWorld, MappingWorldConfig, run_mapping
@@ -44,18 +41,10 @@ MAPPING_NET = GeneratorConfig(
 
 
 @pytest.fixture(autouse=True)
-def reset_runner_defaults():
-    def reset():
-        set_default_workers(1)
-        set_default_fault_plan(None)
-        set_default_channel(None)
-        set_default_route_ttl(None)
-        set_default_check_invariants(None)
-        clear_topology_cache()
-
-    reset()
+def fresh_topology_cache():
+    clear_topology_cache()
     yield
-    reset()
+    clear_topology_cache()
 
 
 def routing_config(**overrides):
@@ -164,10 +153,11 @@ class TestLossyRunDeterminism:
         assert routing_fingerprint(first) == routing_fingerprint(second)
 
     def test_runner_default_channel_applies_to_unset_variants(self):
-        set_default_channel(ChannelConfig(loss=0.4))
         variants = {"plain": routing_config()}
-        lossy = run_routing_variants(ROUTING_NET, variants, runs=2, master_seed=6)
-        set_default_channel(None)
+        with defaults_scope(RunDefaults(channel=ChannelConfig(loss=0.4))):
+            lossy = run_routing_variants(
+                ROUTING_NET, variants, runs=2, master_seed=6
+            )
         baseline = run_routing_variants(ROUTING_NET, variants, runs=2, master_seed=6)
         assert [r.connectivity for r in lossy["plain"].results] != [
             r.connectivity for r in baseline["plain"].results

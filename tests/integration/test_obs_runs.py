@@ -21,10 +21,10 @@ from repro.experiments.persistence import (
     routing_result_to_dict,
 )
 from repro.experiments.runner import (
+    RunDefaults,
     clear_topology_cache,
+    defaults_scope,
     run_routing_variants,
-    set_default_obs,
-    set_default_workers,
 )
 from repro.net.generator import GeneratorConfig, NetworkGenerator
 from repro.obs import EVENT_SCHEMA, ObsAccumulator, ObsConfig, read_jsonl
@@ -43,13 +43,9 @@ FULL_OBS = ObsConfig(metrics=True, events=True, profile=True)
 
 
 @pytest.fixture(autouse=True)
-def reset_runner_defaults():
-    set_default_workers(1)
-    set_default_obs(None, None)
+def fresh_topology_cache():
     clear_topology_cache()
     yield
-    set_default_workers(1)
-    set_default_obs(None, None)
     clear_topology_cache()
 
 
@@ -80,7 +76,9 @@ class TestSerialVsPooled:
     def _sweep(self, workers):
         accumulator = ObsAccumulator()
         accumulator.start_experiment("exp")
-        set_default_obs(ObsConfig(metrics=True, events=True), accumulator)
+        defaults = RunDefaults(
+            obs=ObsConfig(metrics=True, events=True), obs_accumulator=accumulator
+        )
         variants = {
             "plain": RoutingWorldConfig(
                 population=6, total_steps=20, converged_after=5
@@ -89,9 +87,10 @@ class TestSerialVsPooled:
                 population=6, total_steps=20, converged_after=5, stigmergic=True
             ),
         }
-        run_routing_variants(
-            ROUTING_NET, variants, runs=3, master_seed=5, workers=workers
-        )
+        with defaults_scope(defaults):
+            run_routing_variants(
+                ROUTING_NET, variants, runs=3, master_seed=5, workers=workers
+            )
         return accumulator
 
     def test_merged_obs_identical_across_worker_counts(self, tmp_path):

@@ -6,10 +6,10 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import (
+    RunDefaults,
     clear_topology_cache,
     run_mapping_variants,
     run_routing_variants,
-    set_default_workers,
 )
 from repro.mapping.world import MappingWorldConfig
 from repro.net.generator import GeneratorConfig
@@ -28,11 +28,9 @@ ROUTING_NET = GeneratorConfig(
 
 
 @pytest.fixture(autouse=True)
-def reset_default_workers():
-    set_default_workers(1)
+def fresh_topology_cache():
     clear_topology_cache()
     yield
-    set_default_workers(1)
     clear_topology_cache()
 
 
@@ -89,7 +87,7 @@ class TestParallelRouting:
 class TestWorkerValidation:
     def test_invalid_worker_count(self):
         with pytest.raises(ConfigurationError):
-            set_default_workers(0)
+            RunDefaults(workers=0)
         with pytest.raises(ConfigurationError):
             run_routing_variants(
                 ROUTING_NET,

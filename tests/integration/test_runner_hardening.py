@@ -22,9 +22,6 @@ from repro.experiments.runner import (
     _topology_cache,
     clear_topology_cache,
     run_routing_variants,
-    set_default_checkpoint_dir,
-    set_default_workers,
-    set_task_limits,
 )
 from repro.net.generator import GeneratorConfig
 from repro.routing.world import RoutingWorldConfig
@@ -39,15 +36,9 @@ ROUTING_NET = GeneratorConfig(
 
 
 @pytest.fixture(autouse=True)
-def reset_runner_defaults():
-    set_default_workers(1)
-    set_default_checkpoint_dir(None)
-    set_task_limits(None, 1)
+def fresh_topology_cache():
     clear_topology_cache()
     yield
-    set_default_workers(1)
-    set_default_checkpoint_dir(None)
-    set_task_limits(None, 1)
     clear_topology_cache()
 
 

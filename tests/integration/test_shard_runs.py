@@ -9,7 +9,11 @@ from dataclasses import replace
 from repro.errors import ConfigurationError
 from repro.experiments import get_experiment
 from repro.experiments.config import Scale
-from repro.experiments.runner import clear_topology_cache, set_default_shards
+from repro.experiments.runner import (
+    RunDefaults,
+    clear_topology_cache,
+    defaults_scope,
+)
 from repro.net.channel import ChannelConfig
 from repro.net.generator import GeneratorConfig, NetworkGenerator
 from repro.obs.collector import ObsConfig
@@ -59,11 +63,9 @@ TINY = Scale(
 
 
 @pytest.fixture(autouse=True)
-def reset_shard_defaults():
-    set_default_shards(None)
+def fresh_topology_cache():
     clear_topology_cache()
     yield
-    set_default_shards(None)
     clear_topology_cache()
 
 
@@ -120,15 +122,15 @@ class TestRunnerPlumbing:
     def test_shard_default_reproduces_the_serial_report(self):
         serial = get_experiment("fig7").run(TINY, master_seed=11).render()
         clear_topology_cache()
-        set_default_shards(2)
-        sharded = get_experiment("fig7").run(TINY, master_seed=11).render()
+        with defaults_scope(RunDefaults(shards=2)):
+            sharded = get_experiment("fig7").run(TINY, master_seed=11).render()
         assert sharded == serial
 
     def test_bad_shard_defaults_rejected(self):
         with pytest.raises(ConfigurationError):
-            set_default_shards(0)
+            RunDefaults(shards=0)
         with pytest.raises(ConfigurationError):
-            set_default_shards(2, tile_size=-1.0)
+            RunDefaults(shards=2, tile_size=-1.0)
 
 
 class TestCliFlag:

@@ -17,13 +17,10 @@ The acceptance bars from ISSUE 6:
 import pytest
 
 from repro.experiments.runner import (
+    RunDefaults,
     clear_topology_cache,
+    defaults_scope,
     run_routing_variants,
-    set_default_channel,
-    set_default_check_invariants,
-    set_default_fault_plan,
-    set_default_traffic,
-    set_default_workers,
 )
 from repro.faults.plan import FaultPlan
 from repro.mapping.world import MappingWorldConfig, run_mapping
@@ -45,18 +42,10 @@ MAPPING_NET = GeneratorConfig(
 
 
 @pytest.fixture(autouse=True)
-def reset_runner_defaults():
-    def reset():
-        set_default_workers(1)
-        set_default_fault_plan(None)
-        set_default_channel(None)
-        set_default_traffic(None)
-        set_default_check_invariants(None)
-        clear_topology_cache()
-
-    reset()
+def fresh_topology_cache():
+    clear_topology_cache()
     yield
-    reset()
+    clear_topology_cache()
 
 
 def make_manet(seed=13):
@@ -121,10 +110,11 @@ class TestTrafficIsAnOverlay:
         ]
 
     def test_runner_default_traffic_applies_to_unset_variants(self):
-        set_default_traffic(TrafficConfig(rate=1.0, router="epidemic"))
-        outcome = run_routing_variants(
-            ROUTING_NET, {"plain": routing_config()}, runs=2, master_seed=6
-        )
+        traffic = TrafficConfig(rate=1.0, router="epidemic")
+        with defaults_scope(RunDefaults(traffic=traffic)):
+            outcome = run_routing_variants(
+                ROUTING_NET, {"plain": routing_config()}, runs=2, master_seed=6
+            )
         for result in outcome["plain"].results:
             assert result.traffic is not None
             assert result.traffic.router == "epidemic"
