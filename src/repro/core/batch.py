@@ -723,15 +723,18 @@ class BatchAgentEngine:
                 hooks.fire(
                     "agent_moved", time=now, agent=agent.agent_id, to=target
                 )
+            track_row = self.track_hops[index]
+            columns = _np.nonzero(track_row > 0)[0].tolist()
+            if not columns:
+                continue  # nothing to write: the node's table stays unbuilt
             table = tables.table(target)
             corrupted = injector is not None and injector.is_corrupted(
                 agent.agent_id
             )
             rejected_before = table.guard_rejections if guard is not None else 0
             install = table.install_fast
-            track_row = self.track_hops[index]
             seen_row = self.track_seen[index]
-            for column in _np.nonzero(track_row > 0)[0].tolist():
+            for column in columns:
                 oh_installed[index] += 1
                 step_installs += 1
                 hops = int(track_row[column])

@@ -18,8 +18,9 @@ kernel over their halos.
 :class:`Topology` keeps that sorted packed array as its only adjacency.
 Sorted by ``u * n + v``, it is CSR by construction: node ``u``'s
 out-neighbours are the entries in ``[u * n, (u + 1) * n)``, ascending.
-Consumers read it as rows (:func:`csr_rows`, built once per changed
-epoch); in-neighbours are answered on demand from the array.  A refresh
+Consumers read it as rows through an :class:`AdjacencyView`, one per
+changed epoch, which builds a node's row the first time it is indexed;
+in-neighbours are answered on demand from the array.  A refresh
 recomputes the array, diffs it against the previous one
 (:func:`edge_delta`, a sorted merge) and appends the packed diff to the
 edge-delta stream (:class:`TopologyDelta`) that the delta-aware
@@ -36,8 +37,8 @@ sender's x-window.  The two are bit-identical because both evaluate that
 predicate exactly; the test suite property-checks the sweep against a
 pure-Python brute force and the engine against the sweep on randomized
 mobility and fault traces, and :meth:`Topology.consistency_problems`
-lets the runtime invariant checker compare the packed array and the
-rows served from it against the sweep every step.  The sweep is a pure
+lets the runtime invariant checker compare the packed array and every
+row served from it against the sweep every step.  The sweep is a pure
 function of its inputs, so the checker re-runs it only when the inputs
 it reads from the nodes that step differ from the previous step's.
 """
@@ -60,11 +61,11 @@ from repro.net.radio import BatteryCoupledRange, FixedRange, HeterogeneousRange
 from repro.types import Edge, NodeId
 
 __all__ = [
+    "AdjacencyView",
     "EdgeDeltaStream",
     "Topology",
     "TopologyDelta",
     "TopologyStats",
-    "csr_rows",
     "edge_delta",
     "link_edges",
 ]
@@ -312,15 +313,53 @@ def edge_delta(new, old):
     return new[~kept], old[gone]
 
 
-def csr_rows(edges, n: int) -> List[List[NodeId]]:
-    """Per node ``0..n-1``, its ascending out-neighbours in ``edges``.
+def _csr_lists(edges, n: int) -> Tuple[List[int], List[NodeId]]:
+    """``(bounds, targets)`` of a sorted packed ``u * n + v`` array.
 
-    ``edges`` is a sorted packed ``u * n + v`` array, so each node's row
-    is one contiguous run of it.
+    Node ``u``'s ascending row is ``targets[bounds[u] : bounds[u + 1]]``.
     """
     bounds = _np.searchsorted(edges, _np.arange(0, n * n + 1, n)).tolist()
-    targets = (edges % n).tolist()
-    return [targets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return bounds, (edges % n).tolist()
+
+
+class AdjacencyView(dict):
+    """Every node's ascending out-neighbours in one sorted packed array.
+
+    Indexed by node id ``0..n-1`` like a list of rows, and iterates and
+    measures like one.  ``edges`` is a sorted packed ``u * n + v``
+    array, so each node's row is one contiguous run of it: the first
+    index of any row turns the array into one list of targets and its
+    row bounds, and each row is sliced from that list the first time it
+    is indexed, then kept.  A consumer that reads a few rows pays for a
+    few rows.  The mapping underneath holds exactly the rows served so
+    far (:meth:`served`); a repeat index is a plain dict lookup.
+    """
+
+    def __init__(self, edges, n: int) -> None:
+        super().__init__()
+        self._edges = edges
+        self._n = n
+        self._bounds: Optional[List[int]] = None
+        self._targets: Optional[List[NodeId]] = None
+
+    def __missing__(self, node: NodeId) -> List[NodeId]:
+        if not 0 <= node < self._n:
+            raise IndexError(f"no row for node {node}")
+        if self._bounds is None:
+            self._bounds, self._targets = _csr_lists(self._edges, self._n)
+        bounds = self._bounds
+        row = self[node] = self._targets[bounds[node] : bounds[node + 1]]
+        return row
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self) -> Iterator[List[NodeId]]:
+        return (self[node] for node in range(self._n))
+
+    def served(self) -> List[Tuple[NodeId, List[NodeId]]]:
+        """The rows indexed so far, as ``(node, row)`` by node ascending."""
+        return sorted(dict.items(self))
 
 
 def _sweep_edges(x, y, r, down, blocked):
@@ -378,8 +417,9 @@ class _OracleRun:
     down: FrozenSet[NodeId]
     blocked: FrozenSet[Edge]
     edges: object
-    #: :func:`csr_rows` of ``edges``, built the first time rows are served.
-    rows: Optional[List[List[NodeId]]] = None
+    #: :func:`_csr_lists` of ``edges``, built the first time served
+    #: rows are checked against them.
+    csr: Optional[Tuple[List[int], List[NodeId]]] = None
 
     def same_inputs(self, x, y, r, down, blocked) -> bool:
         """Whether the sweep of these inputs is this run's sweep.
@@ -518,8 +558,8 @@ class Topology:
         self.arena = arena
         #: sorted packed ``u * n + v`` edges: the adjacency itself.
         self._edges = _no_edges()
-        #: :func:`csr_rows` of ``_edges``, built on first read after a change.
-        self._rows: Optional[List[List[NodeId]]] = None
+        #: the rows of ``_edges``, a new view on first read after a change.
+        self._view: Optional[AdjacencyView] = None
         self._dirty = True
         self._down: Set[NodeId] = set()
         self._blocked: Set[Edge] = set()
@@ -710,18 +750,18 @@ class Topology:
         The one apply step of rebuilds, geometric refreshes and pinned
         installs.  A ``full`` rebuild restarts the delta stream; anything
         else diffs against the previous array so the delta stream and
-        the flip counters stay truthful, and drops the served rows only
+        the flip counters stay truthful, and drops the served view only
         when an edge changed.
         """
         if full:
-            self._rows = None
+            self._view = None
             self._delta.flush()
             self.stats.full_rebuilds += 1
             self._advance_hint = None
         else:
             added, removed = edge_delta(edges, self._edges)
             if added.size or removed.size:
-                self._rows = None
+                self._view = None
                 self._delta.record(added, removed)
                 self.stats.edges_added += added.size
                 self.stats.edges_removed += removed.size
@@ -737,13 +777,13 @@ class Topology:
             self.recompute()
         return self._edges
 
-    def _served_rows(self) -> List[List[NodeId]]:
-        """The up-to-date CSR rows, built once per changed adjacency."""
+    def _served_view(self) -> AdjacencyView:
+        """The up-to-date rows, one view per changed adjacency."""
         edges = self._current()
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = csr_rows(edges, len(self.nodes))
-        return rows
+        view = self._view
+        if view is None:
+            view = self._view = AdjacencyView(edges, len(self.nodes))
+        return view
 
     # ------------------------------------------------------------------
     # Edge-delta stream
@@ -794,7 +834,7 @@ class Topology:
         read-only.
         """
         self._check_id(node_id)
-        return self._served_rows()[node_id]
+        return self._served_view()[node_id]
 
     def in_neighbors(self, node_id: NodeId) -> List[NodeId]:
         """Nodes that can currently reach ``node_id`` in one hop, ascending.
@@ -832,17 +872,18 @@ class Topology:
 
     def adjacency_copy(self) -> Adjacency:
         """The current adjacency as a fresh dict of sets (safe to mutate)."""
-        return {node: set(row) for node, row in enumerate(self._served_rows())}
+        return {node: set(row) for node, row in enumerate(self._served_view())}
 
-    def adjacency_view(self) -> List[List[NodeId]]:
+    def adjacency_view(self) -> AdjacencyView:
         """Every node's ascending out-neighbours, indexed by node id.
 
         For hot loops that would otherwise call :meth:`out_neighbors`
-        per node: one refresh check up front, then plain list indexing.
-        The rows are the engine's own — treat them as read-only, valid
-        until the next refresh.
+        per node: one refresh check up front, then indexing, which
+        builds a row only when it is first read this epoch.  The rows
+        are the engine's own — treat them as read-only, valid until the
+        next refresh.
         """
-        return self._served_rows()
+        return self._served_view()
 
     def packed_edges(self):
         """The current edges as a sorted packed ``u * n + v`` int64 array.
@@ -856,7 +897,7 @@ class Topology:
 
     def is_strongly_connected(self) -> bool:
         """Whether every node can currently reach every other node."""
-        return is_strongly_connected(dict(enumerate(self._served_rows())))
+        return is_strongly_connected(dict(enumerate(self._served_view())))
 
     @property
     def gateway_ids(self) -> List[NodeId]:
@@ -883,11 +924,13 @@ class Topology:
     def consistency_problems(self) -> List[str]:
         """Cross-validate the served adjacency; [] when sound.
 
-        Compares the packed edge array, and the rows served from it this
-        epoch (if any were read), against the reference sweep
-        (:func:`_sweep_edges`); a pinned graph has no geometry, so its
-        rows are compared against its array.  Wired into the runtime
-        invariant checker, which calls it every step.
+        Compares the packed edge array, and every row served from it this
+        epoch, against the reference sweep (:func:`_sweep_edges`): each
+        served row against the sweep's row for that node.  Rows never
+        served do not exist, so every row a consumer read is checked.  A
+        pinned graph has no geometry, so its rows are compared against
+        its array.  Wired into the runtime invariant checker, which
+        calls it every step.
 
         Positions and ranges are read from the nodes on every call.  The
         sweep's edges and rows are reused only when those reads, the down
@@ -897,21 +940,14 @@ class Topology:
         change hints, epochs) takes part, so a moved node, a missed
         :meth:`invalidate`, a corrupted array or a mutated row is
         flagged in the call that first sees it.  A sound structure costs
-        one compare each; only a mismatch pays for the messages naming
-        each missing and phantom edge.
+        one array compare and one list compare per served row; only a
+        mismatch pays for the messages naming each missing and phantom
+        edge.
         """
         edges = self._current()
         n = len(self.nodes)
-        rows = self._rows
-        if self._pinned:
-            expected = edges
-            wanted = csr_rows(expected, n) if rows is not None else rows
-        else:
-            run = self._oracle()
-            expected = run.edges
-            if rows is not None and run.rows is None:
-                run.rows = csr_rows(expected, n)
-            wanted = run.rows if rows is not None else rows
+        run = None if self._pinned else self._oracle()
+        expected = edges if run is None else run.edges
         problems: List[str] = []
         if not _np.array_equal(edges, expected):
             for kind, wrong in (
@@ -925,8 +961,16 @@ class Topology:
                 )
             if not problems:
                 problems.append("packed edge array is not sorted and duplicate-free")
-        if rows != wanted:
-            for u, (row, want) in enumerate(zip(rows, wanted)):
+        served = self._view.served() if self._view is not None else ()
+        if served:
+            if run is None:
+                bounds, truth = _csr_lists(expected, n)
+            else:
+                if run.csr is None:
+                    run.csr = _csr_lists(expected, n)
+                bounds, truth = run.csr
+            for u, row in served:
+                want = truth[bounds[u] : bounds[u + 1]]
                 if row == want:
                     continue
                 have, need = set(row), set(want)

@@ -75,7 +75,7 @@ def _walk_trace(
     return _walk_trace_fast(
         node,
         topology.adjacency_view(),
-        tables.tables,
+        tables.hops_by_preference,
         set(topology.gateway_ids),
         walk_ttl,
     )
@@ -84,16 +84,18 @@ def _walk_trace(
 def _walk_trace_fast(
     node: NodeId,
     adjacency,
-    table_list,
+    hops_of,
     gateway_set: Set[NodeId],
     walk_ttl: int,
 ) -> Tuple[List[NodeId], bool]:
     """:func:`_walk_trace` against pre-resolved per-step context.
 
-    ``adjacency`` is the topology's out-neighbour rows, ``table_list``
-    the bank's node-indexed table list, and ``gateway_set`` the *live*
-    gateways — hoisting them out lets a caller walking many starts pay
-    the lookups once per step instead of once per hop.
+    ``adjacency`` is the topology's out-neighbour rows, ``hops_of`` the
+    bank's :meth:`~repro.routing.table.TableBank.hops_by_preference`,
+    and ``gateway_set`` the *live* gateways — hoisting them out lets a
+    caller walking many starts pay the lookups once per step instead of
+    once per hop.  A node whose table names no next hop ends the walk
+    without its row being read.
     """
     path = [node]
     current = node
@@ -101,9 +103,12 @@ def _walk_trace_fast(
     for __ in range(walk_ttl):
         if current in gateway_set:
             return path, True
+        hops = hops_of(current)
+        if not hops:
+            return path, False
         neighbors = adjacency[current]
         next_hop = None
-        for hop in table_list[current].hops_by_preference():
+        for hop in hops:
             if hop in neighbors and hop not in seen:
                 next_hop = hop
                 break
@@ -208,9 +213,9 @@ class FunctionalConnectivity:
         self.tables = tables
         self.walk_ttl = walk_ttl
         self.stats = ConnectivityCacheStats()
-        n = topology.node_count
         self._eff = None  # int64 array, built on first connected()
-        self._sigs: List[tuple] = [()] * n
+        #: per node, its table's next-hop signature (built with ``_eff``).
+        self._sigs: List[tuple] = []
         self._live_gateways: Tuple[NodeId, ...] = ()
         self._result: Optional[Set[NodeId]] = None
         self._arange = None  # cached numpy arange for _evaluate
@@ -226,23 +231,23 @@ class FunctionalConnectivity:
         touched = self.tables.take_touched()
         gateways = tuple(topology.gateway_ids)
         adjacency = topology.adjacency_view()
-        table_list = self.tables.tables
-        sigs = self._sigs
+        hops_of = self.tables.hops_by_preference
+        n = topology.node_count
         eff = self._eff
         if eff is None or delta.full or gateways != self._live_gateways:
             if self._result is not None:
                 stats.flushes += 1
                 self._result = None
             self._live_gateways = gateways
-            for node, table in enumerate(table_list):
-                sigs[node] = table.hops_by_preference()
-            eff = self._eff = _np.full(len(table_list), -1, dtype=_np.int64)
-            dirty: Set[NodeId] = set(range(len(table_list)))
+            sigs = self._sigs = [hops_of(node) for node in range(n)]
+            eff = self._eff = _np.full(n, -1, dtype=_np.int64)
+            dirty: Set[NodeId] = set(range(n))
         else:
+            sigs = self._sigs
             changed = _np.concatenate((delta.removed, delta.added))
-            dirty = set(_np.unique(changed // topology.node_count).tolist())
+            dirty = set(_np.unique(changed // n).tolist())
             for node in touched:
-                signature = table_list[node].hops_by_preference()
+                signature = hops_of(node)
                 if signature != sigs[node]:
                     sigs[node] = signature
                     dirty.add(node)
@@ -251,20 +256,21 @@ class FunctionalConnectivity:
                 stats.hits += len(self._result)
                 return set(self._result)
         for u in dirty:
-            neighbors = adjacency[u]
+            signature = sigs[u]
             nxt = -1
-            if neighbors:
-                for hop in sigs[u]:
+            if signature:  # an empty signature is a dead end: no row read
+                neighbors = adjacency[u]
+                for hop in signature:
                     if hop in neighbors:
                         nxt = hop
                         break
             eff[u] = nxt
-        result = self._evaluate(adjacency, table_list, gateways)
+        result = self._evaluate(adjacency, hops_of, gateways)
         self._result = set(result)
         return result
 
     def _evaluate(
-        self, adjacency, table_list, gateways: Tuple[NodeId, ...]
+        self, adjacency, hops_of, gateways: Tuple[NodeId, ...]
     ) -> Set[NodeId]:
         """Resolve every chain at once by pointer doubling.
 
@@ -317,7 +323,7 @@ class FunctionalConnectivity:
                     continue
                 walks += 1
                 path, reached = _walk_trace_fast(
-                    node, adjacency, table_list, gateway_set, walk_ttl
+                    node, adjacency, hops_of, gateway_set, walk_ttl
                 )
                 if reached:
                     result.update(path)

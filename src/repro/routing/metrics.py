@@ -67,7 +67,8 @@ def measure_route_quality(
     connected = 0
     covered = 0
     for node in topology.node_ids:
-        if len(tables.table(node)) > 0:
+        table = tables.get(node)
+        if table is not None and len(table) > 0:
             covered += 1
         if node in gateways:
             connected += 1

@@ -92,8 +92,11 @@ class PacketSimulator:
         return PacketOutcome(source, False, self.walk_ttl)
 
     def _next_hop(self, current: NodeId, visited: set) -> Optional[NodeId]:
+        table = self.tables.get(current)
+        if table is None:
+            return None
         neighbors = self.topology.out_neighbors(current)
-        for entry in self.tables.table(current).entries_by_preference():
+        for entry in table.entries_by_preference():
             if entry.next_hop in neighbors and entry.next_hop not in visited:
                 return entry.next_hop
         return None

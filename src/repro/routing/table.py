@@ -422,7 +422,11 @@ class TableBank:
 
     Nodes run no programs (§III-A), so the tables live here in the
     substrate — written by agents, read by the connectivity metric and
-    the packet simulator.
+    the packet simulator.  A table gains entries only where an agent has
+    passed, so the bank builds a node's table on the first
+    :meth:`table` call for it; read-only paths use :meth:`get` and
+    :meth:`hops_by_preference`, which build nothing.  A node without a
+    table behaves exactly like one with a fresh, empty table.
     """
 
     def __init__(
@@ -433,31 +437,39 @@ class TableBank:
     ) -> None:
         if node_count < 1:
             raise RoutingError(f"node_count must be >= 1, got {node_count}")
+        self.node_count = node_count
         self.ttl = ttl
         self.guard = guard
-        self._tables: List[RoutingTable] = [
-            RoutingTable(ttl, guard) for __ in range(node_count)
-        ]
+        #: the tables built so far, by node id.
+        self._tables: Dict[NodeId, RoutingTable] = {}
         #: ids of tables touched since the last :meth:`take_touched`.
         self._touched: Set[NodeId] = set()
-        for node, table in enumerate(self._tables):
-            table._watch = self._touched
-            table._watch_id = node
 
     def __len__(self) -> int:
-        return len(self._tables)
+        return self.node_count
 
     def table(self, node: NodeId) -> RoutingTable:
-        """The routing table of ``node``."""
-        try:
-            return self._tables[node]
-        except IndexError:
-            raise RoutingError(f"no table for node {node}") from None
+        """The routing table of ``node``, built on first use."""
+        table = self._tables.get(node)
+        if table is None:
+            if not 0 <= node < self.node_count:
+                raise RoutingError(f"no table for node {node}")
+            table = self._tables[node] = RoutingTable(self.ttl, self.guard)
+            table._watch = self._touched
+            table._watch_id = node
+        return table
 
-    @property
-    def tables(self) -> List[RoutingTable]:
-        """The per-node tables in id order — a read-only view for scans."""
-        return self._tables
+    def get(self, node: NodeId) -> Optional[RoutingTable]:
+        """The table of ``node`` if one was built, else ``None``."""
+        return self._tables.get(node)
+
+    def hops_by_preference(self, node: NodeId) -> tuple:
+        """:meth:`RoutingTable.hops_by_preference` of ``node``'s table.
+
+        ``()`` for a node without a table; builds nothing.
+        """
+        table = self._tables.get(node)
+        return () if table is None else table.hops_by_preference()
 
     def take_touched(self) -> List[NodeId]:
         """Ids of tables changed since the last call, clearing the set.
@@ -485,7 +497,7 @@ class TableBank:
             return 0
         horizon = now - self.ttl
         dropped = 0
-        for table in self._tables:
+        for table in self._tables.values():
             oldest = table._oldest
             if oldest is not None and oldest <= horizon:
                 dropped += table.expire(now)
@@ -498,18 +510,21 @@ class TableBank:
         route that points through or toward it.  Returns the total
         number of entries removed.
         """
-        own = len(self.table(node))
-        self.table(node).clear()
-        return own + sum(table.drop_routes_via(node) for table in self._tables)
+        own = self.table(node)
+        dropped = len(own)
+        own.clear()
+        return dropped + sum(table.drop_routes_via(node) for table in self._tables.values())
 
     def all_entries(self) -> Iterator[RouteEntry]:
         """Every table's entries, in no promised order (bulk scans)."""
-        return chain.from_iterable(table._entries.values() for table in self._tables)
+        return chain.from_iterable(
+            table._entries.values() for table in self._tables.values()
+        )
 
     def total_entries(self) -> int:
         """Total live entries across all tables (diagnostics)."""
-        return sum(len(table) for table in self._tables)
+        return sum(len(table) for table in self._tables.values())
 
     def total_guard_rejections(self) -> int:
         """Writes the guards refused, bank-wide (conservation checks)."""
-        return sum(table.guard_rejections for table in self._tables)
+        return sum(table.guard_rejections for table in self._tables.values())

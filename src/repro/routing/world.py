@@ -497,12 +497,15 @@ class RoutingWorld:
                 self.engine.hooks.fire(
                     "agent_moved", time=now, agent=agent.agent_id, to=target
                 )
+            routes = agent.installable_routes(came_from)
+            if not routes:
+                continue  # nothing to write: the node's table stays unbuilt
             table = self.tables.table(agent.location)
             corrupted = self.injector is not None and self.injector.is_corrupted(
                 agent.agent_id
             )
             rejected_before = table.guard_rejections
-            for gateway, next_hop, hops, seen_at in agent.installable_routes(came_from):
+            for gateway, next_hop, hops, seen_at in routes:
                 agent.overhead.routes_installed += 1
                 step_installs += 1
                 if corrupted:

@@ -163,9 +163,10 @@ class TileWorker:
                 by_node.setdefault(agent.location, []).append(agent_id)
             rows = self.adj.extract_rows(departing)
             for node in departing.tolist():
+                table = self.bank.get(node)
                 payload = {
                     "node": node,
-                    "table": self.bank.table(node).export_state(),
+                    "table": None if table is None else table.export_state(),
                     "board": self.field._boards.pop(node, None),
                     "agents": [
                         self.agents.pop(agent_id)
@@ -181,7 +182,8 @@ class TileWorker:
         rows = []
         for payload in arrivals:
             node = payload["node"]
-            self.bank.table(node).adopt_state(payload["table"])
+            if payload["table"] is not None:
+                self.bank.table(node).adopt_state(payload["table"])
             if payload["board"] is not None:
                 self.field._boards[node] = payload["board"]
             for agent in payload["agents"]:
@@ -287,9 +289,12 @@ class TileWorker:
                 continue
             came_from = agent.move_to(target, now, target in live_gateways)
             self.agents[agent.agent_id] = agent
+            routes = agent.installable_routes(came_from)
+            records.append(("move", agent.agent_id, target, routes))
+            if not routes:
+                continue  # nothing to write: the node's table stays unbuilt
             table = bank.table(target)
             rejected_before = table.guard_rejections
-            routes = agent.installable_routes(came_from)
             for gateway, next_hop, hops, seen_at in routes:
                 agent.overhead.routes_installed += 1
                 installs += 1
@@ -304,7 +309,6 @@ class TileWorker:
                     )
                 )
             agent.overhead.routes_rejected += table.guard_rejections - rejected_before
-            records.append(("move", agent.agent_id, target, routes))
         self._actions = []
         stats = self.channel.stats
         return TileReport(

@@ -36,7 +36,7 @@ from repro.core.overhead import aggregate_overheads
 from repro.errors import ConfigurationError
 from repro.net.channel import ChannelStats
 from repro.net.generator import GeneratorConfig, NetworkGenerator
-from repro.net.topology import EdgeDeltaStream, TopologyDelta, csr_rows, edge_delta
+from repro.net.topology import AdjacencyView, EdgeDeltaStream, TopologyDelta, edge_delta
 from repro.obs.collector import ObsCollector
 from repro.routing.connectivity import FunctionalConnectivity, connectivity_fraction
 from repro.routing.table import RouteEntry, TableBank
@@ -112,7 +112,7 @@ class _MirrorTopology:
         self.node_count = node_count
         self._gateways = list(gateways)
         self._edges = edges
-        self._rows: Optional[List[List[int]]] = None
+        self._view: Optional[AdjacencyView] = None
         self._delta = EdgeDeltaStream()
 
     @property
@@ -130,10 +130,10 @@ class _MirrorTopology:
     def is_down(self, node: int) -> bool:
         return False
 
-    def adjacency_view(self) -> List[List[int]]:
-        if self._rows is None:
-            self._rows = csr_rows(self._edges, self.node_count)
-        return self._rows
+    def adjacency_view(self) -> AdjacencyView:
+        if self._view is None:
+            self._view = AdjacencyView(self._edges, self.node_count)
+        return self._view
 
     def apply(self, added, removed) -> None:
         """Fold one step's merged sorted packed tile deltas into the edges."""
@@ -141,7 +141,7 @@ class _MirrorTopology:
             return
         kept = edge_delta(self._edges, removed)[0]
         self._edges = _np.sort(_np.concatenate((kept, added)))
-        self._rows = None
+        self._view = None
         self._delta.record(added, removed)
 
     def take_edge_delta(self) -> TopologyDelta:
@@ -371,6 +371,8 @@ class ShardedRoutingWorld:
                 __, agent_id, target, routes = action
                 if obs is not None:
                     hooks.fire("agent_moved", time=now, agent=agent_id, to=target)
+                if not routes:
+                    continue
                 table = self.tables.table(target)
                 for gateway, next_hop, hops, seen_at in routes:
                     table.install(

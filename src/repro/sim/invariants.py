@@ -308,7 +308,10 @@ def _table_problems(tables, now: Time, node_ids, down) -> List[str]:
     """Every broken routing-table contract, per node ascending."""
     problems: List[str] = []
     for node in sorted(node_ids):
-        for entry in tables.table(node).entries():
+        table = tables.get(node)
+        if table is None:
+            continue
+        for entry in table.entries():
             where = f"table of node {node}, gateway {entry.gateway}"
             if entry.gateway not in node_ids or entry.next_hop not in node_ids:
                 problems.append(f"{where}: references unknown node")

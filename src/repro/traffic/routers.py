@@ -131,10 +131,11 @@ class TrafficRouter:
         if payload.destination is not None:
             return None  # unicast: no tables toward arbitrary nodes
         tables = self.plane.tables
-        if tables is None:
+        table = None if tables is None else tables.get(node)
+        if table is None:
             return None
         neighbor_set = set(neighbors)
-        for entry in tables.table(node).entries_by_preference():
+        for entry in table.entries_by_preference():
             if entry.next_hop in neighbor_set:
                 return entry.next_hop
         return None

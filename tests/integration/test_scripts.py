@@ -1,5 +1,6 @@
 """Integration: helper scripts run against archived reports."""
 
+import json
 import pathlib
 import subprocess
 import sys
@@ -61,3 +62,29 @@ class TestRenderResults:
             timeout=60,
         )
         assert proc.returncode == 1
+
+
+class TestGcShare:
+    @staticmethod
+    def _run(*arguments):
+        return subprocess.run(
+            [sys.executable, str(SCRIPTS_DIR / "gc_share.py"), *arguments],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    def test_reports_pauses_per_generation(self):
+        proc = self._run("--workload", "manet_arena", "--reps", "1")
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert (result["workload"], result["seed"], result["reps"]) == ("manet_arena", 2010, 1)
+        generations = result["by_generation"]
+        assert [entry["generation"] for entry in generations] == [0, 1, 2]
+        assert result["cpu_s"] > 0
+        assert result["gc_s"] >= 0 and sum(entry["collections"] for entry in generations) > 0
+
+    def test_rejects_zero_repetitions(self):
+        proc = self._run("--workload", "manet_arena", "--reps", "0")
+        assert proc.returncode == 2
+        assert "--reps must be >= 1" in proc.stderr

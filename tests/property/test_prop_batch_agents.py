@@ -79,7 +79,8 @@ def assert_identical(obj, bat):
             b.migration.failures,
             b.migration.retry_at,
         )
-    for ta, tb in zip(obj_world.tables.tables, bat_world.tables.tables):
+    for node in obj_world.topology.node_ids:
+        ta, tb = obj_world.tables.table(node), bat_world.tables.table(node)
         assert ta.entries() == tb.entries()
         assert ta._sequence_floors == tb._sequence_floors
 
@@ -151,5 +152,5 @@ class TestBatchEngineEquivalence:
             assert a.location == b.location
             assert a.tracks == b.tracks
             assert a.history.snapshot() == b.history.snapshot()
-        for ta, tb in zip(ref.tables.tables, flipped.tables.tables):
-            assert ta.entries() == tb.entries()
+        for node in ref.topology.node_ids:
+            assert ref.tables.table(node).entries() == flipped.tables.table(node).entries()

@@ -173,6 +173,18 @@ CHANGES = {
 class TestFunctionalConnectivity:
     """The delta-maintained metric against the :func:`connected_nodes` oracle."""
 
+    def test_builds_no_table_and_reads_only_routed_rows(self):
+        topology = line_with_gateway()
+        bank = TableBank(4)
+        install(bank, 2, gateway=0, next_hop=1, hops=2)
+        install(bank, 1, gateway=0, next_hop=0, hops=1)
+        functional = FunctionalConnectivity(topology, bank)
+        assert functional.connected() == {0, 1, 2}
+        assert sorted(bank._tables) == [1, 2]
+        assert [u for u, __ in topology.adjacency_view().served()] == [1, 2]
+        assert connected_nodes(topology, bank) == {0, 1, 2}
+        assert sorted(bank._tables) == [1, 2]
+
     @pytest.mark.parametrize("change", sorted(CHANGES))
     def test_matches_connected_nodes_after(self, change):
         topology = line_with_gateway()

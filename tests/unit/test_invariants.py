@@ -419,6 +419,15 @@ class TestOracleReuse:
             f"row of node 4 missing edge 4->{dropped}"
         ]
 
+    def test_mutated_row_served_alone_is_flagged(self):
+        topology = self._warm()
+        topology.force_full_rebuild()  # a new epoch: no row served yet
+        view = topology.adjacency_view()
+        row = view[7]
+        assert [u for u, __ in view.served()] == [7]  # the only row built
+        row.append(row[0])
+        assert topology.consistency_problems() == ["row of node 7 is not strictly ascending"]
+
     def test_node_down_behind_the_engine(self):
         topology = self._warm()
         touching = [(u, v) for u, v in topology.edges() if 3 in (u, v)]

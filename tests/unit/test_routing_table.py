@@ -214,6 +214,26 @@ class TestTableBank:
         with pytest.raises(RoutingError):
             TableBank(3).table(5)
 
+    @pytest.mark.parametrize("node", [-1, -3, 3])
+    def test_ids_outside_the_network_raise(self, node):
+        bank = TableBank(3)
+        bank.table(2).install(entry())
+        with pytest.raises(RoutingError):
+            bank.table(node)
+
+    def test_tables_are_built_on_first_use(self):
+        bank = TableBank(5)
+        assert bank.get(3) is None
+        assert bank.hops_by_preference(3) == ()
+        assert bank.total_entries() == 0 and bank.total_guard_rejections() == 0
+        assert bank._tables == {}  # the reads above built nothing
+        table = bank.table(3)
+        assert bank.get(3) is table and bank.table(3) is table
+        table.install(entry(next_hop=4))
+        assert bank.hops_by_preference(3) == (4,)
+        assert list(bank._tables) == [3]
+        assert bank.take_touched() == [3]
+
     def test_expire_all(self):
         bank = TableBank(2, ttl=5)
         bank.table(0).install(entry(installed_at=0))

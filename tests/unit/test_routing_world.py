@@ -143,6 +143,18 @@ class TestRoutingWorld:
         world.run()
         assert world.tables.total_entries() > 0
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_tables_built_only_where_agents_installed(self, small_manet, batch):
+        world = RoutingWorld(small_manet, small_config(batch_agents=batch), seed=9)
+        visited = set()
+        for __ in range(5):
+            world.engine.step()
+            visited.update(agent.location for agent in world.agents)
+        built = world.tables._tables
+        assert world.tables.total_entries() > 0
+        assert set(built) <= visited
+        assert len(built) < small_manet.node_count
+
     def test_route_ttl_expires_entries(self, gateway_line4):
         config = small_config(route_ttl=2, population=1, total_steps=60)
         world = RoutingWorld(gateway_line4, config, seed=10)

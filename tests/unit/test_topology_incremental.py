@@ -24,7 +24,7 @@ from repro.net.geometry import Arena, Point
 from repro.net.manual import fixed_topology
 from repro.net.node import Node
 from repro.net.radio import FixedRange, HeterogeneousRange
-from repro.net.topology import Topology, csr_rows
+from repro.net.topology import AdjacencyView, Topology
 
 #: crossover settings that force one kernel evaluation at any size.
 EVALUATIONS = {"vector": 1 << 62, "grid": 0}
@@ -278,17 +278,49 @@ class TestPinnedInstall:
         assert delta.added.tolist() == [0 * n + 1, 1 * n + 0, 1 * n + 2]
         assert delta.removed.tolist() == []
         assert topology.packed_edges().tolist() == [1, 4, 6, 11]
-        assert topology.adjacency_view() == [[1], [0, 2], [3], []]
+        assert list(topology.adjacency_view()) == [[1], [0, 2], [3], []]
 
 
-def test_csr_rows_roundtrip():
+def test_adjacency_view_roundtrip():
     n = 11
     pairs = [(0, 1), (0, 7), (3, 7), (10, 0)]
     packed = np.array([u * n + v for u, v in pairs], dtype=np.int64)
-    rows = csr_rows(packed, n)
+    rows = AdjacencyView(packed, n)
     assert len(rows) == n
     assert [(u, v) for u, row in enumerate(rows) for v in row] == pairs
-    assert csr_rows(np.empty(0, dtype=np.int64), n) == [[]] * n
+    assert list(AdjacencyView(np.empty(0, dtype=np.int64), n)) == [[]] * n
+
+
+class TestAdjacencyViewOnDemand:
+    """Rows are built only for the nodes a consumer indexes."""
+
+    def test_indexing_builds_only_that_row(self):
+        topology = manet(24)
+        view = topology.adjacency_view()
+        assert view.served() == []
+        row = view[5]
+        assert row == [v for u, v in topology.edges() if u == 5]
+        assert view.served() == [(5, row)]
+        assert view[5] is row  # kept for the epoch
+        assert topology.out_neighbors(5) is row
+
+    def test_ids_outside_the_network_raise(self):
+        topology = manet(24)
+        view = topology.adjacency_view()
+        for node in (-1, topology.node_count):
+            with pytest.raises(IndexError):
+                view[node]
+        assert view.served() == []
+        assert len(view) == topology.node_count
+
+    def test_a_changed_epoch_serves_a_new_view(self):
+        topology = manet(24)
+        view = topology.adjacency_view()
+        view[0]
+        topology.force_full_rebuild()
+        fresh = topology.adjacency_view()
+        assert fresh is not view
+        assert fresh.served() == []
 
 
 class TestValidationConsistency:
