@@ -437,7 +437,7 @@ def abl6(
     and how evenly the gateways are used.
     """
     from repro.analysis.stats import summarize
-    from repro.net.generator import NetworkGenerator
+    from repro.net.generator import manet_blueprint
     from repro.routing.metrics import measure_route_quality
     from repro.routing.world import RoutingWorld
     from repro.rng import derive_seed
@@ -465,7 +465,7 @@ def abl6(
     for variant_index, (name, config) in enumerate(variants.items()):
         qualities = []
         for run_index in range(scale.runs):
-            topology = NetworkGenerator(generator_config, network_seed).generate_manet()
+            topology = manet_blueprint(generator_config, network_seed).topology()
             world_seed = derive_seed(master_seed, f"routing-world:{run_index}")
             world = RoutingWorld(topology, config, world_seed)
             world.run()

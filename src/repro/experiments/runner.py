@@ -13,10 +13,13 @@ different (but again shared) network; results are aggregated with
 
 Static mapping topologies are cached per ``(generator config, seed)``
 because they are immutable during default runs and expensive to
-generate; MANETs mutate every step, so they are regenerated per variant
-and repetition from the same seed (which reproduces the identical
-placement and movement paths).  Faulted mapping runs bypass the cache —
-a crash mutates the topology, which must never leak between runs.
+generate; MANETs mutate every step, so every variant and repetition
+copies one immutable blueprint of the shared MANET
+(:func:`~repro.net.generator.manet_blueprint`, drawn once per
+``(generator config, seed)``), which gives each run the identical
+placement and movement paths in a network of its own.  Faulted mapping
+runs bypass the cache — a crash mutates the topology, which must never
+leak between runs.
 
 The runner is hardened for paper-scale sweeps:
 
@@ -43,7 +46,6 @@ import hashlib
 import multiprocessing
 import pathlib
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -66,7 +68,13 @@ from repro.faults.plan import (
 )
 from repro.mapping.world import MappingResult, MappingWorld, MappingWorldConfig
 from repro.net.channel import ChannelConfig, parse_channel_spec
-from repro.net.generator import GeneratorConfig, NetworkGenerator
+from repro.net.generator import (
+    GeneratorConfig,
+    LruCache,
+    NetworkGenerator,
+    clear_blueprint_cache,
+    manet_blueprint,
+)
 from repro.net.health import HealthConfig
 from repro.net.topology import Topology
 from repro.obs.collector import ObsConfig
@@ -92,28 +100,19 @@ __all__ = [
 #: so a small LRU bounds memory without ever evicting the working set.
 TOPOLOGY_CACHE_LIMIT = 8
 
-_topology_cache: "OrderedDict[Tuple[GeneratorConfig, int], Topology]" = OrderedDict()
+_topology_cache = LruCache(TOPOLOGY_CACHE_LIMIT)
 
 
 def clear_topology_cache() -> None:
-    """Drop all cached static topologies (tests use this)."""
+    """Drop all cached static topologies and MANET blueprints."""
     _topology_cache.clear()
+    clear_blueprint_cache()
 
 
 def _static_topology(config: GeneratorConfig, seed: int, reusable: bool) -> Topology:
     """A static mapping network, cached (LRU) when it will not be mutated."""
-    if not reusable:
-        return NetworkGenerator(config, seed).generate_static()
-    key = (config, seed)
-    topology = _topology_cache.get(key)
-    if topology is None:
-        topology = NetworkGenerator(config, seed).generate_static()
-        _topology_cache[key] = topology
-        while len(_topology_cache) > TOPOLOGY_CACHE_LIMIT:
-            _topology_cache.popitem(last=False)
-    else:
-        _topology_cache.move_to_end(key)
-    return topology
+    build = NetworkGenerator(config, seed).generate_static
+    return _topology_cache.fetch((config, seed), build) if reusable else build()
 
 
 @dataclass
@@ -462,15 +461,14 @@ def _routing_task(
     name, generator_config, world_config, network_seed, world_seed, run_index = task
     if world_config.shards is not None or world_config.tile_size is not None:
         # Tiled variants step through the sharded world (bit-identical
-        # to the serial path; the generator call moves inside so the
-        # tiles can leave the serial adjacency unbuilt).
+        # to the serial path), which copies the same blueprint itself.
         from repro.shard.world import run_sharded_routing
 
         result = run_sharded_routing(
             generator_config, world_config, network_seed, world_seed
         )
         return name, run_index, result
-    topology = NetworkGenerator(generator_config, network_seed).generate_manet()
+    topology = manet_blueprint(generator_config, network_seed).topology()
     result = RoutingWorld(topology, world_config, world_seed).run()
     return name, run_index, result
 
@@ -711,10 +709,10 @@ def run_routing_variants(
 ) -> Dict[str, RoutingVariantResult]:
     """Run every routing variant ``runs`` times on the shared MANET.
 
-    MANETs mutate as they run; rebuilding from the same seed reproduces
-    the identical placement and movement paths in every variant, run and
-    worker process.  Hardening knobs are as in
-    :func:`run_mapping_variants`.
+    MANETs mutate as they run, so every variant and run copies one
+    blueprint drawn from the network seed (once per worker process),
+    which reproduces the identical placement and movement paths.
+    Hardening knobs are as in :func:`run_mapping_variants`.
     """
     variants = _with_run_defaults(variants, generator_config, master_seed)
     timeout, retries = _resolve_limits(task_timeout, task_retries)

@@ -59,28 +59,42 @@ class ExponentialDrain:
 
 
 class Battery:
-    """A node's energy store: a level in ``[0, 1]`` plus a drain model."""
+    """A node's energy store: a level in ``[0, 1]`` plus a drain model.
+
+    Once a topology's :class:`~repro.net.topology.Fleet` adopts the node
+    (setting ``_fleet`` and ``_slot``), the level lives in its ``level``
+    column.
+    """
 
     def __init__(self, drain_model: DrainModel, level: float = 1.0) -> None:
         if not 0.0 <= level <= 1.0:
             raise ConfigurationError(f"battery level must be in [0, 1], got {level}")
         self._drain_model = drain_model
         self._level = level
+        self._fleet = None
 
     @property
     def level(self) -> float:
         """Current charge fraction in ``[0, 1]``."""
-        return self._level
+        fleet = self._fleet
+        return self._level if fleet is None else fleet.level.item(self._slot)
+
+    def _store(self, level: float) -> float:
+        if self._fleet is None:
+            self._level = level
+        else:
+            self._fleet.level[self._slot] = level
+        return level
 
     @property
     def depleted(self) -> bool:
         """Whether the battery is (numerically) empty."""
-        return math.isclose(self._level, 0.0, abs_tol=1e-12) or self._level <= 0.0
+        level = self.level
+        return math.isclose(level, 0.0, abs_tol=1e-12) or level <= 0.0
 
     def step(self) -> float:
         """Apply one step of drain; return the new level."""
-        self._level = min(1.0, max(0.0, self._drain_model.drain(self._level)))
-        return self._level
+        return self._store(min(1.0, max(0.0, self._drain_model.drain(self.level))))
 
     def shock(self, amount: float) -> float:
         """Instantly lose ``amount`` of charge (a fault-model event).
@@ -91,8 +105,7 @@ class Battery:
         """
         if not 0.0 < amount <= 1.0:
             raise ConfigurationError(f"shock amount must be in (0, 1], got {amount}")
-        self._level = max(0.0, self._level - amount)
-        return self._level
+        return self._store(max(0.0, self.level - amount))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Battery(level={self._level:.3f})"
+        return f"Battery(level={self.level:.3f})"

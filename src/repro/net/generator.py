@@ -15,27 +15,33 @@ knowledge" to be attainable by agents walking out-edges).
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, GenerationError
-from repro.net.battery import Battery, LinearDrain
+from repro.net.battery import Battery, LinearDrain, NoDrain
 from repro.net.geometry import Arena, Point
-from repro.net.mobility import RandomVelocity
+from repro.net.mobility import RandomVelocity, Stationary
 from repro.net.node import Node
 from repro.net.radio import BatteryCoupledRange, HeterogeneousRange
-from repro.net.topology import Topology
+from repro.net.topology import Topology, link_edges
 from repro.rng import SeedSpawner
 
 __all__ = [
     "GeneratorConfig",
     "NetworkGenerator",
+    "ManetBlueprint",
     "MAPPING_PRESET",
     "MANET_PRESET",
     "generate_mapping_network",
     "generate_manet_network",
+    "LruCache",
+    "manet_blueprint",
+    "clear_blueprint_cache",
 ]
 
 
@@ -243,59 +249,135 @@ class NetworkGenerator:
     # Dynamic MANET networks
     # ------------------------------------------------------------------
 
-    def generate_manet(self, incremental: bool = True) -> Topology:
-        """A MANET: gateways + static nodes + battery-powered mobile nodes.
-
-        ``incremental=False`` leaves the adjacency unbuilt: the sharded
-        runtime recomputes adjacency per spatial tile and only wants the
-        node fleet.
-        """
+    def draw_manet(self) -> "ManetBlueprint":
+        """A MANET's draws: gateways + static nodes + battery-powered mobile nodes."""
         config = self.config
         arena = Arena(config.arena_width, config.arena_height)
         rng = self._spawner.stream("manet:placement")
         base_scale = self._scale_for_mean_degree(arena, 7.0)
         h = config.range_heterogeneity
-
-        mobile_count = int(round(config.mobile_fraction * config.node_count))
-        non_gateway = config.node_count - config.gateway_count
-        mobile_count = min(mobile_count, non_gateway)
         # Ids: gateways first, then static nodes, then mobile nodes.  The
         # fixed layout keeps runs comparable across parameter settings, as
         # the paper fixes "the same configuration and movement path".
-        nodes: List[Node] = []
+        mobile_from = _mobile_from(config)
+        positions, rows = [], []
         for node_id in range(config.node_count):
-            position = arena.random_point(rng)
-            factor = rng.uniform(1.0 - h, 1.0 + h)
+            positions.append(arena.random_point(rng))
+            base = base_scale * rng.uniform(1.0 - h, 1.0 + h)
+            speed = vx = vy = 0.0
             if node_id < config.gateway_count:
-                radio = HeterogeneousRange(
-                    base_scale * factor * config.gateway_range_multiplier
-                )
-                nodes.append(Node(node_id, position, radio, is_gateway=True))
-            elif node_id < config.gateway_count + (non_gateway - mobile_count):
-                radio = HeterogeneousRange(base_scale * factor)
-                nodes.append(Node(node_id, position, radio))
-            else:
-                battery = Battery(LinearDrain(config.battery_drain_per_step))
-                base = base_scale * factor
-                radio = BatteryCoupledRange(
-                    base,
-                    battery,
-                    floor=base * config.battery_range_floor_fraction,
-                )
-                mobility = RandomVelocity(
+                base *= config.gateway_range_multiplier
+            elif node_id >= mobile_from:
+                model = RandomVelocity(
                     self._spawner.stream(f"manet:mobility:{node_id}"),
                     config.min_speed,
                     config.max_speed,
                 )
-                nodes.append(
-                    Node(node_id, position, radio, battery=battery, mobility=mobility)
-                )
-        topology = Topology(nodes, arena, incremental=incremental)
-        if incremental:
-            # Sharded consumers never read this topology's adjacency, so
-            # leave it unbuilt; any later accessor recomputes on demand.
-            topology.recompute()
+                velocity = model.velocity
+                speed, vx, vy = model.speed, velocity.x, velocity.y
+            rows.append((positions[-1].x, positions[-1].y, base, speed, vx, vy))
+        columns = np.array(rows, dtype=np.float64)
+        columns.flags.writeable = False
+        # A full battery: BatteryCoupledRange's max(floor, base * 1.0 ** e).
+        reach = columns[:, 2].copy()
+        floor = reach[mobile_from:] * config.battery_range_floor_fraction
+        np.maximum(floor, reach[mobile_from:], out=reach[mobile_from:])
+        ids = np.arange(config.node_count)
+        edges = link_edges(columns[:, 0], columns[:, 1], reach, ids, ids)
+        edges.flags.writeable = False
+        return ManetBlueprint(config, tuple(positions), columns, edges)
+
+    def generate_manet(self) -> Topology:
+        """A freshly drawn MANET (:meth:`draw_manet`), never a cached one."""
+        return self.draw_manet().topology()
+
+
+def _mobile_from(config: GeneratorConfig) -> int:
+    """The first mobile node id of a MANET drawn from ``config``."""
+    mobile = int(round(config.mobile_fraction * config.node_count))
+    return config.node_count - min(mobile, config.node_count - config.gateway_count)
+
+
+@dataclass(frozen=True, eq=False)
+class ManetBlueprint:
+    """Every draw of one generated MANET, as read-only arrays.
+
+    ``columns`` holds one row per node: x, y, the radio's base range and,
+    for mobile nodes, speed and velocity (0 elsewhere); ``positions``
+    holds the same x, y as (immutable) points, and ``edges`` the drawn
+    state's sorted packed adjacency.  :meth:`topology` builds an
+    independent network from it, so every run of a sweep starts from the
+    same placement and movement paths without drawing them again.
+    """
+
+    config: GeneratorConfig
+    positions: Tuple[Point, ...]
+    columns: np.ndarray
+    edges: np.ndarray
+
+    def topology(self) -> Topology:
+        """A new topology at the drawn state, its adjacency built."""
+        config = self.config
+        mobile_from = _mobile_from(config)
+        # The models without state are shared within the copy.
+        still, no_drain = Stationary(), NoDrain()
+        drain = LinearDrain(config.battery_drain_per_step)
+        nodes: List[Node] = []
+        rows = zip(self.positions, self.columns.tolist())
+        for node_id, (position, (__, __, base, speed, vx, vy)) in enumerate(rows):
+            if node_id < mobile_from:
+                radio = HeterogeneousRange(base)
+                gateway = node_id < config.gateway_count
+                nodes.append(Node(node_id, position, radio, Battery(no_drain), still, gateway))
+                continue
+            battery = Battery(drain)
+            floor = base * config.battery_range_floor_fraction
+            radio = BatteryCoupledRange(base, battery, floor=floor)
+            mobility = RandomVelocity.moving(speed, vx, vy)
+            nodes.append(Node(node_id, position, radio, battery, mobility))
+        topology = Topology(nodes, Arena(config.arena_width, config.arena_height))
+        topology._adopt(self.edges)
         return topology
+
+
+class LruCache(OrderedDict):
+    """At most ``limit`` values, least recently used evicted first.
+
+    :meth:`fetch` is safe across threads (the service runs jobs as
+    threads); two threads missing the same key both build it.
+    """
+
+    def __init__(self, limit: int) -> None:
+        super().__init__()
+        self.limit = limit
+        self._lock = threading.Lock()
+
+    def fetch(self, key, build):
+        """The value kept under ``key``, built by ``build()`` on a miss."""
+        with self._lock:
+            if key in self:
+                self.move_to_end(key)
+                return self[key]
+        value = build()
+        with self._lock:
+            self[key] = value
+            while len(self) > self.limit:
+                self.popitem(last=False)
+        return value
+
+
+#: a sweep shares one blueprint, so a small LRU keeps the working set.
+_blueprints = LruCache(8)
+
+
+def manet_blueprint(config: GeneratorConfig, seed: int) -> ManetBlueprint:
+    """The blueprint of ``(config, seed)``, drawn once and kept (LRU)."""
+    return _blueprints.fetch((config, seed), NetworkGenerator(config, seed).draw_manet)
+
+
+def clear_blueprint_cache() -> None:
+    """Drop every kept MANET blueprint."""
+    _blueprints.clear()
 
 
 def _repair_strong_connectivity(topology: Topology, max_rounds: int = 60) -> bool:
@@ -316,15 +398,15 @@ def _repair_strong_connectivity(topology: Topology, max_rounds: int = 60) -> boo
             return True
         giant = max(components, key=len)
         stranded = [n for n in topology.node_ids if n not in giant]
+        # Squared distances to every member, in the set's iteration order:
+        # argmin keeps the first nearest member, as min() over the set does.
+        members = np.fromiter(giant, np.int64, len(giant))
+        x, y, __ = topology.motion_state()
         for node_id in stranded:
-            node = topology.node(node_id)
-            _boost(node)
-            nearest = min(
-                giant,
-                key=lambda g: node.position.distance_squared_to(
-                    topology.node(g).position
-                ),
-            )
+            _boost(topology.node(node_id))
+            dx = x[node_id] - x[members]
+            dy = y[node_id] - y[members]
+            nearest = int(members[np.argmin(dx * dx + dy * dy)])
             _boost(topology.node(nearest))
         topology.invalidate()
     return topology.is_strongly_connected()

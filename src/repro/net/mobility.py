@@ -43,6 +43,10 @@ class RandomVelocity:
     the initial heading uniformly from ``[0, 2*pi)`` — this is the paper's
     "random velocity" assignment.  On hitting an arena wall the velocity
     component normal to the wall is reflected.
+
+    Once a topology's :class:`~repro.net.topology.Fleet` adopts the node
+    (setting ``_fleet`` and ``_slot``), the velocity lives in its
+    ``vx``/``vy`` columns.
     """
 
     def __init__(self, rng: random.Random, min_speed: float, max_speed: float) -> None:
@@ -54,11 +58,22 @@ class RandomVelocity:
         heading = rng.uniform(0.0, 2.0 * math.pi)
         self._vx = self.speed * math.cos(heading)
         self._vy = self.speed * math.sin(heading)
+        self._fleet = None
+
+    @classmethod
+    def moving(cls, speed: float, vx: float, vy: float) -> "RandomVelocity":
+        """A model already drawn: ``speed`` and its velocity ``(vx, vy)``."""
+        model = cls.__new__(cls)
+        model.speed, model._vx, model._vy, model._fleet = speed, vx, vy, None
+        return model
 
     @property
     def velocity(self) -> Point:
         """Current velocity vector as a :class:`Point` (dx, dy per step)."""
-        return Point(self._vx, self._vy)
+        fleet = self._fleet
+        if fleet is None:
+            return Point(self._vx, self._vy)
+        return Point(fleet.vx.item(self._slot), fleet.vy.item(self._slot))
 
     #: bound on reflections per axis per step — a node can cross the
     #: arena at most speed/dimension times, so this is never reached for
@@ -66,29 +81,35 @@ class RandomVelocity:
     _MAX_REFLECTIONS = 10_000
 
     def move(self, position: Point, arena: Arena) -> Point:
-        x = position.x + self._vx
-        y = position.y + self._vy
+        velocity = self.velocity
+        vx, vy = velocity.x, velocity.y
+        x = position.x + vx
+        y = position.y + vy
         # Reflect until back in bounds: a speed larger than an arena
         # dimension can overshoot past the far wall, so one bounce per
         # axis is not enough (it used to pin such nodes to a wall).
         for __ in range(self._MAX_REFLECTIONS):
             if x < 0.0:
                 x = -x
-                self._vx = -self._vx
+                vx = -vx
             elif x > arena.width:
                 x = 2.0 * arena.width - x
-                self._vx = -self._vx
+                vx = -vx
             else:
                 break
         for __ in range(self._MAX_REFLECTIONS):
             if y < 0.0:
                 y = -y
-                self._vy = -self._vy
+                vy = -vy
             elif y > arena.height:
                 y = 2.0 * arena.height - y
-                self._vy = -self._vy
+                vy = -vy
             else:
                 break
+        if self._fleet is None:
+            self._vx, self._vy = vx, vy
+        else:
+            self._fleet.vx[self._slot], self._fleet.vy[self._slot] = vx, vy
         # The reflection loops leave (x, y) inside the arena already, so
         # clamping would be an identity — skip the extra Point.
         return Point(x, y)

@@ -22,7 +22,12 @@ __all__ = ["Node"]
 
 
 class Node:
-    """One wireless node: identity, position, radio, battery, mobility."""
+    """One wireless node: identity, position, radio, battery, mobility.
+
+    Once a topology's :class:`~repro.net.topology.Fleet` adopts it
+    (setting ``_fleet``; its slot is its id), the position lives in the
+    fleet's ``x``/``y`` columns.
+    """
 
     def __init__(
         self,
@@ -34,7 +39,8 @@ class Node:
         is_gateway: bool = False,
     ) -> None:
         self.node_id = node_id
-        self.position = position
+        self._position = position
+        self._fleet = None
         self.radio = radio
         self.battery = battery if battery is not None else Battery(NoDrain())
         self.mobility = mobility if mobility is not None else Stationary()
@@ -45,6 +51,21 @@ class Node:
         self._battery_drains = not isinstance(
             self.battery._drain_model, NoDrain
         )
+
+    @property
+    def position(self) -> Point:
+        """Where the node is now."""
+        fleet = self._fleet
+        if fleet is None:
+            return self._position
+        return Point(fleet.x.item(self.node_id), fleet.y.item(self.node_id))
+
+    @position.setter
+    def position(self, point: Point) -> None:
+        if self._fleet is None:
+            self._position = point
+        else:
+            self._fleet.x[self.node_id], self._fleet.y[self.node_id] = point.x, point.y
 
     @property
     def is_mobile(self) -> bool:

@@ -28,6 +28,13 @@ connectivity metric consumes.  A refresh that finds no position, range
 or fault change does no edge work at all.  Pinned graphs
 (:mod:`repro.net.manual`) go through the same apply step.
 
+The nodes' kinematic state — positions, velocities, battery levels and
+radio ranges — lives in one structure-of-arrays :class:`Fleet` per
+topology, which the nodes, batteries and mobility models read and write.
+:meth:`Topology.advance` steps the whole fleet as array operations, and
+a refresh finds what moved by comparing the fleet's columns with copies
+taken at the previous refresh.
+
 The rebuild-from-scratch path (``incremental=False`` or
 :meth:`Topology.force_full_rebuild`) is the reference implementation, a
 sorted-x sweep (:func:`_sweep_edges`) that shares no code with the
@@ -52,8 +59,8 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 import numpy as _np
 
 from repro.errors import TopologyError
-from repro.net.battery import ExponentialDrain, LinearDrain, NoDrain
-from repro.net.geometry import Arena, Point
+from repro.net.battery import ExponentialDrain, LinearDrain
+from repro.net.geometry import Arena
 from repro.net.graphutils import Adjacency, is_strongly_connected
 from repro.net.mobility import RandomVelocity, Stationary
 from repro.net.node import Node
@@ -63,6 +70,7 @@ from repro.types import Edge, NodeId
 __all__ = [
     "AdjacencyView",
     "EdgeDeltaStream",
+    "Fleet",
     "Topology",
     "TopologyDelta",
     "TopologyStats",
@@ -86,10 +94,6 @@ _DENSE_MAX_PAIRS = 160 * 160
 class TopologyStats:
     """Always-on counters describing how the engine keeps itself current."""
 
-    #: from-scratch builds (first build, naive mode, fallbacks).
-    full_rebuilds: int = 0
-    #: refreshes that diffed against the previous edge set.
-    incremental_refreshes: int = 0
     #: directed edges added by refreshes (full rebuilds not counted).
     edges_added: int = 0
     #: directed edges removed by refreshes.
@@ -437,110 +441,146 @@ class _OracleRun:
         )
 
 
-@dataclass
-class _DrainGroup:
-    """One distinct drain model: its batteries and their level mirror."""
+class Fleet:
+    """The kinematic state of a topology's nodes, one float64 column each.
 
-    #: "linear" carries ``per_step``, "exp" carries ``1 - rate``.
-    kind: str
-    param: float
-    batteries: list
-    #: float64 mirror of every battery's ``_level``, updated in place.
-    levels: object
-    #: ``(k, node_id, base, exponent, floor)`` for the group members
-    #: whose radio is battery-coupled (``k`` indexes into ``levels``);
-    #: constant-range radios need no recompute after a drain step.
-    coupled: List[Tuple[int, NodeId, float, float, float]]
-
-
-@dataclass
-class _AdvanceState:
-    """Hardware classification backing the vectorized advance fast path.
-
-    Positions, velocities and battery levels are mirrored as float64
-    arrays so the steady state runs without per-node attribute reads.
-    Any :meth:`Topology.invalidate` (the mandatory companion of every
-    external node mutation) discards the whole state, so the mirrors
-    can never go stale.
+    ``x``/``y`` (positions), ``vx``/``vy`` (velocities of
+    :class:`~repro.net.mobility.RandomVelocity` nodes, 0 elsewhere),
+    ``level`` (battery levels) and ``r`` (radio ranges), indexed by node
+    id.  The fleet is the only owner of the first five: once it adopts a
+    node, the node, its battery and its mobility model read and write
+    these columns.  ``r`` is derived from the radios, which keep their
+    own parameters: it is re-read through them at adoption and after
+    every :meth:`Topology.invalidate`.  Mobility and drain models are
+    fixed at node construction, so nodes are sorted by model once.  The
+    fleet keeps node ids, never nodes: a topology holds no cycle.
     """
 
-    #: straight-line (RandomVelocity) nodes and their ids (int64).
-    movers: List[Node]
-    ids: object
-    #: the movers' current positions and velocities.
-    mx: object
-    my: object
-    vx: object
-    vy: object
-    drain_groups: List[_DrainGroup]
-
-
-def _classify_hardware(nodes: Sequence[Node], dynamic: Sequence[Node]):
-    """Build the fast-path :class:`_AdvanceState`, or ``False``.
-
-    The fast path must know *every* way a node's position or range can
-    change between refreshes, so it demands stock models throughout:
-    exotic mobility, drain, or radio classes (whose state could move on
-    their own schedule) disable it for the topology's lifetime and the
-    scalar loop plus the full change scan stay in charge.
-    """
-    known_radios = (FixedRange, HeterogeneousRange, BatteryCoupledRange)
-    for node in nodes:
-        radio = node.radio
-        radio_kind = type(radio)
-        if radio_kind not in known_radios:
-            return False
-        if radio_kind is BatteryCoupledRange and radio.battery is not node.battery:
-            # A cross-wired radio could change range without its own
-            # node draining; the fast path can't see that.
-            return False
-    movers: List[Node] = []
-    groups: Dict[Tuple[str, float], Tuple[list, List[Node]]] = {}
-    for node in dynamic:
-        mobility = node.mobility
-        kind = type(mobility)
-        if kind is RandomVelocity:
-            movers.append(node)
-        elif kind is not Stationary:
-            return False
-        if node._battery_drains:
-            model = node.battery._drain_model
-            model_kind = type(model)
-            if model_kind is LinearDrain:
-                key = ("linear", model.per_step)
-            elif model_kind is ExponentialDrain:
-                key = ("exp", model._keep)
-            else:
-                return False
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = ([], [])
-            group[0].append(node.battery)
-            group[1].append(node)
-    m = len(movers)
-    mx = _np.fromiter((node.position.x for node in movers), _np.float64, m)
-    my = _np.fromiter((node.position.y for node in movers), _np.float64, m)
-    vx = _np.fromiter((node.mobility._vx for node in movers), _np.float64, m)
-    vy = _np.fromiter((node.mobility._vy for node in movers), _np.float64, m)
-    drain_groups = []
-    for (kind, param), (batteries, group_nodes) in groups.items():
-        levels = _np.fromiter(
-            (b._level for b in batteries), _np.float64, len(batteries)
-        )
-        coupled = [
-            (
-                k,
-                node.node_id,
-                node.radio.base,
-                node.radio.exponent,
-                node.radio.floor,
-            )
-            for k, node in enumerate(group_nodes)
-            if type(node.radio) is BatteryCoupledRange
+    def __init__(self, nodes: Sequence[Node]) -> None:
+        n = len(nodes)
+        self.x = _np.array([node.position.x for node in nodes], dtype=_np.float64)
+        self.y = _np.array([node.position.y for node in nodes], dtype=_np.float64)
+        self.level = _np.array([node.battery.level for node in nodes], dtype=_np.float64)
+        self.vx = _np.zeros(n)
+        self.vy = _np.zeros(n)
+        self.r = _np.empty(n)
+        movers: List[NodeId] = []
+        #: nodes moved, or whose battery is stepped, by their own model.
+        self._walkers: List[NodeId] = []
+        self._stepped: List[NodeId] = []
+        drains: Dict[Tuple[bool, float], List[NodeId]] = {}
+        for node in nodes:
+            i = node.node_id
+            battery = node.battery
+            mobility = node.mobility
+            if node._fleet is not None or battery._fleet is not None:
+                raise TopologyError(f"node {i} or its battery already belongs to a topology")
+            node._fleet = battery._fleet = self
+            battery._slot = i
+            if isinstance(mobility, RandomVelocity):
+                if mobility._fleet is not None:
+                    raise TopologyError(f"node {i}'s mobility model already moves another node")
+                self.vx[i], self.vy[i] = mobility._vx, mobility._vy
+                mobility._fleet, mobility._slot = self, i
+            if type(mobility) is RandomVelocity:
+                movers.append(i)
+            elif type(mobility) is not Stationary:
+                self._walkers.append(i)
+            if node._battery_drains:
+                model = battery._drain_model
+                if type(model) is LinearDrain:
+                    drains.setdefault((True, model.per_step), []).append(i)
+                elif type(model) is ExponentialDrain:
+                    drains.setdefault((False, model._keep), []).append(i)
+                else:
+                    self._stepped.append(i)
+        self._movers = _np.array(movers, dtype=_np.int64)
+        #: ``(linear, parameter, ids)``: ``per_step`` for a linear drain,
+        #: ``1 - rate`` for an exponential one.
+        self._drains = [
+            (linear, param, _np.array(ids, dtype=_np.int64))
+            for (linear, param), ids in drains.items()
         ]
-        drain_groups.append(_DrainGroup(kind, param, batteries, levels, coupled))
-    ids = _np.fromiter((node.node_id for node in movers), _np.int64, m)
-    return _AdvanceState(movers, ids, mx, my, vx, vy, drain_groups)
+        self.read_radios(nodes)
+
+    def read_radios(self, nodes: Sequence[Node]) -> None:
+        """Re-read every range, and what :meth:`step` needs, from the radios.
+
+        :meth:`step` recomputes the ranges of stock battery-coupled radios
+        on their own node's draining battery, so this keeps their
+        parameters.  ``volatile`` says some other radio's range can change
+        without an invalidate (another radio class, or a coupled radio on
+        another node's battery): then every read of the ranges re-reads.
+        """
+        self.r[:] = [node.radio.current_range() for node in nodes]
+        coupled = []
+        self.volatile = False
+        for node in nodes:
+            kind = type(node.radio)
+            if kind is BatteryCoupledRange and node.radio.battery is node.battery:
+                if node._battery_drains:
+                    coupled.append(node)
+            elif kind is not FixedRange and kind is not HeterogeneousRange:
+                self.volatile = True
+        radios = [node.radio for node in coupled]
+        self._coupled = _np.array([node.node_id for node in coupled], dtype=_np.int64)
+        self._coupled_base = _np.array([radio.base for radio in radios], dtype=_np.float64)
+        self._coupled_exponent = [radio.exponent for radio in radios]
+        self._coupled_floor = _np.array([radio.floor for radio in radios], dtype=_np.float64)
+
+    def step(self, nodes: Sequence[Node], arena: Arena) -> None:
+        """Advance every node one step: its battery drains, then it moves.
+
+        Equal, column by column, to :meth:`Node.advance` on each node.
+        Stock models step as array operations, bit-identical to the
+        scalar ones: linear and exponential drains, the ranges of the
+        coupled radios :meth:`read_radios` kept, and straight-line motion
+        inside the arena.  A node that would cross the boundary reflects
+        through its own :class:`~repro.net.mobility.RandomVelocity`, and
+        any other mobility or drain model steps its node itself.
+        """
+        level = self.level
+        for linear, param, ids in self._drains:
+            levels = level[ids]
+            if linear:
+                _np.subtract(levels, param, out=levels)
+            else:
+                _np.multiply(levels, param, out=levels)
+            _np.maximum(levels, 0.0, out=levels)
+            _np.minimum(levels, 1.0, out=levels)
+            level[ids] = levels
+        for i in self._stepped:
+            nodes[i].battery.step()
+        ids = self._coupled
+        if ids.size:
+            # ``BatteryCoupledRange.current_range()`` term by term: Python's
+            # ``**`` per level, since ``np.power`` and ``np.sqrt`` differ
+            # from it in the last bit for some levels.
+            scaled = _np.fromiter(
+                map(pow, level[ids].tolist(), self._coupled_exponent), _np.float64, ids.size
+            )
+            _np.multiply(self._coupled_base, scaled, out=scaled)
+            _np.maximum(self._coupled_floor, scaled, out=scaled)
+            self.r[ids] = scaled
+        movers = self._movers
+        walkers = self._walkers
+        if movers.size:
+            x = self.x[movers]
+            x += self.vx[movers]
+            y = self.y[movers]
+            y += self.vy[movers]
+            out = (x < 0.0) | (x > arena.width) | (y < 0.0) | (y > arena.height)
+            if out.any():
+                inside = ~out
+                self.x[movers[inside]] = x[inside]
+                self.y[movers[inside]] = y[inside]
+                walkers = movers[out].tolist() + walkers
+            else:
+                self.x[movers] = x
+                self.y[movers] = y
+        for i in walkers:
+            node = nodes[i]
+            node.position = node.mobility.move(node.position, arena)
 
 
 class Topology:
@@ -556,6 +596,10 @@ class Topology:
             raise TopologyError("node ids must be contiguous 0..n-1 in order")
         self.nodes: List[Node] = list(nodes)
         self.arena = arena
+        #: the nodes' kinematic state, which the nodes read and write.
+        self.fleet = Fleet(self.nodes)
+        #: whether a radio may have changed since the fleet last read them.
+        self._radios_stale = False
         #: sorted packed ``u * n + v`` edges: the adjacency itself.
         self._edges = _no_edges()
         #: the rows of ``_edges``, a new view on first read after a change.
@@ -567,27 +611,14 @@ class Topology:
         #: set by :mod:`repro.net.manual` for pinned (non-geometric) graphs.
         self._pinned = False
         self.stats = TopologyStats()
-        #: whether the mirrors and ``_edges`` describe the current
-        #: adjacency, so the next refresh can diff against them.
+        #: whether ``_ax``/``_ay``/``_ar`` and ``_edges`` describe the
+        #: current adjacency, so the next refresh can diff against them.
         self._built = False
-        #: float64 position and range mirrors over all nodes: the values
-        #: the current adjacency was computed from, or — while
-        #: :meth:`advance_motion` drives the topology — the live ones.
+        #: copies of the fleet's ``x``/``y``/``r`` columns the current
+        #: adjacency was computed from.
         self._ax = self._ay = self._ar = None
         self._applied_down: Set[NodeId] = set()
         self._applied_blocked: Set[Edge] = set()
-        self._dynamic_nodes: Optional[List[Node]] = None
-        #: change hint from the vectorized :meth:`advance` fast path: the
-        #: ``(node_ids, ranges)`` of changed battery-coupled ranges (the
-        #: movers' new positions sit in the hardware state).  The
-        #: mirrors are written only when the refresh consumes the hint;
-        #: any :meth:`invalidate` discards it, so external mutations
-        #: always force the full change scan.
-        self._advance_hint: Optional[Tuple[list, list]] = None
-        #: lazily built hardware classification for the fast path;
-        #: ``False`` means some node defies it (custom models) and the
-        #: scalar loop is permanent.
-        self._advance_state: object = None
         self._delta = EdgeDeltaStream()
         self._epoch = 0
         #: the consistency check's last oracle evaluation, reused while
@@ -600,15 +631,18 @@ class Topology:
     # ------------------------------------------------------------------
 
     def invalidate(self) -> None:
-        """Mark the cached adjacency stale (after motion or degradation)."""
+        """Mark the adjacency stale after changing a node outside :meth:`advance`.
+
+        The next refresh re-reads every range through the radios.
+        """
         self._dirty = True
-        self._advance_hint = None
-        if self._advance_state is not False:
-            # External mutations may have touched positions, velocities
-            # or battery levels behind the fast path's mirrors; rebuild
-            # them on next use.  ``False`` (unsupported models) sticks:
-            # models are fixed at node construction.
-            self._advance_state = None
+        self._radios_stale = True
+
+    def _sync_radios(self) -> None:
+        """Bring the fleet's range column up to date with the radios."""
+        if self._radios_stale or self.fleet.volatile:
+            self._radios_stale = False
+            self.fleet.read_radios(self.nodes)
 
     def recompute(self) -> None:
         """Bring the adjacency up to date with positions and ranges.
@@ -627,16 +661,15 @@ class Topology:
 
     def force_full_rebuild(self) -> None:
         """Rebuild the adjacency from scratch (the reference path)."""
-        edges = self._compute_adjacency()
+        self._adopt(self._compute_adjacency())
+
+    def _adopt(self, edges) -> None:
+        """Take ``edges``, the sorted packed edges of the state now, afresh."""
         if self._incremental:
-            self._sync_mirrors()
+            self._sync_radios()
+            self._snapshot()
             self._built = True
         self._apply(edges, full=True)
-
-    @property
-    def incremental(self) -> bool:
-        """Whether the incremental engine is active."""
-        return self._incremental
 
     def set_incremental(self, enabled: bool) -> None:
         """Switch engine modes; the next refresh rebuilds from scratch."""
@@ -646,17 +679,14 @@ class Topology:
             self._dirty = True
 
     def _read_inputs(self):
-        """Float64 positions and ranges read from the nodes themselves.
+        """Copies of the nodes' positions, and ranges read through their radios.
 
-        Never the engine's mirrors: the reference path must see what the
-        nodes hold, including changes made behind a missed invalidate.
+        Never the fleet's derived ranges: the reference path must see what
+        the nodes hold, including changes made behind a missed invalidate.
         """
         nodes = self.nodes
-        n = len(nodes)
-        x = _np.fromiter((node.position.x for node in nodes), _np.float64, n)
-        y = _np.fromiter((node.position.y for node in nodes), _np.float64, n)
-        r = _np.fromiter((node.current_range() for node in nodes), _np.float64, n)
-        return x, y, r
+        r = _np.fromiter((node.current_range() for node in nodes), _np.float64, len(nodes))
+        return self.fleet.x.copy(), self.fleet.y.copy(), r
 
     def _compute_adjacency(self):
         """The reference sweep (:func:`_sweep_edges`) of the current state."""
@@ -666,26 +696,23 @@ class Topology:
     # Incremental engine
     # ------------------------------------------------------------------
 
-    def _sync_mirrors(self) -> bool:
-        """Re-read positions and ranges from the nodes; report changes."""
-        nodes = self.nodes
-        n = len(nodes)
-        ax = _np.fromiter((node.position.x for node in nodes), _np.float64, n)
-        ay = _np.fromiter((node.position.y for node in nodes), _np.float64, n)
-        ar = _np.fromiter(
-            (node.radio.current_range() for node in nodes), _np.float64, n
-        )
-        changed = not (
+    def _snapshot(self) -> bool:
+        """Copy the fleet's positions and ranges; report whether they changed."""
+        fleet = self.fleet
+        if (
             self._ax is not None
-            and _np.array_equal(ax, self._ax)
-            and _np.array_equal(ay, self._ay)
-            and _np.array_equal(ar, self._ar)
-        )
-        self._ax, self._ay, self._ar = ax, ay, ar
-        return changed
+            and _np.array_equal(fleet.x, self._ax)
+            and _np.array_equal(fleet.y, self._ay)
+            and _np.array_equal(fleet.r, self._ar)
+        ):
+            return False
+        self._ax = fleet.x.copy()
+        self._ay = fleet.y.copy()
+        self._ar = fleet.r.copy()
+        return True
 
     def _link_edges(self):
-        """The packed edge set of the current mirrors and fault state."""
+        """The packed edge set of the fleet and the fault state."""
         n = len(self.nodes)
         if self._down:
             live = _np.ones(n, dtype=bool)
@@ -693,7 +720,8 @@ class Topology:
             live = _np.flatnonzero(live)
         else:
             live = _np.arange(n)
-        return self._hide_blocked(link_edges(self._ax, self._ay, self._ar, live, live))
+        fleet = self.fleet
+        return self._hide_blocked(link_edges(fleet.x, fleet.y, fleet.r, live, live))
 
     def _hide_blocked(self, edges):
         """``edges`` without the blacked-out links."""
@@ -719,21 +747,11 @@ class Topology:
 
     def _refresh(self) -> None:
         """Recompute the packed edges and apply their diff."""
+        self._sync_radios()
         if not self._built:
-            self._sync_mirrors()
-            self._built = True
-            self._apply(self._link_edges(), full=True)
+            self._adopt(self._link_edges())
             return
-        # Change detection.  The vectorized advance fast path hands the
-        # changes over with their new values; without it (external
-        # mutation, scalar models) the mirrors are re-read and compared.
-        hint = self._advance_hint
-        if hint is not None:
-            self._advance_hint = None
-            changed = self._apply_kinematics(*hint)
-        else:
-            changed = self._sync_mirrors()
-        self.stats.incremental_refreshes += 1
+        changed = self._snapshot()
         if (
             changed
             or self._down != self._applied_down
@@ -756,8 +774,6 @@ class Topology:
         if full:
             self._view = None
             self._delta.flush()
-            self.stats.full_rebuilds += 1
-            self._advance_hint = None
         else:
             added, removed = edge_delta(edges, self._edges)
             if added.size or removed.size:
@@ -936,8 +952,8 @@ class Topology:
         sweep's edges and rows are reused only when those reads, the down
         set and the blocked set all equal the previous call's inputs;
         the sweep is a pure function of them, so reuse returns exactly
-        what a fresh sweep would.  Nothing the engine keeps (mirrors,
-        change hints, epochs) takes part, so a moved node, a missed
+        what a fresh sweep would.  Nothing the engine keeps (the fleet's
+        range column, its snapshots, epochs) takes part, so a moved node, a missed
         :meth:`invalidate`, a corrupted array or a mutated row is
         flagged in the call that first sees it.  A sound structure costs
         one array compare and one list compare per served row; only a
@@ -1062,185 +1078,24 @@ class Topology:
     # Dynamics
     # ------------------------------------------------------------------
 
-    def _dynamic(self) -> List[Node]:
-        """Nodes whose hardware can change (mobile or draining)."""
-        dynamic = self._dynamic_nodes
-        if dynamic is None:
-            dynamic = self._dynamic_nodes = [
-                node
-                for node in self.nodes
-                if not (
-                    isinstance(node.mobility, Stationary)
-                    and isinstance(node.battery._drain_model, NoDrain)
-                )
-            ]
-        return dynamic
-
-    def _hardware(self):
-        """The fast path's hardware classification (``False``: none)."""
-        state = self._advance_state
-        if state is None:
-            state = self._advance_state = _classify_hardware(
-                self.nodes, self._dynamic()
-            )
-        return state
-
     def advance(self) -> None:
-        """Advance every node one step (battery + motion) and invalidate.
+        """Advance every node one step (battery, then motion).
 
-        Nodes with static hardware — stationary mobility and a drainless
-        battery — are skipped: for them :meth:`Node.advance` is a no-op
-        by construction, and on mixed networks half the fleet is static.
-        The partition is computed once (mobility and battery objects are
-        fixed at node construction; faults mutate their state, never
-        replace them).
-
-        When every node's hardware is built from the stock models, the
-        vectorized fast path below advances batteries and straight-line
-        motion as array operations — bit-identical element-wise, since
-        IEEE adds, subtracts and clamps carry over exactly — and hands
-        the refresh a pre-computed change hint so it can skip its O(n)
-        scan.  The fast path requires a clean (just-refreshed) topology:
-        any pending :meth:`invalidate` means external state may have
-        drifted, so that step takes the scalar loop and the full scan.
+        :meth:`Fleet.step` moves the whole fleet at once; the adjacency
+        follows on the next read.
         """
-        if not self._dirty and self._incremental and self._built:
-            state = self._hardware()
-            if state is not False:
-                self._advance_hint = self._advance_kinematics(state, self._ar)
-                self._dirty = True
-                return
-        arena = self.arena
-        for node in self._dynamic():
-            node.advance(arena)
-        self.invalidate()
+        self.fleet.step(self.nodes, self.arena)
+        self._dirty = True
 
-    def _advance_kinematics(self, state: "_AdvanceState", ranges) -> Tuple[list, list]:
-        """Vectorized battery drain + motion; returns the range changes.
-
-        Updates the node objects and ``state``'s mover position arrays
-        and returns the battery-coupled range changes as
-        ``(node_ids, new_ranges)``; ``ranges`` (the range mirror)
-        suppresses no-op reports.  The mirrors themselves are left to
-        :meth:`_apply_kinematics`, so a cleared hint (external
-        invalidate) leaves the refresh's scan able to re-detect every
-        change against the untouched mirrors.  Nodes that would cross
-        the arena boundary this step are delegated to the scalar
-        mobility model (reflection flips the stored velocity, which only
-        the model itself may mutate).
-        """
-        range_changed: List[NodeId] = []
-        new_ranges: List[float] = []
-        arena = self.arena
-        movers = state.movers
-        if movers:
-            mx, my = state.mx, state.my
-            x = mx + state.vx
-            y = my + state.vy
-            oob = (x < 0.0) | (x > arena.width) | (y < 0.0) | (y > arena.height)
-            changed = (x != mx) | (y != my)
-            has_oob = bool(oob.any())
-            if has_oob:
-                changed &= ~oob
-            xs = x.tolist()
-            ys = y.tolist()
-            for k in _np.flatnonzero(changed).tolist():
-                movers[k].position = Point(xs[k], ys[k])
-            if has_oob:
-                inb = ~oob
-                _np.copyto(mx, x, where=inb)
-                _np.copyto(my, y, where=inb)
-                vx, vy = state.vx, state.vy
-                for k in _np.flatnonzero(oob).tolist():
-                    node = movers[k]
-                    mob = node.mobility
-                    pos = mob.move(node.position, arena)
-                    node.position = pos
-                    mx[k] = pos.x
-                    my[k] = pos.y
-                    # reflection may have flipped the stored velocity
-                    vx[k] = mob._vx
-                    vy[k] = mob._vy
-            else:
-                mx[:] = x
-                my[:] = y
-        previous = None
-        for group in state.drain_groups:
-            levels = group.levels
-            if group.kind == "linear":
-                _np.subtract(levels, group.param, out=levels)
-            else:  # exponential
-                _np.multiply(levels, group.param, out=levels)
-            _np.maximum(levels, 0.0, out=levels)
-            _np.minimum(levels, 1.0, out=levels)
-            lv = levels.tolist()
-            for battery, level in zip(group.batteries, lv):
-                battery._level = level
-            if group.coupled and previous is None:
-                previous = ranges.tolist()
-            # Inlined BatteryCoupledRange.current_range(): the scaled
-            # value is never negative (base > 0, level >= 0), so the
-            # floor clamp below is bit-identical to max(floor, scaled).
-            for k, i, base, exponent, floor in group.coupled:
-                r = base * (lv[k] ** exponent)
-                if r < floor:
-                    r = floor
-                if r != previous[i]:
-                    range_changed.append(i)
-                    new_ranges.append(r)
-        return range_changed, new_ranges
-
-    def _apply_kinematics(self, range_changed: list, new_ranges: list) -> bool:
-        """Scatter one kinematics step into the mirrors; report changes."""
-        state = self._advance_state
-        if state.movers:
-            self._ax[state.ids] = state.mx
-            self._ay[state.ids] = state.my
-        if range_changed:
-            self._ar[range_changed] = new_ranges
-        return bool(state.movers or range_changed)
+    #: perfbench's tracer patches this name, so it stays an alias.
+    advance_motion = advance
 
     def motion_state(self):
         """Current ``(x, y, range)`` float arrays over all nodes, by id.
 
-        The arrays are the live mirrors maintained by
-        :meth:`advance_motion` — callers must treat them as read-only
-        snapshots that change in place on the next advance.
+        The fleet's own columns — callers must treat them as read-only;
+        they change in place on the next advance.
         """
-        if self._ax is None:
-            self._sync_mirrors()
-        return self._ax, self._ay, self._ar
-
-    def advance_motion(self) -> None:
-        """Advance batteries and motion only, leaving adjacency unbuilt.
-
-        The sharded runtime owns adjacency per spatial tile, so the
-        per-step cost it wants from the topology is *exactly* the
-        kinematics: node positions, velocities, battery levels and
-        coupled ranges — never a change scan or any edge state.  Runs
-        the same vectorized update as :meth:`advance` (bit-identical to
-        the scalar :meth:`Node.advance` loop) and folds the change hint
-        straight into the :meth:`motion_state` arrays.  The adjacency is
-        marked stale; a later :meth:`recompute` (if anyone asks) starts
-        from scratch.
-        """
-        if (
-            self._ax is None
-            or self._advance_state is None
-            or self._advance_hint is not None
-        ):
-            # First use, an invalidate() that may hide external
-            # mutations, or an advance() the mirrors have not caught up
-            # with: re-read them from the nodes.
-            self._sync_mirrors()
-        state = self._hardware()
-        if state is not False:
-            self._apply_kinematics(*self._advance_kinematics(state, self._ar))
-        else:
-            arena = self.arena
-            for node in self._dynamic():
-                node.advance(arena)
-            self._sync_mirrors()
-        self._dirty = True
-        self._built = False
-        self._advance_hint = None
+        self._sync_radios()
+        fleet = self.fleet
+        return fleet.x, fleet.y, fleet.r

@@ -38,7 +38,7 @@ import numpy as _np
 
 from repro.core.comms import exchange_routing_knowledge
 from repro.core.migration import ABANDONED, DELIVERED
-from repro.net.generator import NetworkGenerator
+from repro.net.generator import manet_blueprint
 from repro.routing.table import RouteEntry
 from repro.routing.world import RoutingWorld
 from repro.shard.tiles import TileAdjacency, TileGrid
@@ -97,9 +97,7 @@ class TileWorker:
         topology=None,
     ) -> None:
         if topology is None:
-            topology = NetworkGenerator(generator_config, network_seed).generate_manet(
-                incremental=False
-            )
+            topology = manet_blueprint(generator_config, network_seed).topology()
             self._advance = True  # process mode: each replica advances itself
         else:
             self._advance = False  # inline mode: the coordinator advances once
@@ -151,7 +149,7 @@ class TileWorker:
     def begin_step(self, now: int) -> Dict[int, List[dict]]:
         """Advance motion, re-derive ownership, emit hand-over payloads."""
         if self._advance:
-            self.topology.advance_motion()
+            self.topology.advance()
         ax, ay, __ = self.topology.motion_state()
         own_new = self.grid.owners(ax, ay)
         tile = self.tile

@@ -35,7 +35,7 @@ import numpy as _np
 from repro.core.overhead import aggregate_overheads
 from repro.errors import ConfigurationError
 from repro.net.channel import ChannelStats
-from repro.net.generator import GeneratorConfig, NetworkGenerator
+from repro.net.generator import GeneratorConfig, manet_blueprint
 from repro.net.topology import AdjacencyView, EdgeDeltaStream, TopologyDelta, edge_delta
 from repro.obs.collector import ObsCollector
 from repro.routing.connectivity import FunctionalConnectivity, connectivity_fraction
@@ -268,9 +268,7 @@ class ShardedRoutingWorld:
                 for tile in range(self.grid.tiles)
             ]
         else:
-            topology = NetworkGenerator(
-                generator_config, network_seed
-            ).generate_manet(incremental=False)
+            topology = manet_blueprint(generator_config, network_seed).topology()
             self._topology = topology
             self._handles = [
                 _InlineHandle(
@@ -311,7 +309,7 @@ class ShardedRoutingWorld:
         if self._topology is not None:
             # Inline mode shares one topology; advance it once here
             # (process-mode replicas advance themselves in round 1).
-            self._topology.advance_motion()
+            self._topology.advance()
         # Round 1: motion + node hand-over.
         for handle in handles:
             handle.send(("begin", now))
