@@ -48,8 +48,7 @@ Agent *objects* stay allocated and authoritative for cold state
 :class:`OverheadMeter`); locations are flushed back every step so the
 fault injector, the invariant checker, and the channel's distance terms
 always observe truthful positions.  :meth:`BatchAgentEngine.flush`
-writes everything else back, which is what lets
-``RoutingWorld.set_batch_agents`` toggle engines mid-run.
+writes everything else back when the run ends.
 """
 
 from __future__ import annotations
@@ -208,11 +207,10 @@ class BatchAgentEngine:
     def flush(self) -> None:
         """Write every array back to the agent objects.
 
-        Called at the end of :meth:`RoutingWorld.run` and when
-        ``set_batch_agents(False)`` hands control back to the per-object
-        oracle.  Track/history dicts are rebuilt in gateway-column /
-        node-id order; their *content* matches the oracle exactly (no
-        behaviour reads dict order), their insertion order may not.
+        Called at the end of :meth:`RoutingWorld.run`.  Track/history
+        dicts are rebuilt in gateway-column / node-id order; their
+        *content* matches the oracle exactly (no behaviour reads dict
+        order), their insertion order may not.
         """
         self._flush_locations()
         gw_ids = self._gw_ids

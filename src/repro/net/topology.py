@@ -21,12 +21,11 @@ out-neighbours are the entries in ``[u * n, (u + 1) * n)``, ascending.
 Consumers read it as rows through an :class:`AdjacencyView`, one per
 changed epoch, which builds a node's row the first time it is indexed;
 in-neighbours are answered on demand from the array.  A refresh
-recomputes the array, diffs it against the previous one
-(:func:`edge_delta`, a sorted merge) and appends the packed diff to the
-edge-delta stream (:class:`TopologyDelta`) that the delta-aware
-connectivity metric consumes.  A refresh that finds no position, range
-or fault change does no edge work at all.  Pinned graphs
-(:mod:`repro.net.manual`) go through the same apply step.
+recomputes the array and diffs it against the previous one
+(:func:`edge_delta`, a sorted merge) to count the edges it added and
+removed.  A refresh that finds no position, range or fault change does
+no edge work at all.  Pinned graphs (:mod:`repro.net.manual`) go
+through the same apply step.
 
 The nodes' kinematic state — positions, velocities, battery levels and
 radio ranges — lives in one structure-of-arrays :class:`Fleet` per
@@ -53,7 +52,7 @@ it reads from the nodes that step differ from the previous step's.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as _np
@@ -69,18 +68,12 @@ from repro.types import Edge, NodeId
 
 __all__ = [
     "AdjacencyView",
-    "EdgeDeltaStream",
     "Fleet",
     "Topology",
-    "TopologyDelta",
     "TopologyStats",
     "edge_delta",
     "link_edges",
 ]
-
-#: buffered delta edges beyond which the stream collapses into a full
-#: flush — protects worlds that never attach a delta consumer.
-_DELTA_CAP = 100_000
 
 #: senders x receivers pairs up to which :func:`link_edges` evaluates
 #: every pair densely; beyond it the column grid examines fewer pairs at
@@ -98,66 +91,6 @@ class TopologyStats:
     edges_added: int = 0
     #: directed edges removed by refreshes.
     edges_removed: int = 0
-
-
-def _no_edges():
-    return _np.empty(0, dtype=_np.int64)
-
-
-@dataclass
-class TopologyDelta:
-    """One drained batch of edge changes since the previous drain.
-
-    ``added``/``removed`` are packed ``u * n + v`` int64 arrays, one
-    sorted run per refresh.  ``full`` means the adjacency was rebuilt
-    wholesale (first build, naive mode, or buffer overflow) and
-    consumers must flush anything derived from earlier state;
-    ``added``/``removed`` are then empty.
-    """
-
-    full: bool = False
-    added: object = field(default_factory=_no_edges)
-    removed: object = field(default_factory=_no_edges)
-
-
-class EdgeDeltaStream:
-    """The packed edge changes recorded since the previous drain.
-
-    Opens ``full``, like a freshly built adjacency; overflowing
-    ``_DELTA_CAP`` collapses it back to ``full``, which protects
-    adjacencies that never get a delta consumer.
-    """
-
-    def __init__(self) -> None:
-        self.flush()
-
-    def flush(self) -> None:
-        """Collapse the stream into a ``full`` marker."""
-        self.full = True
-        self.added: List = []
-        self.removed: List = []
-        self.size = 0
-
-    def record(self, added, removed) -> None:
-        """Append one refresh's packed diff (no-op while ``full``)."""
-        if self.full:
-            return
-        self.added.append(added)
-        self.removed.append(removed)
-        self.size += added.size + removed.size
-        if self.size > _DELTA_CAP:
-            self.flush()
-
-    def take(self) -> TopologyDelta:
-        """Drain the stream; the next drain starts empty, not ``full``."""
-        delta = TopologyDelta(
-            self.full,
-            _np.concatenate([_no_edges()] + self.added),
-            _np.concatenate([_no_edges()] + self.removed),
-        )
-        self.flush()
-        self.full = False
-        return delta
 
 
 # ----------------------------------------------------------------------
@@ -601,7 +534,7 @@ class Topology:
         #: whether a radio may have changed since the fleet last read them.
         self._radios_stale = False
         #: sorted packed ``u * n + v`` edges: the adjacency itself.
-        self._edges = _no_edges()
+        self._edges = _np.empty(0, dtype=_np.int64)
         #: the rows of ``_edges``, a new view on first read after a change.
         self._view: Optional[AdjacencyView] = None
         self._dirty = True
@@ -619,7 +552,6 @@ class Topology:
         self._ax = self._ay = self._ar = None
         self._applied_down: Set[NodeId] = set()
         self._applied_blocked: Set[Edge] = set()
-        self._delta = EdgeDeltaStream()
         self._epoch = 0
         #: the consistency check's last oracle evaluation, reused while
         #: the inputs read from the nodes stay equal.  Per instance: the
@@ -648,11 +580,10 @@ class Topology:
         """Bring the adjacency up to date with positions and ranges.
 
         In incremental mode (the default) the link kernel recomputes the
-        packed edge set and only its diff against the previous one
-        enters the delta stream; nodes marked down
-        (:meth:`set_node_down`) have their radios silenced and
-        blacked-out links (:meth:`block_edge`) stay suppressed, exactly
-        as in the naive rebuild.
+        packed edge set and counts its diff against the previous one in
+        :attr:`stats`; nodes marked down (:meth:`set_node_down`) have
+        their radios silenced and blacked-out links (:meth:`block_edge`)
+        stay suppressed, exactly as in the naive rebuild.
         """
         if self._incremental:
             self._refresh()
@@ -766,19 +697,16 @@ class Topology:
         """Adopt the sorted packed ``edges`` as the current adjacency.
 
         The one apply step of rebuilds, geometric refreshes and pinned
-        installs.  A ``full`` rebuild restarts the delta stream; anything
-        else diffs against the previous array so the delta stream and
-        the flip counters stay truthful, and drops the served view only
-        when an edge changed.
+        installs.  A ``full`` rebuild drops the served view; anything
+        else diffs against the previous array so the flip counters stay
+        truthful, and drops the served view only when an edge changed.
         """
         if full:
             self._view = None
-            self._delta.flush()
         else:
             added, removed = edge_delta(edges, self._edges)
             if added.size or removed.size:
                 self._view = None
-                self._delta.record(added, removed)
                 self.stats.edges_added += added.size
                 self.stats.edges_removed += removed.size
         self._edges = edges
@@ -801,24 +729,10 @@ class Topology:
             view = self._view = AdjacencyView(edges, len(self.nodes))
         return view
 
-    # ------------------------------------------------------------------
-    # Edge-delta stream
-    # ------------------------------------------------------------------
-
     @property
     def epoch(self) -> int:
         """Monotonic refresh counter (bumped on every applied refresh)."""
         return self._epoch
-
-    def take_edge_delta(self) -> TopologyDelta:
-        """Drain the edge changes accumulated since the previous drain.
-
-        Refreshes the adjacency first, so the drained delta includes the
-        current step.  The stream starts (and restarts after any full
-        rebuild or overflow) with a ``full=True`` flush marker.
-        """
-        self._current()
-        return self._delta.take()
 
     # ------------------------------------------------------------------
     # Queries
@@ -900,6 +814,9 @@ class Topology:
         next refresh.
         """
         return self._served_view()
+
+    #: perfbench's tracer patches this name, so it stays an alias.
+    take_edge_delta = adjacency_view
 
     def packed_edges(self):
         """The current edges as a sorted packed ``u * n + v`` int64 array.

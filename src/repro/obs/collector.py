@@ -327,11 +327,9 @@ class ObsCollector:
         if self._bus is not None:
             self._bus.emit(time, "topology_delta", added=added, removed=removed)
 
-    def connectivity_cache(
-        self, time: Time, hits: int, walks: int, invalidated: int
-    ) -> None:
-        """Record the delta-aware connectivity cache's step outcome."""
-        if hits <= 0 and walks <= 0 and invalidated <= 0:
+    def connectivity_cache(self, time: Time, hits: int, walks: int) -> None:
+        """Record how the connectivity metric resolved this step's starts."""
+        if hits <= 0 and walks <= 0:
             return
         if self.metrics is not None:
             registry = self.metrics
@@ -339,16 +337,8 @@ class ObsCollector:
                 registry.inc("connectivity.cache_hits", hits)
             if walks > 0:
                 registry.inc("connectivity.cache_walks", walks)
-            if invalidated > 0:
-                registry.inc("connectivity.cache_invalidated", invalidated)
         if self._bus is not None:
-            self._bus.emit(
-                time,
-                "connectivity_cache",
-                hits=hits,
-                walks=walks,
-                invalidated=invalidated,
-            )
+            self._bus.emit(time, "connectivity_cache", hits=hits, walks=walks)
 
     # -- finalization ---------------------------------------------------
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, ItemsView, Iterator, List, Optional
 
 from repro.errors import RoutingError
 from repro.types import NodeId, Time
@@ -123,15 +123,6 @@ class RoutingTable:
         #: per-gateway high-water mark of accepted sequence numbers;
         #: survives TTL expiry so resurrection of stale routes is barred.
         self._sequence_floors: Dict[NodeId, int] = {}
-        #: bumped on every observable content change (install, expiry,
-        #: drops, clear, corruption) — lets caches notice at a glance
-        #: that nothing here moved.
-        self.version = 0
-        #: bank-owned touched-id set (wired by TableBank): lets a
-        #: single consumer ask "which tables changed since I looked?"
-        #: without scanning every version counter.
-        self._watch: Optional[Set[NodeId]] = None
-        self._watch_id: NodeId = 0
         self._ranked: Optional[List[RouteEntry]] = None
         self._hops_ranked: Optional[tuple] = None
         #: lower bound on the oldest ``installed_at`` present; lets
@@ -142,12 +133,9 @@ class RoutingTable:
         return len(self._entries)
 
     def _touch(self) -> None:
-        self.version += 1
+        """Forget the memoized rankings after a content change."""
         self._ranked = None
         self._hops_ranked = None
-        watch = self._watch
-        if watch is not None:
-            watch.add(self._watch_id)
 
     def install(self, entry: RouteEntry) -> bool:
         """Install ``entry`` unless a better route to its gateway exists.
@@ -155,35 +143,17 @@ class RoutingTable:
         An entry whose sequence number is below the table's per-gateway
         floor is rejected outright — even into an empty slot — so a
         delayed carrier cannot reintroduce information the node already
-        saw fresher.  Returns whether the table changed.
+        saw fresher.  Returns whether the table changed.  The verdict is
+        :meth:`install_fast`'s.
         """
-        if entry.hops < 1:
-            raise RoutingError(f"a route must be at least 1 hop, got {entry.hops}")
-        if entry.sequence < self._sequence_floors.get(entry.gateway, 0):
-            return False
-        current = self._entries.get(entry.gateway)
-        guard = self.guard
-        if guard is not None:
-            # Worlds stamp installed_at with the current step, so a
-            # sequence past installed_at claims a gateway sighting in
-            # the future — only a forger can produce one.
-            if entry.sequence - entry.installed_at > guard.max_sequence_ahead:
-                self.guard_rejections += 1
-                return False
-            if (
-                current is not None
-                and current.hops - entry.hops > guard.max_hop_improvement
-            ):
-                self.guard_rejections += 1
-                return False
-        if current is None or entry.fresher_than(current):
-            self._entries[entry.gateway] = entry
-            self._sequence_floors[entry.gateway] = entry.sequence
-            if self._oldest is None or entry.installed_at < self._oldest:
-                self._oldest = entry.installed_at
-            self._touch()
-            return True
-        return False
+        return self.install_fast(
+            entry.gateway,
+            entry.next_hop,
+            entry.hops,
+            entry.installed_at,
+            entry.gateway_seen_at,
+            entry.sequence,
+        )
 
     def install_fast(
         self,
@@ -199,8 +169,7 @@ class RoutingTable:
         The batch agent engine installs tens of routes per step and most
         lose — to the sequence floor, the guard, or a fresher incumbent.
         Deciding on the raw fields first skips the frozen-dataclass
-        construction for every rejected write.  Verdicts and counter
-        effects are exactly :meth:`install`'s.
+        construction for every rejected write.
         """
         if hops < 1:
             raise RoutingError(f"a route must be at least 1 hop, got {hops}")
@@ -209,6 +178,9 @@ class RoutingTable:
         current = self._entries.get(gateway)
         guard = self.guard
         if guard is not None:
+            # Worlds stamp installed_at with the current step, so a
+            # sequence past installed_at claims a gateway sighting in
+            # the future — only a forger can produce one.
             if sequence - installed_at > guard.max_sequence_ahead:
                 self.guard_rejections += 1
                 return False
@@ -367,9 +339,9 @@ class RoutingTable:
         the node crosses a tile boundary.  Everything that defines the
         node's routing memory travels — entries, sequence floors, the
         monotonic guard-rejection count, the expiry bound — while the
-        bank wiring (ttl, guard, touched-set watch) stays with each
-        bank's own table object.  The origin table is left empty, as if
-        freshly built; the returned dict is plain picklable data for
+        bank wiring (ttl, guard) stays with each bank's own table
+        object.  The origin table is left empty, as if freshly built;
+        the returned dict is plain picklable data for
         :meth:`adopt_state` on the destination.
         """
         state = {
@@ -442,8 +414,6 @@ class TableBank:
         self.guard = guard
         #: the tables built so far, by node id.
         self._tables: Dict[NodeId, RoutingTable] = {}
-        #: ids of tables touched since the last :meth:`take_touched`.
-        self._touched: Set[NodeId] = set()
 
     def __len__(self) -> int:
         return self.node_count
@@ -455,13 +425,15 @@ class TableBank:
             if not 0 <= node < self.node_count:
                 raise RoutingError(f"no table for node {node}")
             table = self._tables[node] = RoutingTable(self.ttl, self.guard)
-            table._watch = self._touched
-            table._watch_id = node
         return table
 
     def get(self, node: NodeId) -> Optional[RoutingTable]:
         """The table of ``node`` if one was built, else ``None``."""
         return self._tables.get(node)
+
+    def built(self) -> ItemsView[NodeId, RoutingTable]:
+        """``(node, table)`` for every table built so far, in build order."""
+        return self._tables.items()
 
     def hops_by_preference(self, node: NodeId) -> tuple:
         """:meth:`RoutingTable.hops_by_preference` of ``node``'s table.
@@ -470,21 +442,6 @@ class TableBank:
         """
         table = self._tables.get(node)
         return () if table is None else table.hops_by_preference()
-
-    def take_touched(self) -> List[NodeId]:
-        """Ids of tables changed since the last call, clearing the set.
-
-        Single-consumer by design (like the topology's edge-delta
-        stream): the connectivity evaluator drains it each step instead
-        of scanning every table's version counter.  Version counters
-        still bump normally for everyone else.
-        """
-        touched = self._touched
-        if not touched:
-            return []
-        out = list(touched)
-        touched.clear()
-        return out
 
     def expire_all(self, now: Time) -> int:
         """Expire stale entries in every table; returns total dropped.

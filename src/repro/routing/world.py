@@ -96,9 +96,9 @@ class RoutingWorldConfig:
     #: variable (tests switch it on); ``True``/``False`` force it.
     check_invariants: Optional[bool] = None
     # --- connectivity metric ---------------------------------------------
-    #: serve the per-step metric from the delta-aware
+    #: serve the per-step metric from the pointer-doubling
     #: :class:`~repro.routing.connectivity.FunctionalConnectivity`
-    #: evaluator (identical result, re-walks only what changed);
+    #: evaluator (identical result, walks only routing loops);
     #: ``False`` re-walks every node every step, the reference path.
     connectivity_cache: bool = True
     # --- observability ---------------------------------------------------
@@ -267,7 +267,7 @@ class RoutingWorld:
             # per-step diffs against these snapshots.
             stats = topology.stats
             self._obs_last_topo = (stats.edges_added, stats.edges_removed)
-            self._obs_last_cache = (0, 0, 0)
+            self._obs_last_cache = (0, 0)
         # The batch engine loads its arrays from the freshly spawned
         # agents; building it last keeps the load a pure snapshot.
         self._batch: Optional[BatchAgentEngine] = None
@@ -324,21 +324,6 @@ class RoutingWorld:
             # start node as never-visited while gateway starters did not.
             agents[-1].stay(0, here_is_gateway=start in self._gateways)
         return agents
-
-    def set_batch_agents(self, enabled: bool) -> None:
-        """Switch between the SoA batch engine and the per-object oracle.
-
-        Both engines are bit-identical, so flipping mid-run changes
-        performance, never results.  Turning
-        the engine off flushes its arrays back into the agent objects;
-        turning it on snapshots the objects into fresh arrays.
-        """
-        if enabled:
-            if self._batch is None:
-                self._batch = BatchAgentEngine(self)
-        elif self._batch is not None:
-            self._batch.flush()
-            self._batch = None
 
     # ------------------------------------------------------------------
     # Dynamics
@@ -410,13 +395,8 @@ class RoutingWorld:
                     now,
                     hits=cache_stats.hits - last_cache[0],
                     walks=cache_stats.walks - last_cache[1],
-                    invalidated=cache_stats.invalidated - last_cache[2],
                 )
-                self._obs_last_cache = (
-                    cache_stats.hits,
-                    cache_stats.walks,
-                    cache_stats.invalidated,
-                )
+                self._obs_last_cache = (cache_stats.hits, cache_stats.walks)
         self.result.times.append(now)
         self.result.connectivity.append(fraction)
         self.engine.hooks.fire("connectivity_recorded", time=now, fraction=fraction)

@@ -6,10 +6,9 @@ node-local — tables, stigmergy boards, resident agents, out-edges — so
 the arena partitions into rectangular spatial tiles that step
 independently and exchange only boundary state: node hand-overs when
 motion crosses a tile edge, agent hand-offs when a delivered hop lands
-on another tile, and per-tile edge deltas (the
-:meth:`~repro.net.topology.Topology.take_edge_delta` wire format)
-merged into one global stream for the connectivity metric and
-observability.
+on another tile, and per-tile packed edge deltas (the
+:func:`~repro.net.topology.edge_delta` format) merged into one global
+adjacency for the connectivity metric and observability.
 
 ``ShardedRoutingWorld`` is bit-identical to the serial
 :class:`~repro.routing.world.RoutingWorld` at *any* shard count — the

@@ -16,8 +16,8 @@ ever shrink (batteries drain) and the construction-time maximum range
 is a sound halo pad for the whole run.  Edges are kept as packed
 ``u * n + v`` int64 arrays; per-step added/removed deltas come from the
 same sorted merge the serial refresh uses (:func:`edge_delta`), which
-makes the tile streams concatenate into exactly the serial topology's
-edge-delta stream.  The halo pad only chooses which nodes the kernel
+makes the tile deltas concatenate into exactly the serial topology's
+per-step edge diff.  The halo pad only chooses which nodes the kernel
 sees, never the outcome.
 """
 
@@ -170,7 +170,7 @@ class TileAdjacency:
         The rows ride the hand-over so the destination tile's next
         ``refresh`` diffs against the node's true previous edges — a
         drop-and-rebuild would emit spurious remove+add pairs that the
-        serial delta stream never contains.
+        serial edge diff never contains.
         """
         edges = self.edges
         if edges.size == 0 or len(departing) == 0:

@@ -36,7 +36,7 @@ from repro.core.overhead import aggregate_overheads
 from repro.errors import ConfigurationError
 from repro.net.channel import ChannelStats
 from repro.net.generator import GeneratorConfig, manet_blueprint
-from repro.net.topology import AdjacencyView, EdgeDeltaStream, TopologyDelta, edge_delta
+from repro.net.topology import AdjacencyView, edge_delta
 from repro.obs.collector import ObsCollector
 from repro.routing.connectivity import FunctionalConnectivity, connectivity_fraction
 from repro.routing.table import RouteEntry, TableBank
@@ -98,14 +98,10 @@ class _MirrorTopology:
     """The coordinator's view of the global adjacency.
 
     Duck-types the slice of :class:`~repro.net.topology.Topology` the
-    connectivity metric reads: out-neighbour rows, gateway/node ids,
-    liveness (nothing goes down in sharded scope), and the
-    single-consumer edge-delta stream.  Holds the sorted packed edge
-    array, fed per step from the merged packed tile deltas, and serves
-    rows and deltas through the topology's own helpers; the first
-    drained delta is ``full`` — exactly like a freshly built serial
-    topology — so the functional-connectivity cache opens with its
-    flush path.
+    connectivity metric reads: out-neighbour rows, gateway/node ids and
+    liveness (nothing goes down in sharded scope).  Holds the sorted
+    packed edge array, fed per step from the merged packed tile deltas,
+    and serves rows through the topology's own :class:`AdjacencyView`.
     """
 
     def __init__(self, node_count: int, gateways: Tuple[int, ...], edges) -> None:
@@ -113,7 +109,6 @@ class _MirrorTopology:
         self._gateways = list(gateways)
         self._edges = edges
         self._view: Optional[AdjacencyView] = None
-        self._delta = EdgeDeltaStream()
 
     @property
     def gateway_ids(self) -> List[int]:
@@ -142,10 +137,6 @@ class _MirrorTopology:
         kept = edge_delta(self._edges, removed)[0]
         self._edges = _np.sort(_np.concatenate((kept, added)))
         self._view = None
-        self._delta.record(added, removed)
-
-    def take_edge_delta(self) -> TopologyDelta:
-        return self._delta.take()
 
 
 def _merged(arrays):
@@ -295,7 +286,7 @@ class ShardedRoutingWorld:
         if config.obs is not None and config.obs.enabled:
             self._obs = ObsCollector(config.obs, self.engine, scenario="routing")
             self._obs_last_losses = 0
-            self._obs_last_cache = (0, 0, 0)
+            self._obs_last_cache = (0, 0)
         self.agents: List = []
         self._closed = False
         self.engine.add_process(self._step)
@@ -345,8 +336,6 @@ class ShardedRoutingWorld:
         added = _merged([report.added for report in reports])
         removed = _merged([report.removed for report in reports])
         self._mirror.apply(added, removed)
-        if self._conn_cache is None:
-            self._mirror.take_edge_delta()  # single consumer: keep it drained
         # Replica: expiry first (as at the serial step top), then the
         # step's writes in global agent order — identical interleaving
         # to the serial phase-4 loop, hence identical guard outcomes.
@@ -411,13 +400,8 @@ class ShardedRoutingWorld:
                     now,
                     hits=cache_stats.hits - last_cache[0],
                     walks=cache_stats.walks - last_cache[1],
-                    invalidated=cache_stats.invalidated - last_cache[2],
                 )
-                self._obs_last_cache = (
-                    cache_stats.hits,
-                    cache_stats.walks,
-                    cache_stats.invalidated,
-                )
+                self._obs_last_cache = (cache_stats.hits, cache_stats.walks)
         self.result.times.append(now)
         self.result.connectivity.append(fraction)
         hooks.fire("connectivity_recorded", time=now, fraction=fraction)

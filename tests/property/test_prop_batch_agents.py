@@ -7,8 +7,6 @@ stigmergy, lossy channels and fault schedules.  These tests run the
 same world twice, once per engine, and compare everything observable.
 """
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,29 +126,3 @@ class TestBatchEngineEquivalence:
         (``track.hops + 1 <= history_size``) in both engines."""
         obj, bat = run_pair(seed, history_size=history_size, visiting=True)
         assert_identical(obj, bat)
-
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=4, deadline=None)
-    def test_engine_flip_mid_run_changes_nothing(self, seed):
-        """set_batch_agents mid-run must hand over state losslessly."""
-        worlds = []
-        for flip_at in (None, 10):
-            topology = generate_manet_network(seed, CONFIG)
-            config = RoutingWorldConfig(
-                total_steps=30, converged_after=15, batch_agents=flip_at is None
-            )
-            world = RoutingWorld(topology, config, seed + 1)
-            for step in range(30):
-                if step == flip_at:
-                    world.set_batch_agents(True)
-                world.engine.step()
-            world.set_batch_agents(False)  # flush arrays back into objects
-            worlds.append(world)
-        ref, flipped = worlds
-        assert ref.result.connectivity == flipped.result.connectivity
-        for a, b in zip(ref.agents, flipped.agents):
-            assert a.location == b.location
-            assert a.tracks == b.tracks
-            assert a.history.snapshot() == b.history.snapshot()
-        for node in ref.topology.node_ids:
-            assert ref.tables.table(node).entries() == flipped.tables.table(node).entries()

@@ -155,23 +155,38 @@ def _reroute_into_dead_end(topology, bank):
     )
 
 
-#: one change per case, applied between two ``connected()`` calls, and
-#: the connected set it leaves.
+def _gateway_down(topology, bank):
+    topology.set_node_down(0)
+
+
+def _gateway_up(topology, bank):
+    topology.set_node_up(0)
+
+
+#: the changes per case, each followed by a ``connected()`` call, and the
+#: connected set the last one leaves.  Tables are built with a TTL of 10
+#: and installed at step 1 unless a change says otherwise.
 CHANGES = {
-    "nothing": (lambda topology, bank: None, {0, 1, 2, 3}),
-    "hop_edge_blocked": (lambda topology, bank: topology.block_edge(2, 1), {0, 1}),
-    "route_rerouted": (_reroute_into_dead_end, {0, 1}),
+    "nothing": ((lambda topology, bank: None,), {0, 1, 2, 3}),
+    "hop_edge_blocked": ((lambda topology, bank: topology.block_edge(2, 1),), {0, 1}),
+    "route_rerouted": ((_reroute_into_dead_end,), {0, 1}),
     "same_route_reinstalled": (
-        lambda topology, bank: install(bank, 2, gateway=0, next_hop=1, hops=2, installed_at=8),
+        (lambda topology, bank: install(bank, 2, gateway=0, next_hop=1, hops=2, installed_at=8),),
         {0, 1, 2, 3},
     ),
-    "gateway_crashed": (lambda topology, bank: topology.set_node_down(0), set()),
-    "full_rebuild": (lambda topology, bank: topology.force_full_rebuild(), None),
+    "gateway_crashed": ((_gateway_down,), set()),
+    "gateway_recovered": ((_gateway_down, _gateway_up), {0, 1, 2, 3}),
+    "routes_expired": ((lambda topology, bank: bank.expire_all(11),), {0}),
+    "next_hop_dropped": (
+        (lambda topology, bank: bank.table(2).drop_routes_via_next_hop(1),),
+        {0, 1},
+    ),
+    "full_rebuild": ((lambda topology, bank: topology.force_full_rebuild(),), None),
 }
 
 
 class TestFunctionalConnectivity:
-    """The delta-maintained metric against the :func:`connected_nodes` oracle."""
+    """The per-step derived metric against the :func:`connected_nodes` oracle."""
 
     def test_builds_no_table_and_reads_only_routed_rows(self):
         topology = line_with_gateway()
@@ -188,15 +203,16 @@ class TestFunctionalConnectivity:
     @pytest.mark.parametrize("change", sorted(CHANGES))
     def test_matches_connected_nodes_after(self, change):
         topology = line_with_gateway()
-        bank = TableBank(4)
+        bank = TableBank(4, ttl=10)
         install(bank, 3, gateway=0, next_hop=2, hops=3)
         install(bank, 2, gateway=0, next_hop=1, hops=2)
         install(bank, 1, gateway=0, next_hop=0, hops=1)
         functional = FunctionalConnectivity(topology, bank)
         assert functional.connected() == {0, 1, 2, 3}
-        apply, expected = CHANGES[change]
-        apply(topology, bank)
-        result = functional.connected()
-        assert result == connected_nodes(topology, bank)
+        steps, expected = CHANGES[change]
+        for apply in steps:
+            apply(topology, bank)
+            result = functional.connected()
+            assert result == connected_nodes(topology, bank)
         if expected is not None:
             assert result == expected

@@ -88,21 +88,6 @@ class TestRoutingTable:
         assert table.expire(now=15) == 1
         assert len(table) == 0
 
-    def test_version_bumps_on_content_changes_only(self):
-        table = RoutingTable(ttl=5)
-        v0 = table.version
-        table.install(entry(installed_at=10, seen_at=10))
-        v1 = table.version
-        assert v1 > v0
-        # A rejected (staler) install changes nothing — version holds.
-        assert not table.install(entry(installed_at=11, seen_at=3, hops=9))
-        assert table.version == v1
-        # A no-op expire holds; a dropping expire bumps.
-        assert table.expire(now=12) == 0
-        assert table.version == v1
-        assert table.expire(now=15) == 1
-        assert table.version > v1
-
     def test_ranking_memoized_until_change(self):
         table = RoutingTable()
         table.install(entry(gateway=8, seen_at=5))
@@ -232,7 +217,6 @@ class TestTableBank:
         table.install(entry(next_hop=4))
         assert bank.hops_by_preference(3) == (4,)
         assert list(bank._tables) == [3]
-        assert bank.take_touched() == [3]
 
     def test_expire_all(self):
         bank = TableBank(2, ttl=5)

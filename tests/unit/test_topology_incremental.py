@@ -210,40 +210,36 @@ class TestIncrementalMatchesNaive:
         assert topology.packed_edges() is edges
 
 
+def packed_set(topology):
+    return set(topology.packed_edges().tolist())
+
+
+def flips(topology):
+    return topology.stats.edges_added, topology.stats.edges_removed
+
+
 @pytest.mark.usefixtures("evaluation")
 class TestEdgeDeltaStream:
-    def test_first_take_reports_full(self):
-        topology = manet(21)
-        delta = topology.take_edge_delta()
-        assert delta.full
+    """Each refresh's edge delta, as the flip counters report it."""
 
     def test_deltas_replay_to_current_edge_set(self):
         topology = manet(22)
-        topology.take_edge_delta()
-        edges = set(topology.packed_edges().tolist())
+        edges = packed_set(topology)
+        moved = 0
         for __ in range(20):
+            added, removed = flips(topology)
             topology.advance()
-            delta = topology.take_edge_delta()
-            assert not delta.full
-            edges.difference_update(delta.removed.tolist())
-            edges.update(delta.added.tolist())
-            assert sorted(edges) == topology.packed_edges().tolist()
-
-    def test_delta_is_consumed_once(self):
-        topology = manet(23)
-        topology.take_edge_delta()
-        topology.advance()
-        first = topology.take_edge_delta()
-        assert first.added.size or first.removed.size  # mobility moved something
-        second = topology.take_edge_delta()
-        assert not second.full
-        assert not second.added.size and not second.removed.size
-
-    def test_full_rebuild_marks_delta_full(self):
-        topology = manet(24)
-        topology.take_edge_delta()
-        topology.force_full_rebuild()
-        assert topology.take_edge_delta().full
+            current = packed_set(topology)
+            assert flips(topology) == (
+                added + len(current - edges),
+                removed + len(edges - current),
+            )
+            moved += len(current ^ edges)
+            edges = current
+        assert moved  # mobility moved something
+        assert [
+            (u, v) for u, row in enumerate(topology.adjacency_view()) for v in row
+        ] == [divmod(edge, topology.node_count) for edge in sorted(edges)]
 
 
 class TestPinnedInstall:
@@ -251,32 +247,31 @@ class TestPinnedInstall:
 
     def test_unchanged_reinstall_gives_empty_delta(self):
         topology = fixed_topology(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert topology.take_edge_delta().full
         rows = topology.adjacency_view()
         epoch = topology.epoch
+        before = flips(topology)
         topology.invalidate()
-        delta = topology.take_edge_delta()
+        assert topology.packed_edges().tolist() == [1, 6, 11, 12]
         assert topology.epoch == epoch + 1
-        assert not delta.full
-        assert delta.added.size == 0 and delta.removed.size == 0
+        assert flips(topology) == before
         assert topology.adjacency_view() is rows  # nothing changed
 
     def test_changed_reinstall_gives_exact_packed_diff(self):
         n = 4
         topology = fixed_topology(n, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 0)])
-        topology.take_edge_delta()
-        removed_before = topology.stats.edges_removed
+        edges = packed_set(topology)
+        added, removed = flips(topology)
         topology.set_node_down(1)
         topology.block_edge(3, 0)
-        delta = topology.take_edge_delta()
-        assert not delta.full
-        assert delta.added.tolist() == []
-        assert delta.removed.tolist() == [0 * n + 1, 1 * n + 0, 1 * n + 2, 3 * n + 0]
-        assert topology.stats.edges_removed == removed_before + 4
+        current = packed_set(topology)
+        assert current - edges == set()
+        assert edges - current == {0 * n + 1, 1 * n + 0, 1 * n + 2, 3 * n + 0}
+        assert flips(topology) == (added, removed + 4)
         topology.set_node_up(1)
-        delta = topology.take_edge_delta()
-        assert delta.added.tolist() == [0 * n + 1, 1 * n + 0, 1 * n + 2]
-        assert delta.removed.tolist() == []
+        edges, current = current, packed_set(topology)
+        assert current - edges == {0 * n + 1, 1 * n + 0, 1 * n + 2}
+        assert edges - current == set()
+        assert flips(topology) == (added + 3, removed + 4)
         assert topology.packed_edges().tolist() == [1, 4, 6, 11]
         assert list(topology.adjacency_view()) == [[1], [0, 2], [3], []]
 
