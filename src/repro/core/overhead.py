@@ -15,7 +15,7 @@ not itself distort the comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable
 
 __all__ = ["OverheadMeter", "aggregate_overheads"]

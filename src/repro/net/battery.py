@@ -61,8 +61,8 @@ class ExponentialDrain:
 class Battery:
     """A node's energy store: a level in ``[0, 1]`` plus a drain model.
 
-    Once a topology's :class:`~repro.net.topology.Fleet` adopts the node
-    (setting ``_fleet`` and ``_slot``), the level lives in its ``level``
+    Once :meth:`~repro.net.topology.Fleet.bind` binds the node (setting
+    ``_fleet`` and ``_slot``), the level lives in the fleet's ``level``
     column.
     """
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.net.geometry import Arena, Point
 from repro.net.mobility import RandomVelocity, Stationary
 from repro.net.node import Node
 from repro.net.radio import BatteryCoupledRange, HeterogeneousRange
-from repro.net.topology import Topology, link_edges
+from repro.net.topology import Fleet, NodeSequence, Topology, link_edges
 from repro.rng import SeedSpawner
 
 __all__ = [
@@ -260,9 +260,11 @@ class NetworkGenerator:
         # fixed layout keeps runs comparable across parameter settings, as
         # the paper fixes "the same configuration and movement path".
         mobile_from = _mobile_from(config)
-        positions, rows = [], []
+        rows = []
         for node_id in range(config.node_count):
-            positions.append(arena.random_point(rng))
+            # ``arena.random_point(rng)``'s two draws, x first.
+            x = rng.uniform(0.0, arena.width)
+            y = rng.uniform(0.0, arena.height)
             base = base_scale * rng.uniform(1.0 - h, 1.0 + h)
             speed = vx = vy = 0.0
             if node_id < config.gateway_count:
@@ -275,17 +277,14 @@ class NetworkGenerator:
                 )
                 velocity = model.velocity
                 speed, vx, vy = model.speed, velocity.x, velocity.y
-            rows.append((positions[-1].x, positions[-1].y, base, speed, vx, vy))
+            rows.append((x, y, base, speed, vx, vy))
         columns = np.array(rows, dtype=np.float64)
         columns.flags.writeable = False
-        # A full battery: BatteryCoupledRange's max(floor, base * 1.0 ** e).
-        reach = columns[:, 2].copy()
-        floor = reach[mobile_from:] * config.battery_range_floor_fraction
-        np.maximum(floor, reach[mobile_from:], out=reach[mobile_from:])
+        floor, reach = _full_ranges(config, columns[:, 2])
         ids = np.arange(config.node_count)
         edges = link_edges(columns[:, 0], columns[:, 1], reach, ids, ids)
         edges.flags.writeable = False
-        return ManetBlueprint(config, tuple(positions), columns, edges)
+        return ManetBlueprint(config, columns, edges)
 
     def generate_manet(self) -> Topology:
         """A freshly drawn MANET (:meth:`draw_manet`), never a cached one."""
@@ -298,43 +297,87 @@ def _mobile_from(config: GeneratorConfig) -> int:
     return config.node_count - min(mobile, config.node_count - config.gateway_count)
 
 
+#: the exponent of a MANET's battery-coupled radios: range ~ sqrt(level).
+_EXPONENT = 0.5
+
+
+def _full_ranges(config: GeneratorConfig, base):
+    """``(floor, range)`` of every node of a MANET on full batteries.
+
+    Mobile nodes' coupled radios have ``floor = base * fraction`` and the
+    range ``max(floor, base * 1.0 ** e)``; other nodes have floor 0 and
+    their base range.
+    """
+    mobile = slice(_mobile_from(config), config.node_count)
+    floor = np.zeros(config.node_count)
+    floor[mobile] = base[mobile] * config.battery_range_floor_fraction
+    return floor, np.maximum(floor, base)
+
+
 @dataclass(frozen=True, eq=False)
 class ManetBlueprint:
     """Every draw of one generated MANET, as read-only arrays.
 
     ``columns`` holds one row per node: x, y, the radio's base range and,
-    for mobile nodes, speed and velocity (0 elsewhere); ``positions``
-    holds the same x, y as (immutable) points, and ``edges`` the drawn
-    state's sorted packed adjacency.  :meth:`topology` builds an
-    independent network from it, so every run of a sweep starts from the
-    same placement and movement paths without drawing them again.
+    for mobile nodes, speed and velocity (0 elsewhere); ``edges`` holds
+    the drawn state's sorted packed adjacency.  :meth:`topology` builds
+    an independent network from it, so every run of a sweep starts from
+    the same placement and movement paths without drawing them again.
     """
 
     config: GeneratorConfig
-    positions: Tuple[Point, ...]
     columns: np.ndarray
     edges: np.ndarray
 
     def topology(self) -> Topology:
-        """A new topology at the drawn state, its adjacency built."""
+        """A new topology at the drawn state, its adjacency built.
+
+        A few array copies: the fleet is filled from the columns, and a
+        node object is built only when a caller asks for it (see
+        :class:`~repro.net.topology.NodeSequence`).
+        """
         config = self.config
+        n = config.node_count
         mobile_from = _mobile_from(config)
+        x, y, base, speed, vx, vy = self.columns.T
+        floor, reach = _full_ranges(config, base)
+        mobile = np.arange(mobile_from, n)
+        gateway = np.zeros(n, dtype=bool)
+        gateway[: config.gateway_count] = True
+        coupled = np.zeros(n, dtype=bool)
+        coupled[mobile] = True
+        fleet = Fleet(
+            x=x.copy(),
+            y=y.copy(),
+            vx=vx.copy(),
+            vy=vy.copy(),
+            level=np.ones(n),
+            r=reach,
+            gateway=gateway,
+            base=base.copy(),
+            floor=floor,
+            exponent=np.where(coupled, _EXPONENT, 0.0),
+            coupled=coupled,
+            movers=mobile,
+            drains=[(True, config.battery_drain_per_step, mobile)] if mobile.size else [],
+        )
         # The models without state are shared within the copy.
         still, no_drain = Stationary(), NoDrain()
         drain = LinearDrain(config.battery_drain_per_step)
-        nodes: List[Node] = []
-        rows = zip(self.positions, self.columns.tolist())
-        for node_id, (position, (__, __, base, speed, vx, vy)) in enumerate(rows):
-            if node_id < mobile_from:
-                radio = HeterogeneousRange(base)
-                gateway = node_id < config.gateway_count
-                nodes.append(Node(node_id, position, radio, Battery(no_drain), still, gateway))
-                continue
+
+        def make(i: int) -> Node:
+            position = Point(fleet.x.item(i), fleet.y.item(i))
+            if i < mobile_from:
+                radio = HeterogeneousRange(base.item(i))
+                return Node(i, position, radio, Battery(no_drain), still, i < config.gateway_count)
             battery = Battery(drain)
-            floor = base * config.battery_range_floor_fraction
-            radio = BatteryCoupledRange(base, battery, floor=floor)
-            mobility = RandomVelocity.moving(speed, vx, vy)
-            nodes.append(Node(node_id, position, radio, battery, mobility))
+            radio = BatteryCoupledRange(
+                base.item(i), battery, exponent=_EXPONENT, floor=floor.item(i)
+            )
+            mobility = RandomVelocity.moving(speed.item(i), fleet.vx.item(i), fleet.vy.item(i))
+            return Node(i, position, radio, battery, mobility)
+
+        nodes = NodeSequence(fleet, [None] * n, make)
         topology = Topology(nodes, Arena(config.arena_width, config.arena_height))
         topology._adopt(self.edges)
         return topology

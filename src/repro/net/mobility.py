@@ -44,8 +44,8 @@ class RandomVelocity:
     "random velocity" assignment.  On hitting an arena wall the velocity
     component normal to the wall is reflected.
 
-    Once a topology's :class:`~repro.net.topology.Fleet` adopts the node
-    (setting ``_fleet`` and ``_slot``), the velocity lives in its
+    Once :meth:`~repro.net.topology.Fleet.bind` binds the node (setting
+    ``_fleet`` and ``_slot``), the velocity lives in the fleet's
     ``vx``/``vy`` columns.
     """
 

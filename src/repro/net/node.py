@@ -24,9 +24,10 @@ __all__ = ["Node"]
 class Node:
     """One wireless node: identity, position, radio, battery, mobility.
 
-    Once a topology's :class:`~repro.net.topology.Fleet` adopts it
-    (setting ``_fleet``; its slot is its id), the position lives in the
-    fleet's ``x``/``y`` columns.
+    Once :meth:`~repro.net.topology.Fleet.bind` binds it (setting
+    ``_fleet``; its slot is its id), the position lives in the fleet's
+    ``x``/``y`` columns.  A topology copied from a MANET blueprint builds
+    its nodes only when asked, already bound.
     """
 
     def __init__(

@@ -27,12 +27,15 @@ removed.  A refresh that finds no position, range or fault change does
 no edge work at all.  Pinned graphs (:mod:`repro.net.manual`) go
 through the same apply step.
 
-The nodes' kinematic state — positions, velocities, battery levels and
-radio ranges — lives in one structure-of-arrays :class:`Fleet` per
+The nodes' state — positions, velocities, battery levels, radio ranges
+and gateway flags — lives in one structure-of-arrays :class:`Fleet` per
 topology, which the nodes, batteries and mobility models read and write.
 :meth:`Topology.advance` steps the whole fleet as array operations, and
 a refresh finds what moved by comparing the fleet's columns with copies
-taken at the previous refresh.
+taken at the previous refresh.  The node objects are a
+:class:`NodeSequence`, which builds a node the first time it is read, so
+a topology copied from columns (a MANET blueprint) pays for the nodes a
+run actually touches.
 
 The rebuild-from-scratch path (``incremental=False`` or
 :meth:`Topology.force_full_rebuild`) is the reference implementation, a
@@ -52,8 +55,9 @@ it reads from the nodes that step differ from the previous step's.
 from __future__ import annotations
 
 import threading
+from collections import abc
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as _np
 
@@ -69,6 +73,7 @@ from repro.types import Edge, NodeId
 __all__ = [
     "AdjacencyView",
     "Fleet",
+    "NodeSequence",
     "Topology",
     "TopologyStats",
     "edge_delta",
@@ -375,91 +380,164 @@ class _OracleRun:
 
 
 class Fleet:
-    """The kinematic state of a topology's nodes, one float64 column each.
+    """The per-node state of a topology, one column each, indexed by node id.
 
     ``x``/``y`` (positions), ``vx``/``vy`` (velocities of
     :class:`~repro.net.mobility.RandomVelocity` nodes, 0 elsewhere),
-    ``level`` (battery levels) and ``r`` (radio ranges), indexed by node
-    id.  The fleet is the only owner of the first five: once it adopts a
-    node, the node, its battery and its mobility model read and write
+    ``level`` (battery levels), ``r`` (radio ranges) and ``gateway``
+    (whether a node is a gateway).  ``base``/``floor``/``exponent`` are
+    the parameters of the battery-coupled radios :meth:`step` recomputes
+    (the ``coupled`` nodes), 0 elsewhere.  The fleet is the only owner of
+    the positions, velocities and levels: a node bound to its slot
+    (:meth:`bind`), its battery and its mobility model read and write
     these columns.  ``r`` is derived from the radios, which keep their
-    own parameters: it is re-read through them at adoption and after
-    every :meth:`Topology.invalidate`.  Mobility and drain models are
-    fixed at node construction, so nodes are sorted by model once.  The
-    fleet keeps node ids, never nodes: a topology holds no cycle.
+    own parameters: it is re-read through the bound nodes' radios after
+    every :meth:`Topology.invalidate`.
+
+    ``movers`` (stock ``RandomVelocity`` ids), ``drains`` (``(linear,
+    parameter, ids)``: ``per_step`` for a linear drain, ``1 - rate`` for
+    an exponential one), ``walkers`` (nodes moved by another model) and
+    ``stepped`` (batteries drained by another model) group the nodes by
+    model once: models are fixed at node construction.  The fleet keeps
+    node ids, never nodes: a topology holds no cycle.
     """
 
-    def __init__(self, nodes: Sequence[Node]) -> None:
+    def __init__(
+        self,
+        *,
+        x,
+        y,
+        vx,
+        vy,
+        level,
+        r,
+        gateway,
+        base,
+        floor,
+        exponent,
+        coupled,
+        movers,
+        drains: List[Tuple[bool, float, object]],
+        walkers: Sequence[NodeId] = (),
+        stepped: Sequence[NodeId] = (),
+    ) -> None:
+        self.x, self.y, self.vx, self.vy = x, y, vx, vy
+        self.level, self.r, self.gateway = level, r, gateway
+        self.base, self.floor, self.exponent = base, floor, exponent
+        self._coupled_mask = coupled
+        self._movers = movers
+        self._drains = drains
+        self._walkers = list(walkers)
+        self._stepped = list(stepped)
+        #: whether some bound radio's range can change without an
+        #: invalidate (another radio class, or a coupled radio on another
+        #: node's battery): then every read of the ranges re-reads.
+        self.volatile = False
+        self._group_radios()
+
+    @classmethod
+    def of_nodes(cls, nodes: Sequence[Node]) -> "Fleet":
+        """A fleet holding the state of ``nodes`` (ids ``0..n-1``), each bound."""
         n = len(nodes)
-        self.x = _np.array([node.position.x for node in nodes], dtype=_np.float64)
-        self.y = _np.array([node.position.y for node in nodes], dtype=_np.float64)
-        self.level = _np.array([node.battery.level for node in nodes], dtype=_np.float64)
-        self.vx = _np.zeros(n)
-        self.vy = _np.zeros(n)
-        self.r = _np.empty(n)
+        vx = _np.zeros(n)
+        vy = _np.zeros(n)
         movers: List[NodeId] = []
-        #: nodes moved, or whose battery is stepped, by their own model.
-        self._walkers: List[NodeId] = []
-        self._stepped: List[NodeId] = []
+        walkers: List[NodeId] = []
+        stepped: List[NodeId] = []
         drains: Dict[Tuple[bool, float], List[NodeId]] = {}
         for node in nodes:
             i = node.node_id
-            battery = node.battery
             mobility = node.mobility
-            if node._fleet is not None or battery._fleet is not None:
-                raise TopologyError(f"node {i} or its battery already belongs to a topology")
-            node._fleet = battery._fleet = self
-            battery._slot = i
             if isinstance(mobility, RandomVelocity):
-                if mobility._fleet is not None:
-                    raise TopologyError(f"node {i}'s mobility model already moves another node")
-                self.vx[i], self.vy[i] = mobility._vx, mobility._vy
-                mobility._fleet, mobility._slot = self, i
+                vx[i], vy[i] = mobility._vx, mobility._vy
             if type(mobility) is RandomVelocity:
                 movers.append(i)
             elif type(mobility) is not Stationary:
-                self._walkers.append(i)
+                walkers.append(i)
             if node._battery_drains:
-                model = battery._drain_model
+                model = node.battery._drain_model
                 if type(model) is LinearDrain:
                     drains.setdefault((True, model.per_step), []).append(i)
                 elif type(model) is ExponentialDrain:
                     drains.setdefault((False, model._keep), []).append(i)
                 else:
-                    self._stepped.append(i)
-        self._movers = _np.array(movers, dtype=_np.int64)
-        #: ``(linear, parameter, ids)``: ``per_step`` for a linear drain,
-        #: ``1 - rate`` for an exponential one.
-        self._drains = [
-            (linear, param, _np.array(ids, dtype=_np.int64))
-            for (linear, param), ids in drains.items()
-        ]
-        self.read_radios(nodes)
+                    stepped.append(i)
+        fleet = cls(
+            x=_np.array([node.position.x for node in nodes], dtype=_np.float64),
+            y=_np.array([node.position.y for node in nodes], dtype=_np.float64),
+            vx=vx,
+            vy=vy,
+            level=_np.array([node.battery.level for node in nodes], dtype=_np.float64),
+            r=_np.zeros(n),
+            gateway=_np.array([node.is_gateway for node in nodes], dtype=bool),
+            base=_np.zeros(n),
+            floor=_np.zeros(n),
+            exponent=_np.zeros(n),
+            coupled=_np.zeros(n, dtype=bool),
+            movers=_np.array(movers, dtype=_np.int64),
+            drains=[
+                (linear, param, _np.array(ids, dtype=_np.int64))
+                for (linear, param), ids in drains.items()
+            ],
+            walkers=walkers,
+            stepped=stepped,
+        )
+        for node in nodes:
+            fleet.bind(node)
+        fleet.read_radios(nodes)
+        return fleet
+
+    def bind(self, node: Node) -> None:
+        """Make ``node``, its battery and its velocity model use slot ``node_id``.
+
+        From then on they read and write this fleet's columns, so the
+        node shows whatever state the fleet has reached.
+        """
+        i = node.node_id
+        battery = node.battery
+        mobility = node.mobility
+        if node._fleet is not None or battery._fleet is not None:
+            raise TopologyError(f"node {i} or its battery already belongs to a topology")
+        if isinstance(mobility, RandomVelocity):
+            if mobility._fleet is not None:
+                raise TopologyError(f"node {i}'s mobility model already moves another node")
+            mobility._fleet, mobility._slot = self, i
+        node._fleet = battery._fleet = self
+        battery._slot = i
 
     def read_radios(self, nodes: Sequence[Node]) -> None:
-        """Re-read every range, and what :meth:`step` needs, from the radios.
+        """Re-read the ranges of ``nodes``, and what :meth:`step` needs, from their radios.
 
         :meth:`step` recomputes the ranges of stock battery-coupled radios
         on their own node's draining battery, so this keeps their
-        parameters.  ``volatile`` says some other radio's range can change
-        without an invalidate (another radio class, or a coupled radio on
-        another node's battery): then every read of the ranges re-reads.
+        parameters.  ``nodes`` must be every node bound so far: a node
+        never bound still has the radio it was drawn with.
         """
-        self.r[:] = [node.radio.current_range() for node in nodes]
+        ids = [node.node_id for node in nodes]
+        self.r[ids] = [node.radio.current_range() for node in nodes]
+        self._coupled_mask[ids] = False
         coupled = []
         self.volatile = False
         for node in nodes:
-            kind = type(node.radio)
-            if kind is BatteryCoupledRange and node.radio.battery is node.battery:
+            radio = node.radio
+            kind = type(radio)
+            if kind is BatteryCoupledRange and radio.battery is node.battery:
                 if node._battery_drains:
-                    coupled.append(node)
+                    i = node.node_id
+                    coupled.append(i)
+                    self.base[i], self.floor[i] = radio.base, radio.floor
+                    self.exponent[i] = radio.exponent
             elif kind is not FixedRange and kind is not HeterogeneousRange:
                 self.volatile = True
-        radios = [node.radio for node in coupled]
-        self._coupled = _np.array([node.node_id for node in coupled], dtype=_np.int64)
-        self._coupled_base = _np.array([radio.base for radio in radios], dtype=_np.float64)
-        self._coupled_exponent = [radio.exponent for radio in radios]
-        self._coupled_floor = _np.array([radio.floor for radio in radios], dtype=_np.float64)
+        self._coupled_mask[coupled] = True
+        self._group_radios()
+
+    def _group_radios(self) -> None:
+        """Gather the coupled radios' ids and parameters for :meth:`step`."""
+        ids = self._coupled = _np.flatnonzero(self._coupled_mask)
+        self._coupled_base = self.base[ids]
+        self._coupled_exponent = self.exponent[ids].tolist()
+        self._coupled_floor = self.floor[ids]
 
     def step(self, nodes: Sequence[Node], arena: Arena) -> None:
         """Advance every node one step: its battery drains, then it moves.
@@ -470,7 +548,8 @@ class Fleet:
         coupled radios :meth:`read_radios` kept, and straight-line motion
         inside the arena.  A node that would cross the boundary reflects
         through its own :class:`~repro.net.mobility.RandomVelocity`, and
-        any other mobility or drain model steps its node itself.
+        any other mobility or drain model steps its node itself; those
+        are the only nodes of ``nodes`` (a :class:`NodeSequence`) read.
         """
         level = self.level
         for linear, param, ids in self._drains:
@@ -516,21 +595,86 @@ class Fleet:
             node.position = node.mobility.move(node.position, arena)
 
 
+class NodeSequence(abc.Sequence):
+    """A topology's nodes by id, each built the first time it is read.
+
+    ``nodes`` holds each node, or ``None`` for one not built yet, which
+    ``make(i)`` builds at its drawn state; the sequence then binds it to
+    the fleet's slot (:meth:`Fleet.bind`), so it shows the state the
+    fleet has reached.  A node not built cannot have been changed: every
+    change other than the fleet's own goes through a node object.
+    Indexing builds one node; iterating builds every node, and once all
+    are built it is a plain list iteration.
+    """
+
+    def __init__(
+        self,
+        fleet: Fleet,
+        nodes: List[Optional[Node]],
+        make: Optional[Callable[[NodeId], Node]] = None,
+    ) -> None:
+        self.fleet = fleet
+        self._nodes = nodes
+        self._make = make
+        self._unbuilt = nodes.count(None)
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self._nodes)))]
+        node = self._nodes[index]
+        if node is None:
+            node = self._build(index % len(self._nodes))
+        return node
+
+    def __iter__(self) -> Iterator[Node]:
+        if self._unbuilt:
+            for i, node in enumerate(self._nodes):
+                if node is None:
+                    self._build(i)
+        return iter(self._nodes)
+
+    def built(self) -> List[Node]:
+        """The nodes built so far, by id."""
+        if not self._unbuilt:
+            return self._nodes
+        return [node for node in self._nodes if node is not None]
+
+    def _build(self, i: NodeId) -> Node:
+        node = self._nodes[i] = self._make(i)
+        self.fleet.bind(node)
+        self._unbuilt -= 1
+        return node
+
+
 class Topology:
     """Directed wireless topology over a fixed set of nodes."""
 
     def __init__(
         self, nodes: Sequence[Node], arena: Arena, incremental: bool = True
     ) -> None:
-        if not nodes:
-            raise TopologyError("a topology needs at least one node")
-        ids = [node.node_id for node in nodes]
-        if ids != list(range(len(nodes))):
-            raise TopologyError("node ids must be contiguous 0..n-1 in order")
-        self.nodes: List[Node] = list(nodes)
+        """A topology over ``nodes``, ids ``0..n-1`` in order.
+
+        ``nodes`` is either node objects, whose state the new fleet takes
+        over, or a :class:`NodeSequence` whose fleet already holds it.
+        """
+        if not isinstance(nodes, NodeSequence):
+            if not nodes:
+                raise TopologyError("a topology needs at least one node")
+            ids = [node.node_id for node in nodes]
+            if ids != list(range(len(nodes))):
+                raise TopologyError("node ids must be contiguous 0..n-1 in order")
+            given = list(nodes)
+            nodes = NodeSequence(Fleet.of_nodes(given), given)
+        #: the node objects by id, each built the first time it is read.
+        self.nodes = nodes
+        self._n = len(nodes)
         self.arena = arena
-        #: the nodes' kinematic state, which the nodes read and write.
-        self.fleet = Fleet(self.nodes)
+        #: the nodes' state, which the nodes read and write.
+        self.fleet = nodes.fleet
+        self._gateways: List[NodeId] = _np.flatnonzero(self.fleet.gateway).tolist()
         #: whether a radio may have changed since the fleet last read them.
         self._radios_stale = False
         #: sorted packed ``u * n + v`` edges: the adjacency itself.
@@ -565,7 +709,8 @@ class Topology:
     def invalidate(self) -> None:
         """Mark the adjacency stale after changing a node outside :meth:`advance`.
 
-        The next refresh re-reads every range through the radios.
+        The next refresh re-reads the range of every node built so far
+        through its radio; a node never built still has its drawn radio.
         """
         self._dirty = True
         self._radios_stale = True
@@ -574,7 +719,7 @@ class Topology:
         """Bring the fleet's range column up to date with the radios."""
         if self._radios_stale or self.fleet.volatile:
             self._radios_stale = False
-            self.fleet.read_radios(self.nodes)
+            self.fleet.read_radios(self.nodes.built())
 
     def recompute(self) -> None:
         """Bring the adjacency up to date with positions and ranges.
@@ -614,6 +759,7 @@ class Topology:
 
         Never the fleet's derived ranges: the reference path must see what
         the nodes hold, including changes made behind a missed invalidate.
+        Iterating builds every node not built yet, once.
         """
         nodes = self.nodes
         r = _np.fromiter((node.current_range() for node in nodes), _np.float64, len(nodes))
@@ -644,7 +790,7 @@ class Topology:
 
     def _link_edges(self):
         """The packed edge set of the fleet and the fault state."""
-        n = len(self.nodes)
+        n = self._n
         if self._down:
             live = _np.ones(n, dtype=bool)
             live[list(self._down)] = False
@@ -659,7 +805,7 @@ class Topology:
         blocked = self._blocked
         if not blocked:
             return edges
-        n = len(self.nodes)
+        n = self._n
         hidden = _np.fromiter((u * n + v for u, v in blocked), _np.int64)
         hidden.sort()
         return edge_delta(edges, hidden)[0]
@@ -672,7 +818,7 @@ class Topology:
         """
         if self._down:
             down = _np.fromiter(self._down, _np.int64)
-            ends = _np.divmod(edges, len(self.nodes))
+            ends = _np.divmod(edges, self._n)
             edges = edges[~(_np.isin(ends[0], down) | _np.isin(ends[1], down))]
         return self._hide_blocked(edges)
 
@@ -726,7 +872,7 @@ class Topology:
         edges = self._current()
         view = self._view
         if view is None:
-            view = self._view = AdjacencyView(edges, len(self.nodes))
+            view = self._view = AdjacencyView(edges, self._n)
         return view
 
     @property
@@ -741,12 +887,12 @@ class Topology:
     @property
     def node_count(self) -> int:
         """Number of nodes."""
-        return len(self.nodes)
+        return self._n
 
     @property
     def node_ids(self) -> range:
         """All node ids (contiguous)."""
-        return range(len(self.nodes))
+        return range(self._n)
 
     def node(self, node_id: NodeId) -> Node:
         """The node object with id ``node_id`` (negative ids are unknown)."""
@@ -754,7 +900,7 @@ class Topology:
         return self.nodes[node_id]
 
     def _check_id(self, node_id: NodeId) -> None:
-        if not 0 <= node_id < len(self.nodes):
+        if not 0 <= node_id < self._n:
             raise TopologyError(f"no node with id {node_id}")
 
     def out_neighbors(self, node_id: NodeId) -> List[NodeId]:
@@ -773,7 +919,7 @@ class Topology:
         index is kept.
         """
         self._check_id(node_id)
-        sources, targets = _np.divmod(self._current(), len(self.nodes))
+        sources, targets = _np.divmod(self._current(), self._n)
         return sources[targets == node_id].tolist()
 
     def has_edge(self, source: NodeId, destination: NodeId) -> bool:
@@ -788,7 +934,7 @@ class Topology:
 
     def edges(self) -> Iterator[Edge]:
         """Iterate all current directed edges in ascending order."""
-        sources, targets = _np.divmod(self._current(), len(self.nodes))
+        sources, targets = _np.divmod(self._current(), self._n)
         return zip(sources.tolist(), targets.tolist())
 
     def edge_set(self) -> FrozenSet[Edge]:
@@ -839,16 +985,13 @@ class Topology:
         A crashed gateway is off the air: it must not anchor routes or
         count as an attachment point until it recovers.
         """
-        return [
-            node.node_id
-            for node in self.nodes
-            if node.is_gateway and node.node_id not in self._down
-        ]
+        down = self._down
+        return [node for node in self._gateways if node not in down]
 
     @property
     def all_gateway_ids(self) -> List[NodeId]:
         """Ids of every gateway node, up or down, ascending."""
-        return [node.node_id for node in self.nodes if node.is_gateway]
+        return list(self._gateways)
 
     # ------------------------------------------------------------------
     # Consistency checking
@@ -878,7 +1021,7 @@ class Topology:
         edge.
         """
         edges = self._current()
-        n = len(self.nodes)
+        n = self._n
         run = None if self._pinned else self._oracle()
         expected = edges if run is None else run.edges
         problems: List[str] = []
@@ -946,7 +1089,7 @@ class Topology:
         Returns whether the state changed (crashing a dead node is a
         no-op, so fault plans are idempotent).
         """
-        self.node(node_id)  # validate the id
+        self._check_id(node_id)
         if node_id in self._down:
             return False
         self._down.add(node_id)
@@ -955,7 +1098,7 @@ class Topology:
 
     def set_node_up(self, node_id: NodeId) -> bool:
         """Recover a crashed node; returns whether the state changed."""
-        self.node(node_id)
+        self._check_id(node_id)
         if node_id not in self._down:
             return False
         self._down.discard(node_id)
@@ -968,8 +1111,8 @@ class Topology:
         The link stays suppressed across recomputes until
         :meth:`unblock_edge`; returns whether the state changed.
         """
-        self.node(source)
-        self.node(destination)
+        self._check_id(source)
+        self._check_id(destination)
         edge = (source, destination)
         if edge in self._blocked:
             return False

@@ -5,8 +5,9 @@ The paper's headline cost claim ("negligible overhead", §I) is about
 Worlds lap a monotonic clock between their step phases (observe / meet /
 decide / move / decay / record), the engine times its due-event drain,
 and :class:`~repro.sim.hooks.HookRegistry` times each hook fire under a
-``hook:<name>`` label — which is where fault injection and invariant
-checking live, so those costs show up without bespoke wiring.
+``hook:<name>`` label — which is where fault injection lives, so its
+cost shows up without bespoke wiring.  The invariant checker, also a
+hook subscriber, is timed as its own ``invariants`` phase.
 
 Laps are *consecutive* ``perf_counter`` reads partitioning the step, so
 the per-phase totals sum to the recorded ``step`` total exactly (up to

@@ -93,11 +93,15 @@ class InvariantChecker:
         self._node_ids: FrozenSet[int] = frozenset()
 
     def install(self) -> None:
-        """Subscribe to the engine's ``step_end`` hook (idempotent)."""
+        """Subscribe to the engine's ``step_end`` hook (idempotent).
+
+        Under ``--profile`` the checks are timed as their own
+        ``invariants`` phase, apart from the rest of ``hook:step_end``.
+        """
         if self._installed:
             return
         self._installed = True
-        self.world.engine.hooks.subscribe("step_end", self._on_step_end)
+        self.world.engine.hooks.subscribe("step_end", self._on_step_end, phase="invariants")
 
     def _on_step_end(self, time: Time, **_: Any) -> None:
         self.check_now(time)

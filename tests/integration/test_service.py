@@ -16,8 +16,6 @@ The acceptance bar for the service plane:
 import dataclasses
 import json
 
-import pytest
-
 from repro.cli import main
 from repro.experiments import runner
 from repro.experiments.config import QUICK

@@ -6,8 +6,9 @@ position, velocity and battery level and derives the ranges; a
 draws, drawn once per ``(config, seed)`` and copied into a new topology
 for every run.  These tests pin the fleet's ranges to the radio model's
 own arithmetic, check that copies of one blueprint never share state,
-and compare a copy with a reference MANET built node by node from the
-same seeded draws.
+compare a copy with a reference MANET built node by node from the same
+seeded draws, and check that a copy builds a node object only when a
+caller reads it.
 """
 
 import dataclasses
@@ -32,6 +33,7 @@ from repro.net.node import Node
 from repro.net.radio import BatteryCoupledRange, HeterogeneousRange
 from repro.net.topology import Topology
 from repro.rng import derive_seed
+from repro.routing.world import RoutingWorld, RoutingWorldConfig
 
 #: perfbench's ``manet_arena`` network: the paper's MANET at 5,000 nodes.
 ARENA_5K = dataclasses.replace(
@@ -217,3 +219,50 @@ class TestBlueprintCopies:
         b.advance()
         assert state(a) == moved
         assert state(b) != pristine
+
+
+def built_ids(topology):
+    return [node.node_id for node in topology.nodes.built()]
+
+
+class TestOnDemandNodes:
+    """A blueprint copy builds a node object only when a caller reads it."""
+
+    def test_a_routing_run_builds_only_the_reflected_nodes(self):
+        config = dataclasses.replace(MANET_PRESET, arena_width=400.0, arena_height=300.0)
+        blueprint = manet_blueprint(config, 7)
+        world_config = RoutingWorldConfig(
+            population=20, total_steps=15, converged_after=0, check_invariants=False
+        )
+        routed = blueprint.topology()
+        RoutingWorld(routed, world_config, 11).run()
+        stepped = blueprint.topology()
+        for __ in range(15):
+            stepped.advance()
+        # Motion does not depend on the agents, so the same nodes reflect.
+        assert 0 < len(built_ids(routed)) < config.node_count // 4
+        assert built_ids(routed) == built_ids(stepped)
+        assert state(routed) == state(stepped)
+
+    def test_gateway_and_motion_reads_build_no_node(self):
+        topology = manet_blueprint(SMALL, 2).topology()
+        topology.set_node_down(1)
+        assert topology.gateway_ids == [0, 2, 3]
+        assert topology.all_gateway_ids == [0, 1, 2, 3]
+        x, y, r = topology.motion_state()
+        assert x.size == y.size == r.size == SMALL.node_count
+        topology.invalidate()
+        topology.recompute()
+        assert built_ids(topology) == []
+        assert [n.node_id for n in topology.nodes if n.is_gateway] == [0, 1, 2, 3]
+
+    def test_a_degrade_without_invalidate_is_flagged_in_the_same_call(self):
+        topology = manet_blueprint(SMALL, 2).topology()
+        static = range(SMALL.gateway_count, generator_module._mobile_from(SMALL))
+        node = next(u for u, __ in topology.edges() if u in static)
+        assert built_ids(topology) == []
+        topology.node(node).radio.degrade(0.99)
+        problems = topology.consistency_problems()
+        assert problems and all(f"edge {node}->" in problem for problem in problems)
+        topology.invalidate()
+        assert topology.consistency_problems() == []

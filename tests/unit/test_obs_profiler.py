@@ -1,5 +1,7 @@
 """Unit: phase profiler accounting, merging, and percentile summaries."""
 
+from time import perf_counter
+
 import pytest
 
 from repro.net.generator import GeneratorConfig, NetworkGenerator
@@ -12,6 +14,7 @@ from repro.obs.profiler import (
     summarize_profile,
 )
 from repro.routing.world import RoutingWorld, RoutingWorldConfig
+from repro.sim.hooks import HookRegistry
 
 ROUTING_NET = GeneratorConfig(
     node_count=30,
@@ -113,7 +116,45 @@ class TestWorldPhaseAccounting:
         step_total = profile["step"]["total"]
         assert phase_sum == pytest.approx(step_total, rel=1e-6)
         assert all(profile[name]["count"] == 25 for name in world_phases)
-        # Hook fires are timed too — that is where invariant checking and
-        # fault injection accrue — but outside the world-phase partition.
+        # Hook fires are timed too — that is where fault injection
+        # accrues — but outside the world-phase partition.
         assert profile["step"]["count"] == 25
         assert any(name.startswith("hook:") for name in profile)
+
+    def test_invariant_checks_are_their_own_phase(self):
+        topology = NetworkGenerator(ROUTING_NET, 5).generate_manet()
+        config = RoutingWorldConfig(
+            population=8,
+            total_steps=12,
+            converged_after=0,
+            check_invariants=True,
+            obs=ObsConfig(profile=True),
+        )
+        world = RoutingWorld(topology, config, 7)
+        profile = world.run().obs.profile
+        assert world.invariants.checks == 12
+        assert profile["invariants"]["count"] == 12
+        assert profile["hook:step_end"]["count"] == 12
+
+
+class TestHookPhases:
+    def test_own_phase_is_left_out_of_the_hook(self):
+        def slow(**_):
+            started = perf_counter()
+            while perf_counter() - started < 0.01:
+                pass
+
+        hooks = HookRegistry()
+        profiler = PhaseProfiler()
+        hooks.set_profiler(profiler)
+        hooks.subscribe("step_end", slow, phase="checks")
+        hooks.subscribe("step_end", lambda **_: None)
+        hooks.fire("step_end", time=1)
+        assert profiler.count("checks") == profiler.count("hook:step_end") == 1
+        assert profiler.total("checks") >= 0.01
+        assert profiler.total("hook:step_end") < 0.01
+        hooks.unsubscribe("step_end", slow)
+        hooks.subscribe("step_end", slow)
+        hooks.fire("step_end", time=2)
+        assert profiler.count("checks") == 1
+        assert profiler.total("hook:step_end") >= 0.01
