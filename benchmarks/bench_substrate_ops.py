@@ -56,7 +56,7 @@ def test_knowledge_merge_2000_edges(benchmark):
     visits = source.shareable_visits()
 
     def merge():
-        sink = TopologyKnowledge(300)
+        sink = TopologyKnowledge(300, source.index)
         sink.absorb(edges, visits)
         return sink.known_edge_count
 

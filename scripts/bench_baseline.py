@@ -5,7 +5,10 @@ Runs the same hot-path workloads as ``benchmarks/bench_substrate_ops.py``
 — topology recomputation under mobility, the connectivity walk,
 knowledge merging, footprint filtering, the routing world step, and
 route-table churn — without needing ``pytest-benchmark``, and writes the
-timings plus a run manifest to a JSON baseline file.
+timings plus a run manifest to a JSON baseline file.  It also times
+``speed_probe``, perfbench's fixed pure-Python probe loop
+(``perfbench/speedprobe.py``), which touches no ``repro`` code and so
+measures only the machine: ``scripts/bench_compare.py`` normalizes by it.
 
 The checked-in ``BENCH_substrate.json`` is the reference point: re-run
 this script after a performance-sensitive change and compare
@@ -21,6 +24,7 @@ Usage::
 """
 
 import argparse
+import gc
 import json
 import pathlib
 import random
@@ -34,6 +38,10 @@ from repro.obs.manifest import build_manifest
 from repro.routing.connectivity import connectivity_fraction
 from repro.routing.table import RouteEntry, TableBank
 from repro.routing.world import RoutingWorld, RoutingWorldConfig
+
+# perfbench lives beside scripts/ at the repository root.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from perfbench.speedprobe import probe_loop  # noqa: E402 - needs the path above
 
 #: bumped when the baseline-file layout changes incompatibly.
 #: 2: added the naive twin workloads and the ``speedups`` section.
@@ -108,16 +116,26 @@ def _time_workload(func, iterations, rounds):
 
     One untimed warmup round runs first so stateful workloads (the
     world steppers ramp up routes and connectivity over their first few
-    hundred steps) are measured in steady state, not mid-ramp.
+    hundred steps) are measured in steady state, not mid-ramp.  Then,
+    as ``timeit`` does, the garbage collector is emptied and switched
+    off for the timed rounds, so a workload is not charged for a full
+    collection that garbage left by an earlier one sets off.
     """
     for __ in range(iterations):
         func()
-    per_call = []
-    for __ in range(rounds):
-        started = perf_counter()
-        for __ in range(iterations):
-            func()
-        per_call.append((perf_counter() - started) / iterations)
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        per_call = []
+        for __ in range(rounds):
+            started = perf_counter()
+            for __ in range(iterations):
+                func()
+            per_call.append((perf_counter() - started) / iterations)
+    finally:
+        if collecting:
+            gc.enable()
     per_call.sort()
     mean = sum(per_call) / len(per_call)
     return {
@@ -186,7 +204,7 @@ def _workloads(scale):
     visits = source.shareable_visits()
 
     def knowledge_merge():
-        sink = TopologyKnowledge(merge_nodes)
+        sink = TopologyKnowledge(merge_nodes, source.index)
         sink.absorb(edges, visits)
         return sink.known_edge_count
 
@@ -277,6 +295,7 @@ def _workloads(scale):
         return bank.table(node).expire(now)
 
     return [
+        ("speed_probe", probe_loop),
         ("topology_advance", topology_advance),
         ("topology_advance_naive", topology_advance_naive),
         ("topology_advance_5k", topology_advance_5k),

@@ -15,8 +15,8 @@ Two kinds of check, strongest first:
   on whatever machine CI happens to give us.
 * **cross-file tolerance band** — per-workload mean times are compared
   against the reference after normalizing by a machine-speed proxy
-  (``knowledge_merge``, a pure-Python workload untouched by engine
-  switches).  Different machines, CPU governors and cache sizes move
+  (``speed_probe``, perfbench's fixed pure-Python probe loop, which
+  runs no ``repro`` code, so no program change can move it).  Different machines, CPU governors and cache sizes move
   absolute numbers a lot, so the band is generous by default (+80%);
   it exists to catch order-of-magnitude accidents, not 10% noise.
 
@@ -36,9 +36,10 @@ import sys
 #: baseline-file schema this gate understands.
 BENCH_SCHEMA = 5
 
-#: workload used to normalize cross-machine speed differences: pure
-#: Python, allocation-heavy, and untouched by the incremental engine.
-PROXY_WORKLOAD = "knowledge_merge"
+#: workload used to normalize cross-machine speed differences: the
+#: benchmark of record's speed probe (``perfbench/speedprobe.py``), pure
+#: Python dict, list, float and sort work that runs no ``repro`` code.
+PROXY_WORKLOAD = "speed_probe"
 
 #: floors for the recorded fast-vs-naive ratios, per bench scale: the
 #: fast paths win less on the 60-node smoke network than on the

@@ -11,9 +11,10 @@ group's combined knowledge once and let each member absorb it; absorbing
 one's own contribution is a harmless no-op for movement (an agent's own
 first-hand recency already dominates its combined view), and it turns a
 quadratic all-pairs exchange into a linear one.  The pooled map is one
-edge bitset and one visit vector (see :mod:`repro.core.knowledge`), so
-pooling and absorbing are word-level ``|``/``&`` and ``np.maximum``; the
-payload size counts the edges and the visited nodes in it.
+edge bitset over the world's shared edge index (one bit per network
+edge) and one visit vector (see :mod:`repro.core.knowledge`), so pooling
+and absorbing are word-level ``|`` and ``np.maximum``; the payload size
+counts the edges and the visited nodes in it.
 
 Routing (§III-F, only when ``visiting`` is enabled): the group adopts the
 best gateway track per gateway and every member ends up with the merged

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
-from repro.core.knowledge import TopologyKnowledge
+from repro.core.knowledge import EdgeIndex, TopologyKnowledge
 from repro.core.migration import MigrationState
 from repro.core.overhead import OverheadMeter
 from repro.core.stigmergy import StigmergyField
@@ -40,7 +40,13 @@ __all__ = [
 
 
 class MappingAgent:
-    """Base class: identity, location, knowledge, and the step protocol."""
+    """Base class: identity, location, knowledge, and the step protocol.
+
+    ``index`` is the edge index of the agent's knowledge store (see
+    :mod:`repro.core.knowledge`); agents that meet must share one, as
+    every agent of a mapping world does.  Without it the agent gets an
+    index of its own.
+    """
 
     #: Short machine-readable policy name, set by subclasses.
     kind: str = "base"
@@ -53,6 +59,7 @@ class MappingAgent:
         node_count: int,
         stigmergic: bool = False,
         epsilon: float = 0.0,
+        index: Optional[EdgeIndex] = None,
     ) -> None:
         if not 0.0 <= epsilon <= 1.0:
             raise ConfigurationError(f"epsilon must be in [0, 1], got {epsilon}")
@@ -66,7 +73,7 @@ class MappingAgent:
         #: agents across the network" (§II-C.3); stigmergy is the paper's
         #: alternative to this hack (compare the abl3 experiment).
         self.epsilon = epsilon
-        self.knowledge = TopologyKnowledge(node_count)
+        self.knowledge = TopologyKnowledge(node_count, index)
         self.overhead = OverheadMeter()
         self.migration = MigrationState()
         self._rng = rng
@@ -79,9 +86,9 @@ class MappingAgent:
         """Phase 1: learn the out-edges of the current node (first-hand).
 
         ``row``, when given, is ``out_neighbors`` already encoded as bits
-        (bit ``v`` per neighbour ``v``); the world passes the row it
-        caches per topology version, so nothing is re-encoded or
-        re-validated.
+        on the knowledge store's index (:meth:`EdgeIndex.row_bits`); the
+        world passes the row it caches per topology version, so nothing
+        is re-encoded or re-validated.
         """
         if row is None:
             self.knowledge.observe_node(self.location, out_neighbors, time)
@@ -133,11 +140,14 @@ class MappingAgent:
         The map it carried died with the host node, so a respawned
         mapping agent begins with empty knowledge.  Any in-flight hop
         (retry/backoff state) dies with it; the overhead meter survives
-        — it accounts for the whole run, respawns included.
+        — it accounts for the whole run, respawns included.  The new
+        store keeps the old one's edge index, so the agent can still
+        meet its peers.
         """
         del time  # mapping knowledge is re-observed, not time-stamped here
         self.location = start
-        self.knowledge = TopologyKnowledge(self.knowledge.node_count)
+        knowledge = self.knowledge
+        self.knowledge = TopologyKnowledge(knowledge.node_count, knowledge.index)
         self.migration.reset()
 
     # -- policy ----------------------------------------------------------
@@ -204,6 +214,7 @@ def make_mapping_agent(
     node_count: int,
     stigmergic: bool = False,
     epsilon: float = 0.0,
+    index: Optional[EdgeIndex] = None,
 ) -> MappingAgent:
     """Instantiate a mapping agent by kind name for a ``node_count``-node network."""
     try:
@@ -213,4 +224,6 @@ def make_mapping_agent(
             f"unknown mapping agent kind {kind!r}; "
             f"expected one of {sorted(MAPPING_AGENT_KINDS)}"
         ) from None
-    return cls(agent_id, start, rng, node_count, stigmergic=stigmergic, epsilon=epsilon)
+    return cls(
+        agent_id, start, rng, node_count, stigmergic=stigmergic, epsilon=epsilon, index=index
+    )

@@ -26,8 +26,9 @@ class KnowledgeTracker:
     check coverage of the *live* edge set — an agent may "know" edges that
     no longer exist, and those must not count toward finishing.  The
     world switches modes by passing ``live_edges``, an
-    :class:`~repro.core.knowledge.EdgeBits` mask it builds once per
-    topology change, so coverage is one popcount per agent.
+    :class:`~repro.core.knowledge.EdgeBits` mask on the agents' shared
+    edge index, built once per topology change, so coverage is one
+    popcount per agent.
     """
 
     def __init__(self, total_edges: int) -> None:
@@ -79,6 +80,6 @@ def _coverage(
     if not live_edges:
         return [1.0] * len(agents)
     if not isinstance(live_edges, EdgeBits):
-        live_edges = EdgeBits.from_edges(live_edges, agents[0].knowledge.node_count)
+        live_edges = EdgeBits.from_edges(live_edges, agents[0].knowledge.index)
     total = len(live_edges)
     return [agent.knowledge.count_known(live_edges) / total for agent in agents]

@@ -28,7 +28,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.comms import exchange_mapping_knowledge
-from repro.core.knowledge import EdgeBits
+from repro.core.knowledge import EdgeBits, EdgeIndex
 from repro.core.mapping_agents import MappingAgent, make_mapping_agent
 from repro.core.migration import ABANDONED, DELIVERED, ReliableMigration
 from repro.core.overhead import aggregate_overheads
@@ -149,6 +149,9 @@ class MappingWorld:
         self.health: Optional[HealthMonitor] = None
         if config.health is not None:
             self.health = HealthMonitor(config.health, self.engine.hooks)
+        #: The bit of every edge in every agent's knowledge: the initial
+        #: edges in packed order, later ones appended as they appear.
+        self.edge_index = EdgeIndex(topology.node_count, topology.packed_edges())
         self.agents: List[MappingAgent] = self._spawn_agents()
         # Sorted out-neighbours and row bits per node, for one topology
         # epoch (see _neighbor_rows).
@@ -232,6 +235,7 @@ class MappingWorld:
                     self.topology.node_count,
                     stigmergic=self.config.stigmergic,
                     epsilon=self.config.epsilon,
+                    index=self.edge_index,
                 )
             )
         return agents
@@ -264,8 +268,7 @@ class MappingWorld:
         self._live_edges = self._live_edge_mask()
 
     def _live_edge_mask(self) -> EdgeBits:
-        topology = self.topology
-        return EdgeBits.from_packed(topology.packed_edges(), topology.node_count)
+        return EdgeBits.from_packed(self.topology.packed_edges(), self.edge_index)
 
     def _active_agents(self) -> List[MappingAgent]:
         """Agents acting this step (faults may kill or suspend some)."""
@@ -289,10 +292,7 @@ class MappingWorld:
 
     def _fill_row(self, node: NodeId) -> Tuple[List[NodeId], int]:
         neighbors = self.topology.out_neighbors(node)
-        bits = 0
-        for neighbor in neighbors:
-            bits |= 1 << neighbor
-        row = self._rows[node] = (neighbors, bits)
+        row = self._rows[node] = (neighbors, self.edge_index.row_bits(node, neighbors))
         return row
 
     def _step(self, now: Time) -> None:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.comms import exchange_mapping_knowledge, exchange_routing_knowledge
+from repro.core.knowledge import EdgeIndex
 from repro.core.mapping_agents import ConscientiousAgent
 from repro.core.routing_agents import OldestNodeAgent
 from repro.faults.plan import AGENT_POLICIES, FaultEvent, FaultPlan, parse_fault_plan
@@ -96,9 +97,12 @@ class TestLossyMeetingOrderIndependence:
     @settings(max_examples=60)
     def test_mapping_exchange(self, population, channel_seed, order_seed, now):
         def build():
+            index = EdgeIndex(population + 10)
             agents = []
             for i in range(population):
-                agent = ConscientiousAgent(i, 1, random.Random(i), population + 10)
+                agent = ConscientiousAgent(
+                    i, 1, random.Random(i), population + 10, index=index
+                )
                 agent.knowledge.observe_node(i, [i + 10], time=i + 1)
                 agent.location = 1
                 agents.append(agent)

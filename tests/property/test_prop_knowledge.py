@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.comms import exchange_mapping_knowledge
-from repro.core.knowledge import EdgeBits, TopologyKnowledge
+from repro.core.knowledge import EdgeBits, EdgeIndex, TopologyKnowledge, pool_knowledge
 from repro.core.mapping_agents import ConscientiousAgent
 from repro.types import NEVER
 
@@ -21,8 +21,8 @@ observations = st.lists(
 )
 
 
-def build(obs):
-    knowledge = TopologyKnowledge(NODES)
+def build(obs, index=None):
+    knowledge = TopologyKnowledge(NODES, index)
     for node, neighbors, time in obs:
         knowledge.observe_node(node, neighbors, time)
     return knowledge
@@ -42,8 +42,9 @@ def test_edge_count_monotone_under_observation(obs):
 @given(observations, observations)
 @settings(max_examples=100)
 def test_absorb_is_superset_union(obs_a, obs_b):
-    a = build(obs_a)
-    b = build(obs_b)
+    index = EdgeIndex(NODES)
+    a = build(obs_a, index)
+    b = build(obs_b, index)
     a.absorb(b.shareable_edges(), b.shareable_visits())
     assert a.all_edges >= b.all_edges
     assert a.all_edges >= a.first_hand_edges
@@ -52,8 +53,9 @@ def test_absorb_is_superset_union(obs_a, obs_b):
 @given(observations, observations)
 @settings(max_examples=100)
 def test_absorb_idempotent(obs_a, obs_b):
-    a = build(obs_a)
-    b = build(obs_b)
+    index = EdgeIndex(NODES)
+    a = build(obs_a, index)
+    b = build(obs_b, index)
     a.absorb(b.shareable_edges(), b.shareable_visits())
     edges_once = a.all_edges
     visits_once = {n: a.last_combined_visit(n) for n in range(21)}
@@ -82,10 +84,11 @@ def test_completeness_bounds(obs):
 @given(observations, observations, observations)
 @settings(max_examples=60)
 def test_absorb_commutative_on_edges(obs_a, obs_b, obs_c):
-    base_a = build(obs_a)
-    base_b = build(obs_a)
-    b = build(obs_b)
-    c = build(obs_c)
+    index = EdgeIndex(NODES)
+    base_a = build(obs_a, index)
+    base_b = build(obs_a, index)
+    b = build(obs_b, index)
+    c = build(obs_c, index)
     base_a.absorb(b.shareable_edges(), b.shareable_visits())
     base_a.absorb(c.shareable_edges(), c.shareable_visits())
     base_b.absorb(c.shareable_edges(), c.shareable_visits())
@@ -160,31 +163,53 @@ def assert_agrees(real, reference, node_count):
 STORES = 3
 
 
+def packed(edges, node_count):
+    """``edges`` as a sorted packed ``u * n + v`` array, as a topology serves them."""
+    return np.array(sorted(u * node_count + v for u, v in edges), dtype=np.int64)
+
+
 @st.composite
 def operation_runs(draw):
-    """A node count and a random mix of observe / absorb / meet steps."""
+    """A node count, the index's initial edges and a random mix of steps.
+
+    Observed and live edges are drawn over all node pairs, so some fall
+    outside the initial list and take the index's append path.
+    """
     node_count = draw(st.integers(min_value=1, max_value=9))
     node = st.one_of(
         st.sampled_from([0, node_count - 1]),
         st.integers(min_value=0, max_value=node_count - 1),
     )
+    edge = st.tuples(node, node)
+    initial = draw(st.sets(edge, max_size=12))
     who = st.integers(min_value=0, max_value=STORES - 1)
     # Times go backwards and below NEVER: first-hand visits overwrite,
     # second-hand reports keep the freshest, whatever the order.
     time = st.integers(min_value=-3, max_value=40)
+    # A row as the world serves it: ascending and distinct, either the
+    # node's initial row (one contiguous mask) or any other.
+    row = st.one_of(st.just(None), st.sets(node, max_size=4).map(sorted))
     operation = st.one_of(
         st.tuples(st.just("observe"), who, node, st.lists(node, max_size=4), time),
+        st.tuples(st.just("row"), who, node, row, time),
         st.tuples(st.just("absorb"), who, who),
         st.tuples(st.just("meet"), st.sets(who, min_size=2)),
+        # The live edges after a change: what ``who`` knows, minus the
+        # edges that disappeared, plus edges that appeared.
+        st.tuples(st.just("live"), who, st.sets(edge, max_size=6), st.sets(edge, max_size=4)),
     )
-    return node_count, draw(st.lists(operation, max_size=25))
+    return node_count, initial, draw(st.lists(operation, max_size=25))
 
 
 @given(operation_runs())
 @settings(max_examples=150, deadline=None)
 def test_bitset_store_matches_reference_model(run):
-    node_count, operations = run
-    agents = [ConscientiousAgent(i, 0, random.Random(i), node_count) for i in range(STORES)]
+    node_count, initial, operations = run
+    index = EdgeIndex(node_count, packed(initial, node_count))
+    agents = [
+        ConscientiousAgent(i, 0, random.Random(i), node_count, index=index)
+        for i in range(STORES)
+    ]
     references = [ReferenceKnowledge() for __ in range(STORES)]
     for operation in operations:
         kind = operation[0]
@@ -192,13 +217,19 @@ def test_bitset_store_matches_reference_model(run):
             __, who, node, neighbors, time = operation
             agents[who].knowledge.observe_node(node, neighbors, time)
             references[who].observe_node(node, neighbors, time)
+        elif kind == "row":
+            __, who, node, neighbors, time = operation
+            if neighbors is None:
+                neighbors = sorted(v for u, v in initial if u == node)
+            agents[who].knowledge.observe_row(node, index.row_bits(node, neighbors), time)
+            references[who].observe_node(node, neighbors, time)
         elif kind == "absorb":
             __, who, source = operation
             peer = agents[source].knowledge
             agents[who].knowledge.absorb(peer.shareable_edges(), peer.shareable_visits())
             reference = references[source]
             references[who].absorb(set(reference.edges_all), reference.shareable_visits())
-        else:
+        elif kind == "meet":
             members = sorted(operation[1])
             edges, visits = set(), {}
             for who in members:
@@ -211,8 +242,51 @@ def test_bitset_store_matches_reference_model(run):
                 references[who].absorb(edges, visits)
                 payload = agents[who].overhead.items_received - before
                 assert payload == len(edges) + len(visits)
+        else:
+            __, who, gone, appeared = operation
+            live = (references[who].edges_all - gone) | appeared
+            mask = EdgeBits.from_packed(packed(live, node_count), index)
+            assert set(mask) == live
+            assert len(mask) == len(live)
+            assert EdgeBits.from_edges(live, index).bits == mask.bits
+            for agent, reference in zip(agents, references):
+                assert agent.knowledge.count_known(mask) == len(reference.edges_all & live)
         for agent, reference in zip(agents, references):
             assert_agrees(agent.knowledge, reference, node_count)
+    # The initial edges keep their packed-array order; every edge met
+    # since took a later bit of its own.
+    positions = [index.find(edge) for edge in sorted(initial)]
+    assert positions == list(range(len(initial)))
+    pairs = [(u, v) for u in range(node_count) for v in range(node_count)]
+    appended = [index.find(edge) for edge in pairs if edge not in initial]
+    appended = [position for position in appended if position is not None]
+    assert sorted(appended) == list(range(len(initial), len(index)))
+
+
+@given(observations, observations, st.sets(st.tuples(nodes, nodes), max_size=20))
+@settings(max_examples=60)
+def test_stores_on_different_indexes_refuse_to_merge(obs_a, obs_b, initial):
+    # Equal initial edge lists still make two indexes: their appended
+    # edges may take different bits.
+    a = build(obs_a, EdgeIndex(NODES, packed(initial, NODES)))
+    b = build(obs_b, EdgeIndex(NODES, packed(initial, NODES)))
+    before = (a.all_edges, a.known_edge_count, a.shareable_visits().tolist())
+    calls = [
+        lambda: a.absorb(b.shareable_edges(), b.shareable_visits()),
+        lambda: a.count_known(b.shareable_edges()),
+        lambda: pool_knowledge([a, b]),
+        lambda: pool_knowledge([b, a]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    assert (a.all_edges, a.known_edge_count, a.shareable_visits().tolist()) == before
+    agents = [
+        ConscientiousAgent(i, 0, random.Random(i), NODES, index=EdgeIndex(NODES))
+        for i in range(2)
+    ]
+    with pytest.raises(ValueError):
+        exchange_mapping_knowledge(agents)
 
 
 @given(
@@ -234,7 +308,9 @@ def test_out_of_range_ids_raise(case):
         lambda: knowledge.knows_edge((0, bad)),
         lambda: knowledge.last_first_hand_visit(bad),
         lambda: knowledge.last_combined_visit(bad),
-        lambda: EdgeBits.from_edges([(0, bad)], node_count),
+        lambda: EdgeBits.from_edges([(0, bad)], knowledge.index),
+        lambda: EdgeBits.from_edges([(bad, 0)], knowledge.index),
+        lambda: (bad, 0) in knowledge.shareable_edges(),
     ]
     for call in calls:
         with pytest.raises(ValueError):
@@ -254,7 +330,7 @@ def test_out_of_range_ids_raise(case):
 def test_least_recent_matches_the_per_node_queries(obs, reported, candidates, combined):
     knowledge = build(obs)
     visits = np.array(reported, dtype=np.int64)
-    knowledge.absorb(EdgeBits(0, NODES), visits)
+    knowledge.absorb(EdgeBits(0, knowledge.index), visits)
     recency = (
         knowledge.last_combined_visit if combined else knowledge.last_first_hand_visit
     )
@@ -267,8 +343,9 @@ def test_least_recent_matches_the_per_node_queries(obs, reported, candidates, co
 @settings(max_examples=50)
 def test_observe_row_matches_observe_node(obs):
     by_row = TopologyKnowledge(NODES)
+    position = by_row.index.position
     for node, neighbors, time in obs:
-        by_row.observe_row(node, sum(1 << v for v in set(neighbors)), time)
+        by_row.observe_row(node, sum(1 << position((node, v)) for v in set(neighbors)), time)
     by_ids = build(obs)
     assert by_row.all_edges == by_ids.all_edges
     assert by_row.first_hand_edges == by_ids.first_hand_edges

@@ -7,14 +7,16 @@ from repro.core.comms import (
     exchange_routing_knowledge,
     group_by_location,
 )
+from repro.core.knowledge import EdgeIndex
 from repro.core.mapping_agents import ConscientiousAgent
 from repro.core.routing_agents import GatewayTrack, OldestNodeAgent, RandomRoutingAgent
 
 NODES = 20
 
 
-def mapping_agent(agent_id, location, seed=1):
-    return ConscientiousAgent(agent_id, location, random.Random(seed), NODES)
+def mapping_agent(agent_id, location, index, seed=1):
+    """A conscientious agent whose knowledge is on ``index``, as a world's are."""
+    return ConscientiousAgent(agent_id, location, random.Random(seed), NODES, index=index)
 
 
 def routing_agent(agent_id, location, visiting=True, seed=1):
@@ -25,15 +27,17 @@ def routing_agent(agent_id, location, visiting=True, seed=1):
 
 class TestGroupByLocation:
     def test_groups(self):
-        agents = [mapping_agent(0, 5), mapping_agent(1, 5), mapping_agent(2, 7)]
+        index = EdgeIndex(NODES)
+        agents = [mapping_agent(i, node, index) for i, node in enumerate((5, 5, 7))]
         groups = group_by_location(agents)
         assert {n: len(g) for n, g in groups.items()} == {5: 2, 7: 1}
 
 
 class TestMappingExchange:
     def test_colocated_agents_share_edges(self):
-        a = mapping_agent(0, 5)
-        b = mapping_agent(1, 5)
+        index = EdgeIndex(NODES)
+        a = mapping_agent(0, 5, index)
+        b = mapping_agent(1, 5, index)
         a.knowledge.observe_node(5, [6], time=1)
         b.knowledge.observe_node(5, [], time=1)
         meetings = exchange_mapping_knowledge([a, b])
@@ -41,16 +45,18 @@ class TestMappingExchange:
         assert b.knowledge.knows_edge((5, 6))
 
     def test_separated_agents_do_not_share(self):
-        a = mapping_agent(0, 5)
-        b = mapping_agent(1, 6)
+        index = EdgeIndex(NODES)
+        a = mapping_agent(0, 5, index)
+        b = mapping_agent(1, 6, index)
         a.knowledge.observe_node(5, [6], time=1)
         meetings = exchange_mapping_knowledge([a, b])
         assert meetings == 0
         assert not b.knowledge.knows_edge((5, 6))
 
     def test_exchange_is_symmetric(self):
-        a = mapping_agent(0, 5)
-        b = mapping_agent(1, 5)
+        index = EdgeIndex(NODES)
+        a = mapping_agent(0, 5, index)
+        b = mapping_agent(1, 5, index)
         a.knowledge.observe_node(1, [2], time=1)
         b.knowledge.observe_node(3, [4], time=2)
         a.location = b.location = 5
@@ -62,8 +68,9 @@ class TestMappingExchange:
         # Running the same exchange with reversed agent order yields the
         # same post-state: the group union is computed from snapshots.
         def build():
-            a = mapping_agent(0, 5)
-            b = mapping_agent(1, 5)
+            index = EdgeIndex(NODES)
+            a = mapping_agent(0, 5, index)
+            b = mapping_agent(1, 5, index)
             a.knowledge.observe_node(1, [2], time=1)
             b.knowledge.observe_node(3, [4], time=2)
             return a, b
@@ -76,7 +83,8 @@ class TestMappingExchange:
         assert b1.knowledge.all_edges == b2.knowledge.all_edges
 
     def test_three_way_meeting(self):
-        agents = [mapping_agent(i, 5, seed=i) for i in range(3)]
+        shared = EdgeIndex(NODES)
+        agents = [mapping_agent(i, 5, shared, seed=i) for i in range(3)]
         for index, agent in enumerate(agents):
             agent.knowledge.observe_node(index, [index + 10], time=1)
         exchange_mapping_knowledge(agents)

@@ -23,9 +23,9 @@ def agent_of(cls, start=0, seed=1, stigmergic=False):
     return cls(0, start, random.Random(seed), NODES, stigmergic=stigmergic)
 
 
-def peer_report(visits):
-    """The meeting payload of a peer that stood on ``visits`` at those times."""
-    peer = TopologyKnowledge(NODES)
+def peer_report(agent, visits):
+    """The meeting payload for ``agent`` of a peer that stood on ``visits``."""
+    peer = TopologyKnowledge(NODES, agent.knowledge.index)
     for node, time in visits.items():
         peer.observe_node(node, [], time)
     return peer.shareable_edges(), peer.shareable_visits()
@@ -82,7 +82,7 @@ class TestConscientiousAgent:
         agent.knowledge.observe_node(1, [], time=5)
         # A peer reports node 2 visited very recently; conscientious
         # ignores that and still sees node 2 as never-visited.
-        agent.knowledge.absorb(*peer_report({2: 100}))
+        agent.knowledge.absorb(*peer_report(agent, {2: 100}))
         assert agent.choose_next([1, 2], time=101) == 2
 
     def test_tie_break_among_equally_old(self):
@@ -96,14 +96,14 @@ class TestSuperConscientiousAgent:
     def test_uses_second_hand(self):
         agent = agent_of(SuperConscientiousAgent)
         agent.knowledge.observe_node(1, [], time=5)
-        agent.knowledge.absorb(*peer_report({2: 100}))
+        agent.knowledge.absorb(*peer_report(agent, {2: 100}))
         # Node 2 was (reportedly) visited at 100, node 1 first-hand at 5.
         assert agent.choose_next([1, 2], time=101) == 1
 
     def test_first_hand_still_counts(self):
         agent = agent_of(SuperConscientiousAgent)
         agent.knowledge.observe_node(1, [], time=50)
-        agent.knowledge.absorb(*peer_report({2: 10}))
+        agent.knowledge.absorb(*peer_report(agent, {2: 10}))
         assert agent.choose_next([1, 2], time=60) == 2
 
 

@@ -249,9 +249,11 @@ class TestNeighbourRowCache:
         world.run()
 
         changed_after_degrade = changed_after_blackout = 0
+        position = world.edge_index.position
         for time, location, neighbors, row, live in observed:
             assert neighbors == live, (time, location)
-            assert row == sum(1 << neighbor for neighbor in live), (time, location)
+            expected = sum(1 << position((location, neighbor)) for neighbor in live)
+            assert row == expected, (time, location)
             if live != original[location]:
                 if time < self.BLACKOUT_AT:
                     changed_after_degrade += 1
@@ -263,3 +265,48 @@ class TestNeighbourRowCache:
         # that was never dropped would have shown them the old links.
         assert changed_after_degrade > 0
         assert changed_after_blackout > 0
+
+
+class TestRespawn:
+    """A respawned agent's fresh store stays on the world's edge index."""
+
+    CRASH_AT = 6
+
+    def _world(self, plan=None):
+        config = MappingWorldConfig(
+            population=8, max_steps=80, fault_plan=plan, check_invariants=False
+        )
+        return MappingWorld(TestNeighbourRowCache._network(), config, seed=5)
+
+    def test_respawned_agent_keeps_the_index_and_meets_peers(self, monkeypatch):
+        from repro.core.knowledge import TopologyKnowledge
+        from repro.core.mapping_agents import MappingAgent
+        from repro.faults.plan import parse_fault_plan
+
+        dry = self._world()
+        for __ in range(self.CRASH_AT - 1):
+            dry.engine.step()
+        crashed = dry.agents[0].location
+        world = self._world(parse_fault_plan(f"crash@{self.CRASH_AT}:{crashed};policy=respawn"))
+        respawned, absorbed = [], []
+        reset, absorb = MappingAgent.reset_for_respawn, TopologyKnowledge.absorb
+
+        def spy_reset(agent, start, time):
+            reset(agent, start, time)
+            respawned.append((agent, agent.knowledge))
+
+        def spy_absorb(store, edges, visits):
+            absorb(store, edges, visits)
+            absorbed.append(store)
+
+        monkeypatch.setattr(MappingAgent, "reset_for_respawn", spy_reset)
+        monkeypatch.setattr(TopologyKnowledge, "absorb", spy_absorb)
+        result = world.run()
+
+        assert respawned
+        for agent, store in respawned:
+            assert store.index is world.edge_index
+            # The fresh store met peers afterwards and learned from them.
+            assert any(absorbed_store is store for absorbed_store in absorbed)
+            assert store.known_edge_count > 0
+        assert result.resilience is not None
