@@ -1,14 +1,21 @@
 #!/usr/bin/env python
 """Substrate micro-benchmark baseline writer.
 
-Runs the same hot-path workloads as ``benchmarks/bench_substrate_ops.py``
-— topology recomputation under mobility, the connectivity walk,
-knowledge merging, footprint filtering, the routing world step, and
-route-table churn — without needing ``pytest-benchmark``, and writes the
-timings plus a run manifest to a JSON baseline file.  It also times
-``speed_probe``, perfbench's fixed pure-Python probe loop
-(``perfbench/speedprobe.py``), which touches no ``repro`` code and so
-measures only the machine: ``scripts/bench_compare.py`` normalizes by it.
+Holds the only definition of each substrate micro-benchmark workload
+(:data:`WORKLOADS`) — topology refresh under mobility, the connectivity
+metric, knowledge merging, footprint filtering, the routing world step
+and route-table churn — and writes their timings plus a run manifest to
+a JSON baseline file.  ``benchmarks/bench_substrate_ops.py`` runs the
+same registry under ``pytest-benchmark``.  ``speed_probe`` is
+perfbench's fixed pure-Python probe loop (``perfbench/speedprobe.py``),
+which touches no ``repro`` code and so measures only the machine:
+``scripts/bench_compare.py`` normalizes by it.
+
+Each pair in :data:`SPEEDUP_PAIRS` times one layer's fast path against
+that layer's own oracle.  The two sides run in alternating rounds (fast,
+oracle, fast, oracle, ...), and the recorded speedup is the median of
+the per-round ratios, so a slow spell of the core lands on both sides
+of a ratio instead of on one side of it.
 
 The checked-in ``BENCH_substrate.json`` is the reference point: re-run
 this script after a performance-sensitive change and compare
@@ -29,13 +36,15 @@ import json
 import pathlib
 import random
 import sys
+from statistics import median
 from time import perf_counter
 
 from repro.core.knowledge import TopologyKnowledge
 from repro.core.stigmergy import StigmergyField
 from repro.net.generator import GeneratorConfig, NetworkGenerator
+from repro.net.topology import Topology
 from repro.obs.manifest import build_manifest
-from repro.routing.connectivity import connectivity_fraction
+from repro.routing.connectivity import FunctionalConnectivity, connected_nodes
 from repro.routing.table import RouteEntry, TableBank
 from repro.routing.world import RoutingWorld, RoutingWorldConfig
 
@@ -58,7 +67,11 @@ from perfbench.speedprobe import probe_loop  # noqa: E402 - needs the path above
 #:    5k-node MANET against the naive rebuild) carries the scaling
 #:    floor; the sharded pair is gone (it measured sharding against the
 #:    deleted dense serial refresh).
-BENCH_SCHEMA = 5
+#: 6: each pair's denominator is its own layer's oracle (``*_oracle``),
+#:    the two sides run in alternating rounds and ``speedups`` holds the
+#:    median per-round ratio; ``connectivity_metric`` became a pair and
+#:    the composite ``routing_world_step_naive`` twin is gone.
+BENCH_SCHEMA = 6
 
 #: the same 250-node MANET the pytest benchmarks use.
 MANET_250 = GeneratorConfig(
@@ -96,250 +109,244 @@ SCALES = {
     "smoke": (20, 3),
 }
 
-#: per-workload (iterations, rounds) overrides: a naive 5k-node
-#: rebuild runs in a good fraction of a second, so the 5k pair gets a
-#: handful of iterations instead of the scale default.
+#: per-workload (iterations, rounds) overrides, keyed by the fast side
+#: for a pair (both sides share them).  A 5k-node oracle rebuild runs in
+#: tens of milliseconds, so that pair gets a handful of iterations, and
+#: every pair gets more rounds than the scale default so its median
+#: ratio rests on more than three samples.
 ITERATION_OVERRIDES = {
     "full": {
-        "topology_advance_5k": (20, 3),
-        "topology_advance_5k_naive": (3, 3),
+        "topology_advance": (100, 11),
+        "topology_advance_5k": (5, 9),
+        "connectivity_metric": (100, 11),
+        "routing_world_step_batch": (40, 11),
     },
     "smoke": {
-        "topology_advance_5k": (10, 2),
-        "topology_advance_5k_naive": (2, 2),
+        "topology_advance": (50, 15),
+        "topology_advance_5k": (3, 7),
+        "connectivity_metric": (50, 15),
+        "routing_world_step_batch": (10, 15),
     },
 }
 
 
-def _time_workload(func, iterations, rounds):
-    """Best/mean/median per-call seconds over ``rounds`` timed rounds.
-
-    One untimed warmup round runs first so stateful workloads (the
-    world steppers ramp up routes and connectivity over their first few
-    hundred steps) are measured in steady state, not mid-ramp.  Then,
-    as ``timeit`` does, the garbage collector is emptied and switched
-    off for the timed rounds, so a workload is not charged for a full
-    collection that garbage left by an earlier one sets off.
-    """
-    for __ in range(iterations):
-        func()
-    gc.collect()
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        per_call = []
-        for __ in range(rounds):
-            started = perf_counter()
-            for __ in range(iterations):
-                func()
-            per_call.append((perf_counter() - started) / iterations)
-    finally:
-        if collecting:
-            gc.enable()
-    per_call.sort()
-    mean = sum(per_call) / len(per_call)
-    return {
-        "iterations": iterations,
-        "rounds": rounds,
-        "min_s": per_call[0],
-        "p50_s": per_call[len(per_call) // 2],
-        "mean_s": mean,
-        "ops_per_s": (1.0 / mean) if mean > 0 else 0.0,
-    }
+def _manet(scale):
+    return MANET_250 if scale == "full" else MANET_60
 
 
-def _workloads(scale):
-    """Yield ``(name, callable)`` pairs; construction cost is excluded."""
-    manet = MANET_250 if scale == "full" else MANET_60
-    world_pop = 100 if scale == "full" else 30
-    merge_nodes = 300 if scale == "full" else 80
+def _world_population(scale):
+    return 100 if scale == "full" else 30
 
-    topology = NetworkGenerator(manet, 1).generate_manet()
 
-    def topology_advance():
+def _batch_population(scale):
+    # Large enough that agent stepping dominates the tick.
+    return 500 if scale == "full" else 100
+
+
+def _advancing(config, refresh):
+    """One step of motion, then ``refresh`` of the link set."""
+    topology = NetworkGenerator(config, 1).generate_manet()
+
+    def advance():
         topology.advance()
+        refresh(topology)
         return topology.edge_count
 
-    # The same network driven through the naive rebuild-from-scratch
-    # path — the denominator of the incremental engine's speedup.
-    naive_topology = NetworkGenerator(manet, 1).generate_manet()
-    naive_topology.set_incremental(False)
+    return advance
 
-    def topology_advance_naive():
-        naive_topology.advance()
-        return naive_topology.edge_count
 
-    # The same pair on the 5k-node MANET, where the link refresh is the
-    # whole cost: the sparse link kernel against the naive rebuild.
-    topology_5k = NetworkGenerator(MANET_5K, 1).generate_manet()
-
-    def topology_advance_5k():
-        topology_5k.advance()
-        return topology_5k.edge_count
-
-    naive_topology_5k = NetworkGenerator(MANET_5K, 1).generate_manet()
-    naive_topology_5k.set_incremental(False)
-
-    def topology_advance_5k_naive():
-        naive_topology_5k.advance()
-        return naive_topology_5k.edge_count
-
-    warm = RoutingWorld(
-        NetworkGenerator(manet, 2).generate_manet(),
-        RoutingWorldConfig(population=world_pop, total_steps=40, converged_after=20),
+def _warm_world(scale):
+    """A short world run, so the tables hold realistic routes."""
+    world = RoutingWorld(
+        NetworkGenerator(_manet(scale), 2).generate_manet(),
+        RoutingWorldConfig(
+            population=_world_population(scale), total_steps=40, converged_after=20
+        ),
         seed=3,
     )
-    warm.run()
+    world.run()
+    return world
 
-    def connectivity_metric():
-        return connectivity_fraction(warm.topology, warm.tables)
 
+def _functional_metric(scale):
+    world = _warm_world(scale)
+    metric = FunctionalConnectivity(world.topology, world.tables, world.config.walk_ttl)
+    return lambda: len(metric.connected())
+
+
+def _walked_metric(scale):
+    world = _warm_world(scale)
+    return lambda: len(connected_nodes(world.topology, world.tables, world.config.walk_ttl))
+
+
+def _knowledge_merge(scale):
+    merge_nodes = 300 if scale == "full" else 80
     rng = random.Random(4)
     source = TopologyKnowledge(merge_nodes)
     for node in range(merge_nodes):
-        source.observe_node(
-            node, [rng.randrange(merge_nodes) for __ in range(7)], node
-        )
+        source.observe_node(node, [rng.randrange(merge_nodes) for __ in range(7)], node)
     edges = source.shareable_edges()
     visits = source.shareable_visits()
 
-    def knowledge_merge():
+    def merge():
         sink = TopologyKnowledge(merge_nodes, source.index)
         sink.absorb(edges, visits)
         return sink.known_edge_count
 
+    return merge
+
+
+def _footprint_filter(scale):
     field = StigmergyField(capacity=16, freshness=10)
-    stamp_rng = random.Random(5)
+    rng = random.Random(5)
     for agent in range(40):
-        field.stamp(0, agent, stamp_rng.randrange(10), stamp_rng.randrange(10))
+        field.stamp(0, agent, rng.randrange(10), rng.randrange(10))
     candidates = list(range(10))
+    return lambda: field.filter_candidates(0, candidates, 10)
 
-    def footprint_filter():
-        return field.filter_candidates(0, candidates, 10)
 
-    stepper = RoutingWorld(
-        NetworkGenerator(manet, 6).generate_manet(),
+def _stepping(scale, population, batch_agents):
+    """One world step; ``batch_agents`` picks the agent engine."""
+    world = RoutingWorld(
+        NetworkGenerator(_manet(scale), 6).generate_manet(),
         RoutingWorldConfig(
-            population=world_pop, total_steps=10_000_000, converged_after=0
-        ),
-        seed=7,
-    )
-
-    def world_step():
-        stepper.engine.step()
-        return stepper.result.connectivity[-1]
-
-    # The reference configuration: rebuild-from-scratch topology, a full
-    # re-walk of the connectivity metric every step, and per-object
-    # agent stepping (the batch engine's oracle twin).
-    naive_stepper = RoutingWorld(
-        NetworkGenerator(manet, 6).generate_manet(),
-        RoutingWorldConfig(
-            population=world_pop,
+            population=population,
             total_steps=10_000_000,
             converged_after=0,
-            connectivity_cache=False,
-            batch_agents=False,
+            batch_agents=batch_agents,
         ),
         seed=7,
     )
-    naive_stepper.topology.set_incremental(False)
 
-    def world_step_naive():
-        naive_stepper.engine.step()
-        return naive_stepper.result.connectivity[-1]
+    def step():
+        world.engine.step()
+        return world.result.connectivity[-1]
 
-    # The SoA batch engine isolated: both twins keep the incremental
-    # topology and delta-aware connectivity, only the agent engine
-    # differs, and the population is large enough that agent stepping
-    # dominates the tick.
-    batch_pop = 500 if scale == "full" else 100
-    batch_steppers = []
-    for batch in (True, False):
-        world = RoutingWorld(
-            NetworkGenerator(manet, 6).generate_manet(),
-            RoutingWorldConfig(
-                population=batch_pop,
-                total_steps=10_000_000,
-                converged_after=0,
-                batch_agents=batch,
-            ),
-            seed=7,
-        )
-        batch_steppers.append(world)
-    batch_stepper, object_stepper = batch_steppers
+    return step
 
-    def world_step_batch():
-        batch_stepper.engine.step()
-        return batch_stepper.result.connectivity[-1]
 
-    def world_step_batch_naive():
-        object_stepper.engine.step()
-        return object_stepper.result.connectivity[-1]
-
+def _table_churn(scale):
     bank = TableBank(250, ttl=150)
-    churn_rng = random.Random(8)
+    rng = random.Random(8)
 
-    def table_churn():
-        now = churn_rng.randrange(1000)
-        node = churn_rng.randrange(250)
+    def churn():
+        now = rng.randrange(1000)
+        node = rng.randrange(250)
         bank.table(node).install(
             RouteEntry(
-                gateway=churn_rng.randrange(12),
-                next_hop=churn_rng.randrange(250),
-                hops=churn_rng.randrange(1, 10),
+                gateway=rng.randrange(12),
+                next_hop=rng.randrange(250),
+                hops=rng.randrange(1, 10),
                 installed_at=now,
                 gateway_seen_at=now,
             )
         )
         return bank.table(node).expire(now)
 
-    return [
-        ("speed_probe", probe_loop),
-        ("topology_advance", topology_advance),
-        ("topology_advance_naive", topology_advance_naive),
-        ("topology_advance_5k", topology_advance_5k),
-        ("topology_advance_5k_naive", topology_advance_5k_naive),
-        ("connectivity_metric", connectivity_metric),
-        ("knowledge_merge", knowledge_merge),
-        ("footprint_filter", footprint_filter),
-        ("routing_world_step", world_step),
-        ("routing_world_step_naive", world_step_naive),
-        ("routing_world_step_batch", world_step_batch),
-        ("routing_world_step_batch_naive", world_step_batch_naive),
-        ("table_install_expire", table_churn),
-    ]
+    return churn
 
 
-#: incremental workload -> its rebuild-from-scratch twin.  The recorded
-#: ``speedups`` ratios are machine-independent (both sides run on the
-#: same box in the same process), which is what the CI perf gate checks.
+#: workload name -> ``build(scale)``, which does the (untimed) setup and
+#: returns the zero-argument callable to time.
+WORKLOADS = {
+    "speed_probe": lambda scale: probe_loop,
+    "topology_advance": lambda scale: _advancing(_manet(scale), Topology.recompute),
+    "topology_advance_oracle": lambda scale: _advancing(
+        _manet(scale), Topology.force_full_rebuild
+    ),
+    "topology_advance_5k": lambda scale: _advancing(MANET_5K, Topology.recompute),
+    "topology_advance_5k_oracle": lambda scale: _advancing(
+        MANET_5K, Topology.force_full_rebuild
+    ),
+    "connectivity_metric": _functional_metric,
+    "connectivity_metric_oracle": _walked_metric,
+    "knowledge_merge": _knowledge_merge,
+    "footprint_filter": _footprint_filter,
+    "routing_world_step": lambda scale: _stepping(scale, _world_population(scale), None),
+    "routing_world_step_batch": lambda scale: _stepping(scale, _batch_population(scale), True),
+    "routing_world_step_batch_oracle": lambda scale: _stepping(
+        scale, _batch_population(scale), False
+    ),
+    "table_install_expire": _table_churn,
+}
+
+#: fast workload -> the oracle of the same layer it is timed against:
+#: the link kernel against the reference sweep, the functional
+#: connectivity metric against the validity walk, and the batch agent
+#: engine against the per-object stepper.  Both sides run in the same
+#: process, so the recorded ratios are machine-independent, which is
+#: what the CI perf gate checks.
 SPEEDUP_PAIRS = {
-    "topology_advance": "topology_advance_naive",
-    "topology_advance_5k": "topology_advance_5k_naive",
-    "routing_world_step": "routing_world_step_naive",
-    "routing_world_step_batch": "routing_world_step_batch_naive",
+    "topology_advance": "topology_advance_oracle",
+    "topology_advance_5k": "topology_advance_5k_oracle",
+    "connectivity_metric": "connectivity_metric_oracle",
+    "routing_world_step_batch": "routing_world_step_batch_oracle",
 }
 
 
-def _speedups(results):
-    speedups = {}
-    for fast, slow in SPEEDUP_PAIRS.items():
-        if fast in results and slow in results:
-            mean = results[fast]["mean_s"]
-            speedups[fast] = results[slow]["mean_s"] / mean if mean > 0 else 0.0
-    return speedups
+def _time_rounds(funcs, iterations, rounds):
+    """Per-call seconds of each of ``funcs``, one list per function.
+
+    The functions take turns, one round each, ``rounds`` times over.
+    One untimed warmup round of each runs first so stateful workloads
+    (the world steppers ramp up routes and connectivity over their first
+    few hundred steps) are measured in steady state, not mid-ramp.  Then,
+    as ``timeit`` does, the garbage collector is emptied and switched
+    off for the timed rounds, so a workload is not charged for a full
+    collection that garbage left by an earlier one sets off.
+    """
+    for func in funcs:
+        for __ in range(iterations):
+            func()
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
+    per_call = [[] for __ in funcs]
+    try:
+        for __ in range(rounds):
+            for func, times in zip(funcs, per_call):
+                started = perf_counter()
+                for __ in range(iterations):
+                    func()
+                times.append((perf_counter() - started) / iterations)
+    finally:
+        if collecting:
+            gc.enable()
+    return per_call
+
+
+def _stats(per_call, iterations):
+    mean = sum(per_call) / len(per_call)
+    return {
+        "iterations": iterations,
+        "rounds": len(per_call),
+        "min_s": min(per_call),
+        "p50_s": median(per_call),
+        "mean_s": mean,
+        "ops_per_s": (1.0 / mean) if mean > 0 else 0.0,
+    }
 
 
 def run_benchmarks(scale):
     """Run every workload at ``scale``; return the JSON-safe baseline."""
     iterations, rounds = SCALES[scale]
     overrides = ITERATION_OVERRIDES[scale]
+    oracles = set(SPEEDUP_PAIRS.values())
     results = {}
-    for name, func in _workloads(scale):
-        print(f"  {name} ...", file=sys.stderr, flush=True)
+    speedups = {}
+    for name, build in WORKLOADS.items():
+        if name in oracles:
+            continue
+        group = [name]
+        if name in SPEEDUP_PAIRS:
+            group.append(SPEEDUP_PAIRS[name])
+        print(f"  {' vs '.join(group)} ...", file=sys.stderr, flush=True)
         its, rds = overrides.get(name, (iterations, rounds))
-        results[name] = _time_workload(func, its, rds)
+        timed = _time_rounds([WORKLOADS[member](scale) for member in group], its, rds)
+        for member, per_call in zip(group, timed):
+            results[member] = _stats(per_call, its)
+        if len(timed) == 2:
+            speedups[name] = median(slow / fast for fast, slow in zip(*timed))
     return {
         "schema": BENCH_SCHEMA,
         "manifest": build_manifest(
@@ -349,7 +356,7 @@ def run_benchmarks(scale):
             options={"iterations": iterations, "rounds": rounds},
         ),
         "results": results,
-        "speedups": _speedups(results),
+        "speedups": speedups,
     }
 
 
@@ -379,7 +386,7 @@ def main(argv=None):
             f"  {stats['ops_per_s']:12.0f} ops/s"
         )
     for name, ratio in sorted(payload["speedups"].items()):
-        print(f"{name:<{width}}  {ratio:5.2f}x vs naive")
+        print(f"{name:<{width}}  {ratio:5.2f}x vs {SPEEDUP_PAIRS[name]}")
     print(f"wrote {path}")
     return 0
 

@@ -16,7 +16,7 @@ state:
 
 The engine is an *optimization twin*, not a fork: the per-object
 :class:`~repro.core.routing_agents.RoutingAgent` path stays the semantic
-oracle (exactly how the naive rebuild stays the topology's), and
+oracle (exactly how the reference sweep stays the topology's), and
 hypothesis property tests drive both to bit-identical
 :class:`~repro.routing.world.RoutingResult`\\ s under faults, loss,
 visiting, and stigmergy.  Bit-identity constrains the design in three
@@ -110,8 +110,8 @@ class BatchAgentEngine:
         self._gw_mask = self._gw_col >= 0
         self._capacity = world.config.history_size
         self._hist = world.config.history_size
-        # Per-agent CPython rngs (shared with the agent objects, so the
-        # oracle path continues the same streams after a toggle).  The
+        # Per-agent CPython rngs, the agent objects' own, so the engine
+        # draws exactly the streams the per-object oracle would.  The
         # bound ``_randbelow`` skips one method dispatch per tie-break;
         # it is a stable CPython API (3.2+) and exactly what
         # ``random.choice`` calls.

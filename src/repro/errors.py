@@ -32,10 +32,6 @@ class InvariantError(SimulationError):
     """A runtime cross-layer invariant was violated during a step."""
 
 
-class AgentError(ReproError):
-    """An agent performed or was asked to perform an illegal action."""
-
-
 class RoutingError(ReproError):
     """A routing-table operation failed."""
 

@@ -88,10 +88,6 @@ class FaultInjector:
             if agent.agent_id not in self._dead and agent.location not in down
         ]
 
-    def alive_agents(self) -> List[Any]:
-        """Every agent not killed by a fault (frozen ones included)."""
-        return [a for a in self.world.agents if a.agent_id not in self._dead]
-
     # ------------------------------------------------------------------
     # Application
     # ------------------------------------------------------------------

@@ -89,11 +89,6 @@ class ResilienceTracker:
         del payload
         self._fault_times.append(time)
 
-    @property
-    def fault_times(self) -> List[Time]:
-        """When faults actually fired (simulated time, ascending)."""
-        return list(self._fault_times)
-
     def series(self) -> TimeSeries:
         """The recorded metric as a time series."""
         return TimeSeries(list(self._times), list(self._values))

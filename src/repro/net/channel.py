@@ -352,11 +352,6 @@ class ChannelModel:
         """Lift a loss burst; returns whether the state changed."""
         return self._bursts.pop(node, None) is not None
 
-    @property
-    def active_bursts(self) -> Dict[NodeId, float]:
-        """Currently bursting nodes and their extra loss (a copy)."""
-        return dict(self._bursts)
-
     # ------------------------------------------------------------------
     # Gray failures (fault layer)
     # ------------------------------------------------------------------

@@ -37,8 +37,8 @@ taken at the previous refresh.  The node objects are a
 a topology copied from columns (a MANET blueprint) pays for the nodes a
 run actually touches.
 
-The rebuild-from-scratch path (``incremental=False`` or
-:meth:`Topology.force_full_rebuild`) is the reference implementation, a
+The rebuild from scratch (:meth:`Topology.force_full_rebuild`, a plain
+method that no mode switches on) is the reference implementation, a
 sorted-x sweep (:func:`_sweep_edges`) that shares no code with the
 kernel: it takes positions and ranges read straight from the nodes,
 sorts the live receivers by x and evaluates the same predicate over each
@@ -652,9 +652,7 @@ class NodeSequence(abc.Sequence):
 class Topology:
     """Directed wireless topology over a fixed set of nodes."""
 
-    def __init__(
-        self, nodes: Sequence[Node], arena: Arena, incremental: bool = True
-    ) -> None:
+    def __init__(self, nodes: Sequence[Node], arena: Arena) -> None:
         """A topology over ``nodes``, ids ``0..n-1`` in order.
 
         ``nodes`` is either node objects, whose state the new fleet takes
@@ -684,15 +682,11 @@ class Topology:
         self._dirty = True
         self._down: Set[NodeId] = set()
         self._blocked: Set[Edge] = set()
-        self._incremental = incremental
         #: set by :mod:`repro.net.manual` for pinned (non-geometric) graphs.
         self._pinned = False
         self.stats = TopologyStats()
-        #: whether ``_ax``/``_ay``/``_ar`` and ``_edges`` describe the
-        #: current adjacency, so the next refresh can diff against them.
-        self._built = False
         #: copies of the fleet's ``x``/``y``/``r`` columns the current
-        #: adjacency was computed from.
+        #: adjacency was computed from; ``None`` until the first refresh.
         self._ax = self._ay = self._ar = None
         self._applied_down: Set[NodeId] = set()
         self._applied_blocked: Set[Edge] = set()
@@ -724,35 +718,34 @@ class Topology:
     def recompute(self) -> None:
         """Bring the adjacency up to date with positions and ranges.
 
-        In incremental mode (the default) the link kernel recomputes the
-        packed edge set and counts its diff against the previous one in
-        :attr:`stats`; nodes marked down (:meth:`set_node_down`) have
-        their radios silenced and blacked-out links (:meth:`block_edge`)
-        stay suppressed, exactly as in the naive rebuild.
+        The link kernel recomputes the packed edge set and counts its
+        diff against the previous one in :attr:`stats`; nodes marked
+        down (:meth:`set_node_down`) have their radios silenced and
+        blacked-out links (:meth:`block_edge`) stay suppressed, exactly
+        as in :meth:`force_full_rebuild`.
         """
-        if self._incremental:
-            self._refresh()
+        self._sync_radios()
+        if self._ax is None:
+            self._adopt(self._link_edges())
+        elif (
+            self._snapshot()
+            or self._down != self._applied_down
+            or self._blocked != self._applied_blocked
+        ):
+            self._apply(self._link_edges())
         else:
-            self.force_full_rebuild()
+            self._epoch += 1
+            self._dirty = False
 
     def force_full_rebuild(self) -> None:
-        """Rebuild the adjacency from scratch (the reference path)."""
+        """Rebuild the adjacency from scratch with the reference sweep."""
         self._adopt(self._compute_adjacency())
 
     def _adopt(self, edges) -> None:
         """Take ``edges``, the sorted packed edges of the state now, afresh."""
-        if self._incremental:
-            self._sync_radios()
-            self._snapshot()
-            self._built = True
+        self._sync_radios()
+        self._snapshot()
         self._apply(edges, full=True)
-
-    def set_incremental(self, enabled: bool) -> None:
-        """Switch engine modes; the next refresh rebuilds from scratch."""
-        if enabled != self._incremental:
-            self._incremental = enabled
-            self._built = False
-            self._dirty = True
 
     def _read_inputs(self):
         """Copies of the nodes' positions, and ranges read through their radios.
@@ -821,23 +814,6 @@ class Topology:
             ends = _np.divmod(edges, self._n)
             edges = edges[~(_np.isin(ends[0], down) | _np.isin(ends[1], down))]
         return self._hide_blocked(edges)
-
-    def _refresh(self) -> None:
-        """Recompute the packed edges and apply their diff."""
-        self._sync_radios()
-        if not self._built:
-            self._adopt(self._link_edges())
-            return
-        changed = self._snapshot()
-        if (
-            changed
-            or self._down != self._applied_down
-            or self._blocked != self._applied_blocked
-        ):
-            self._apply(self._link_edges())
-        else:
-            self._epoch += 1
-            self._dirty = False
 
     def _apply(self, edges, full: bool = False) -> None:
         """Adopt the sorted packed ``edges`` as the current adjacency.

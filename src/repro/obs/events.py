@@ -143,10 +143,6 @@ class JsonlSink(EventSink):
             body.update(self._extra)
         self._write(body)
 
-    def write_raw(self, payload: dict) -> None:
-        """Write one pre-built line (the merged-trace writer uses this)."""
-        self._write(payload)
-
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()

@@ -37,11 +37,7 @@ from repro.net.channel import ChannelConfig, ChannelModel
 from repro.net.health import HealthConfig, HealthMonitor, HealthReport
 from repro.net.topology import Topology
 from repro.obs.collector import ObsCollector, ObsConfig, ObsReport
-from repro.routing.connectivity import (
-    DEFAULT_WALK_TTL,
-    FunctionalConnectivity,
-    connectivity_fraction,
-)
+from repro.routing.connectivity import DEFAULT_WALK_TTL, FunctionalConnectivity
 from repro.core.pheromone import PheromoneField
 from repro.routing.table import RouteEntry, TableBank, TableGuard
 from repro.rng import SeedSpawner
@@ -95,12 +91,6 @@ class RoutingWorldConfig:
     #: ``None`` defers to the ``REPRO_CHECK_INVARIANTS`` environment
     #: variable (tests switch it on); ``True``/``False`` force it.
     check_invariants: Optional[bool] = None
-    # --- connectivity metric ---------------------------------------------
-    #: serve the per-step metric from the pointer-doubling
-    #: :class:`~repro.routing.connectivity.FunctionalConnectivity`
-    #: evaluator (identical result, walks only routing loops);
-    #: ``False`` re-walks every node every step, the reference path.
-    connectivity_cache: bool = True
     # --- observability ---------------------------------------------------
     #: ``None`` (default) records nothing — the zero-overhead path;
     #: an :class:`~repro.obs.collector.ObsConfig` switches layers on.
@@ -250,11 +240,7 @@ class RoutingWorld:
         if check or (check is None and default_invariants_enabled()):
             self.invariants = InvariantChecker(self)
             self.invariants.install()
-        self._conn_cache: Optional[FunctionalConnectivity] = None
-        if config.connectivity_cache:
-            self._conn_cache = FunctionalConnectivity(
-                topology, self.tables, config.walk_ttl
-            )
+        self._connectivity = FunctionalConnectivity(topology, self.tables, config.walk_ttl)
         # Observability is strictly opt-in: with obs unset no collector
         # exists and the hot loop below takes only `is None` branches.
         self._obs: Optional[ObsCollector] = None
@@ -342,7 +328,6 @@ class RoutingWorld:
         if profiler is not None:
             step_started = phase_started = perf_counter()
         topology = self.topology
-        config = self.config
         # Substrate: motion, battery, links, route expiry, evaporation.
         topology.advance()
         self.tables.expire_all(now)
@@ -375,10 +360,7 @@ class RoutingWorld:
                     self.health.max_suspicion(),
                 )
         # Metric.
-        if self._conn_cache is not None:
-            fraction = len(self._conn_cache.connected()) / topology.node_count
-        else:
-            fraction = connectivity_fraction(topology, self.tables, config.walk_ttl)
+        fraction = len(self._connectivity.connected()) / topology.node_count
         if self._obs is not None:
             stats = topology.stats
             last = self._obs_last_topo
@@ -388,15 +370,14 @@ class RoutingWorld:
                 removed=stats.edges_removed - last[1],
             )
             self._obs_last_topo = (stats.edges_added, stats.edges_removed)
-            if self._conn_cache is not None:
-                cache_stats = self._conn_cache.stats
-                last_cache = self._obs_last_cache
-                self._obs.connectivity_cache(
-                    now,
-                    hits=cache_stats.hits - last_cache[0],
-                    walks=cache_stats.walks - last_cache[1],
-                )
-                self._obs_last_cache = (cache_stats.hits, cache_stats.walks)
+            cache_stats = self._connectivity.stats
+            last_cache = self._obs_last_cache
+            self._obs.connectivity_cache(
+                now,
+                hits=cache_stats.hits - last_cache[0],
+                walks=cache_stats.walks - last_cache[1],
+            )
+            self._obs_last_cache = (cache_stats.hits, cache_stats.walks)
         self.result.times.append(now)
         self.result.connectivity.append(fraction)
         self.engine.hooks.fire("connectivity_recorded", time=now, fraction=fraction)

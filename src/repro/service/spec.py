@@ -29,7 +29,7 @@ import itertools
 import json
 import pathlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import DEFAULT_MASTER_SEED, PAPER, QUICK, Scale
@@ -470,13 +470,3 @@ def load_spec(path: Union[str, pathlib.Path]) -> SweepSpec:
         except json.JSONDecodeError as error:
             raise ConfigurationError(f"spec {path} is not valid JSON: {error}") from None
     return spec_from_dict(payload)
-
-
-def specs_equal(a: SweepSpec, b: SweepSpec) -> bool:
-    """Whether two specs describe the same logical sweep."""
-    return a.fingerprint() == b.fingerprint()
-
-
-def iter_specs(paths: Iterable[Union[str, pathlib.Path]]) -> List[SweepSpec]:
-    """Load several spec files, failing on the first invalid one."""
-    return [load_spec(path) for path in paths]

@@ -57,7 +57,6 @@ def inner_world_config(config):
     return replace(
         config,
         batch_agents=False,
-        connectivity_cache=False,
         obs=None,
         check_invariants=False,
         shards=None,

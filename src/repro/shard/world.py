@@ -38,7 +38,7 @@ from repro.net.channel import ChannelStats
 from repro.net.generator import GeneratorConfig, manet_blueprint
 from repro.net.topology import AdjacencyView, edge_delta
 from repro.obs.collector import ObsCollector
-from repro.routing.connectivity import FunctionalConnectivity, connectivity_fraction
+from repro.routing.connectivity import FunctionalConnectivity
 from repro.routing.table import RouteEntry, TableBank
 from repro.routing.world import RoutingResult, RoutingWorldConfig
 from repro.shard.tiles import TileGrid
@@ -277,11 +277,7 @@ class ShardedRoutingWorld:
             ]
         initial = _merged([handle.initial_edges() for handle in self._handles])
         self._mirror = _MirrorTopology(n, gateways, initial)
-        self._conn_cache: Optional[FunctionalConnectivity] = None
-        if config.connectivity_cache:
-            self._conn_cache = FunctionalConnectivity(
-                self._mirror, self.tables, config.walk_ttl
-            )
+        self._connectivity = FunctionalConnectivity(self._mirror, self.tables, config.walk_ttl)
         self._obs: Optional[ObsCollector] = None
         if config.obs is not None and config.obs.enabled:
             self._obs = ObsCollector(config.obs, self.engine, scenario="routing")
@@ -385,23 +381,17 @@ class ShardedRoutingWorld:
             obs.channel_losses(now, losses - self._obs_last_losses)
             self._obs_last_losses = losses
         # Metric, over exactly the serial world's inputs.
-        if self._conn_cache is not None:
-            fraction = len(self._conn_cache.connected()) / self.node_count
-        else:
-            fraction = connectivity_fraction(
-                self._mirror, self.tables, config.walk_ttl
-            )
+        fraction = len(self._connectivity.connected()) / self.node_count
         if obs is not None:
             obs.topology_churn(now, added=added.size, removed=removed.size)
-            if self._conn_cache is not None:
-                cache_stats = self._conn_cache.stats
-                last_cache = self._obs_last_cache
-                obs.connectivity_cache(
-                    now,
-                    hits=cache_stats.hits - last_cache[0],
-                    walks=cache_stats.walks - last_cache[1],
-                )
-                self._obs_last_cache = (cache_stats.hits, cache_stats.walks)
+            cache_stats = self._connectivity.stats
+            last_cache = self._obs_last_cache
+            obs.connectivity_cache(
+                now,
+                hits=cache_stats.hits - last_cache[0],
+                walks=cache_stats.walks - last_cache[1],
+            )
+            self._obs_last_cache = (cache_stats.hits, cache_stats.walks)
         self.result.times.append(now)
         self.result.connectivity.append(fraction)
         hooks.fire("connectivity_recorded", time=now, fraction=fraction)

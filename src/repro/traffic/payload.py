@@ -29,7 +29,7 @@ identity layer:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.types import NodeId, Time
@@ -222,12 +222,6 @@ class TrafficLedger:
     def alive(self) -> int:
         """Payloads not yet delivered, expired, or dropped."""
         return self.generated - self.delivered - self.expired - self.dropped
-
-    def alive_pids(self) -> Set[int]:
-        """The ids of every live payload (for physical cross-checks)."""
-        return {
-            pid for pid, entry in self._entries.items() if entry.status == ALIVE
-        }
 
     def copy_counts(self) -> Dict[int, int]:
         """Live-copy count per live payload id."""

@@ -1,5 +1,6 @@
 """Integration: helper scripts run against archived reports."""
 
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -88,3 +89,40 @@ class TestGcShare:
         proc = self._run("--workload", "manet_arena", "--reps", "0")
         assert proc.returncode == 2
         assert "--reps must be >= 1" in proc.stderr
+
+
+def load_script(name):
+    """Import ``scripts/<name>.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestMicroBenchRegistry:
+    """The substrate micro-bench's pairs and the gate's floors agree."""
+
+    baseline = load_script("bench_baseline")
+    compare = load_script("bench_compare")
+
+    def test_every_pair_names_two_registered_workloads(self):
+        workloads = self.baseline.WORKLOADS
+        for fast, oracle in self.baseline.SPEEDUP_PAIRS.items():
+            assert fast in workloads and oracle in workloads, (fast, oracle)
+            assert fast != oracle
+
+    def test_every_pair_has_a_floor_at_every_scale(self):
+        pairs = set(self.baseline.SPEEDUP_PAIRS)
+        floors = self.compare.DEFAULT_MIN_SPEEDUPS
+        assert set(floors) == set(self.baseline.SCALES)
+        for scale, by_pair in floors.items():
+            assert set(by_pair) == pairs, scale
+            assert all(floor > 1.0 for floor in by_pair.values()), scale
+
+    def test_overrides_name_registered_pairs_or_workloads(self):
+        for scale, overrides in self.baseline.ITERATION_OVERRIDES.items():
+            assert set(overrides) <= set(self.baseline.WORKLOADS), scale
+            assert not set(overrides) & set(self.baseline.SPEEDUP_PAIRS.values()), scale
+
+    def test_both_scripts_speak_one_schema(self):
+        assert self.compare.BENCH_SCHEMA == self.baseline.BENCH_SCHEMA

@@ -1,12 +1,13 @@
 """Property tests: incremental topology and connectivity equivalence.
 
-The incremental engine's contract is bit-identity with the naive
-rebuild-from-scratch computation — under mobility, crashes, recoveries,
-link blackouts and radio degradation, under both evaluations of the
-link kernel (the dense all-pairs block and the sorted column grid).  These
-tests drive randomized traces and compare graphs (and the delta-aware
-connectivity result) step by step, and check the kernel and the
-rebuild's sorted-sweep oracle against the brute-force predicate.
+The link kernel refresh's contract is bit-identity with the reference
+sweep (:meth:`Topology.force_full_rebuild`) — under mobility, crashes,
+recoveries, link blackouts and radio degradation, under both
+evaluations of the link kernel (the dense all-pairs block and the
+sorted column grid).  These tests drive randomized traces and compare
+graphs (and the functional connectivity result) step by step, and
+check the kernel and the sweep oracle against the brute-force
+predicate.
 """
 
 import contextlib
@@ -18,12 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.net.topology as topology_module
+from repro.faults.plan import FaultPlan
+from repro.net.channel import ChannelConfig
 from repro.net.generator import GeneratorConfig, generate_manet_network
 from repro.net.geometry import Arena, Point
 from repro.net.node import Node
 from repro.net.radio import HeterogeneousRange
 from repro.net.topology import Topology, edge_delta, link_edges
-from repro.routing.connectivity import FunctionalConnectivity, connected_nodes
+from repro.routing.connectivity import (
+    FunctionalConnectivity,
+    connected_nodes,
+    connectivity_fraction,
+)
 from repro.routing.table import RouteEntry, TableBank
 from repro.routing.world import RoutingWorld, RoutingWorldConfig
 
@@ -51,11 +58,8 @@ def evaluation(dense):
         topology_module._DENSE_MAX_PAIRS = saved
 
 
-def build(seed, incremental):
-    topology = generate_manet_network(seed, CONFIG)
-    if not incremental:
-        topology.set_incremental(False)
-    return topology
+def build(seed):
+    return generate_manet_network(seed, CONFIG)
 
 
 def assert_csr_rows(topology):
@@ -122,8 +126,8 @@ class TestIncrementalEquivalence:
     )
     @settings(max_examples=20, deadline=None)
     def test_matches_naive_under_mobility_and_faults(self, seed, ops_seed, dense):
-        incremental = build(seed, incremental=True)
-        naive = build(seed, incremental=False)
+        incremental = build(seed)
+        naive = build(seed)
         rng = random.Random(ops_seed)
         with evaluation(dense):
             for step in range(12):
@@ -131,7 +135,8 @@ class TestIncrementalEquivalence:
                 for topology in (incremental, naive):
                     topology.advance()
                     apply_ops(topology, ops)
-                    topology.recompute()
+                incremental.recompute()
+                naive.force_full_rebuild()
                 assert incremental.edge_set() == naive.edge_set()
                 assert incremental.down_ids == naive.down_ids
                 assert incremental.consistency_problems() == []
@@ -146,8 +151,8 @@ class TestIncrementalEquivalence:
     def test_matches_naive_under_degrade_and_restore(self, seed, fractions, dense):
         # Degradation replaces the fraction, so a later smaller fraction
         # grows ranges back: the refresh must follow them up as well.
-        incremental = build(seed, incremental=True)
-        naive = build(seed, incremental=False)
+        incremental = build(seed)
+        naive = build(seed)
         degradable = [
             node.node_id
             for node in incremental.nodes
@@ -162,7 +167,8 @@ class TestIncrementalEquivalence:
                     for node_id in chosen:
                         topology.node(node_id).radio.degrade(fraction)
                     topology.invalidate()
-                    topology.recompute()
+                incremental.recompute()
+                naive.force_full_rebuild()
                 assert incremental.edge_set() == naive.edge_set()
                 assert incremental.consistency_problems() == []
                 assert_csr_rows(incremental)
@@ -170,8 +176,8 @@ class TestIncrementalEquivalence:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
     def test_vector_and_grid_paths_agree(self, seed):
-        vector = build(seed, incremental=True)
-        grid = build(seed, incremental=True)
+        vector = build(seed)
+        grid = build(seed)
         for __ in range(10):
             for topology, dense in ((vector, True), (grid, False)):
                 with evaluation(dense):
@@ -321,7 +327,7 @@ class TestFunctionalConnectivityEquivalence:
     )
     @settings(max_examples=15, deadline=None)
     def test_matches_naive_walks_under_churn(self, seed, ops_seed, dense):
-        topology = build(seed, incremental=True)
+        topology = build(seed)
         bank = TableBank(NODES)
         functional = FunctionalConnectivity(topology, bank, walk_ttl=16)
         gateways = topology.all_gateway_ids
@@ -351,7 +357,7 @@ class TestFunctionalConnectivityEquivalence:
         """Two-node next-hop cycles taint the eff chain; the exact-walk
         fallback (where the visited-set filter can re-route the walk)
         must still match the naive evaluation."""
-        topology = build(seed, incremental=True)
+        topology = build(seed)
         bank = TableBank(NODES)
         functional = FunctionalConnectivity(topology, bank, walk_ttl=16)
         gateways = topology.all_gateway_ids
@@ -378,3 +384,53 @@ class TestFunctionalConnectivityEquivalence:
             assert functional.connected() == connected_nodes(
                 topology, bank, walk_ttl=16
             )
+
+
+class TestWorldMetricMatchesOracle:
+    """Every step's recorded metric equals the validity-walk oracle."""
+
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.booleans(),
+        st.sampled_from([4, 16]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_recorded_fraction_is_the_oracle_fraction(self, seed, batch, walk_ttl):
+        a, b = seed % NODES, (seed + 5) % NODES
+        plan = (
+            FaultPlan()
+            .with_policy("respawn")
+            .crash(4, a)
+            .blackout(6, b, (b + 1) % NODES)
+            .battery_shock(9, (seed + 11) % NODES, 0.5)
+            .recover(12, a)
+            .restore(16, b, (b + 1) % NODES)
+            .wipe_table(18, (seed + 7) % NODES)
+        )
+        steps = 24
+        world = RoutingWorld(
+            build(seed),
+            RoutingWorldConfig(
+                population=10,
+                visiting=True,
+                total_steps=steps,
+                converged_after=steps // 2,
+                walk_ttl=walk_ttl,
+                fault_plan=plan,
+                channel=ChannelConfig(loss=0.25, hop_retries=2, backoff_base=1, backoff_cap=4),
+                batch_agents=batch,
+            ),
+            seed + 1,
+        )
+        recorded = []
+
+        def check(time, fraction):
+            oracle = connectivity_fraction(world.topology, world.tables, walk_ttl)
+            recorded.append((time, fraction, oracle))
+
+        world.engine.hooks.subscribe("connectivity_recorded", check)
+        world.run()
+        assert len(recorded) == steps
+        assert [fraction for __, fraction, __ in recorded] == [
+            oracle for __, __, oracle in recorded
+        ]

@@ -3,7 +3,8 @@
 Every test that exercises the maintained adjacency runs under both
 evaluations of the link kernel — ``vector`` forces the dense all-pairs
 block, ``grid`` the sorted column grid — and checks the result against a
-naive rebuild-from-scratch of the same network.  The kernel picks its
+twin of the same network rebuilt by the reference sweep
+(:meth:`Topology.force_full_rebuild`) after every change.  The kernel picks its
 evaluation from the pair count alone, so the tests force one by moving
 the crossover constant.
 """
@@ -49,11 +50,10 @@ def manet(seed):
     return generate_manet_network(seed, SMALL_MANET)
 
 
-def naive_twin(seed):
-    """The same network driven by rebuild-from-scratch recomputes."""
-    topology = generate_manet_network(seed, SMALL_MANET)
-    topology.set_incremental(False)
-    return topology
+def refresh(topology, twin):
+    """Refresh ``topology`` through the link kernel, ``twin`` through the sweep."""
+    topology.recompute()
+    twin.force_full_rebuild()
 
 
 def assert_same_graph(incremental, naive):
@@ -69,16 +69,15 @@ def assert_same_graph(incremental, naive):
 @pytest.mark.usefixtures("evaluation")
 class TestIncrementalMatchesNaive:
     def test_mobility_steps(self):
-        topology, twin = manet(11), naive_twin(11)
+        topology, twin = manet(11), manet(11)
         for __ in range(25):
             topology.advance()
             twin.advance()
-            topology.recompute()
-            twin.recompute()
+            refresh(topology, twin)
             assert_same_graph(topology, twin)
 
     def test_crash_and_recover(self):
-        topology, twin = manet(12), naive_twin(12)
+        topology, twin = manet(12), manet(12)
         for step in range(20):
             for t in (topology, twin):
                 t.advance()
@@ -90,13 +89,13 @@ class TestIncrementalMatchesNaive:
                     t.set_node_up(3)
                 if step == 16:
                     t.set_node_up(9)
-                t.recompute()
+            refresh(topology, twin)
             assert_same_graph(topology, twin)
         assert not topology.is_down(3) and not topology.is_down(9)
 
     def test_blocked_edges(self):
-        topology, twin = manet(13), naive_twin(13)
-        topology.recompute()
+        topology, twin = manet(13), manet(13)
+        refresh(topology, twin)
         edges = sorted(topology.edge_set())[:6]
         for step in range(15):
             for t in (topology, twin):
@@ -107,7 +106,7 @@ class TestIncrementalMatchesNaive:
                 if step == 9:
                     for edge in edges[::2]:
                         t.unblock_edge(*edge)
-                t.recompute()
+            refresh(topology, twin)
             assert_same_graph(topology, twin)
 
     def test_down_node_has_no_edges(self):
@@ -133,7 +132,7 @@ class TestIncrementalMatchesNaive:
         # Degradation replaces the fraction rather than compounding it,
         # so restoring it grows ranges back: a grid sized from an
         # earlier (smaller) maximum range would now drop edges.
-        topology, twin = manet(16), naive_twin(16)
+        topology, twin = manet(16), manet(16)
         static = [
             node.node_id
             for node in topology.nodes
@@ -145,7 +144,7 @@ class TestIncrementalMatchesNaive:
                 for node_id in static:
                     t.node(node_id).radio.degrade(fraction)
                 t.invalidate()
-                t.recompute()
+            refresh(topology, twin)
             assert_same_graph(topology, twin)
 
     def test_concurrent_threads_get_separate_scratch(self):
@@ -153,8 +152,8 @@ class TestIncrementalMatchesNaive:
         # topologies can refresh at once; none may see another's kernel
         # scratch.  Different sizes make the slices overlap unevenly,
         # and a tiny switch interval interleaves the threads between
-        # array ops.  The naive twins replay afterwards, so the threads
-        # spend their time in the incremental refresh.
+        # array ops.  The sweep twins replay afterwards, so the threads
+        # spend their time in the link kernel refresh.
         steps = 150
         configs = {
             seed: replace(SMALL_MANET, node_count=count)
@@ -182,11 +181,10 @@ class TestIncrementalMatchesNaive:
             sys.setswitchinterval(interval)
         for seed, packed in results.items():
             twin = generate_manet_network(seed, configs[seed])
-            twin.set_incremental(False)
             n = twin.node_count
             for edges in packed:
                 twin.advance()
-                twin.recompute()
+                twin.force_full_rebuild()
                 assert {divmod(e, n) for e in edges.tolist()} == twin.edge_set()
 
     def test_desynced_packed_array_is_flagged(self):
