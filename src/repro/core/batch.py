@@ -1,10 +1,9 @@
 """Vectorized batch agent engine: whole populations step as arrays.
 
-PR 4 made the *substrate* incremental; after it, per-object agent
-stepping dominated ``routing_world_step``.  This module rebuilds the
-routing agents' four-phase step (decide / meet / move / install,
-paper §III-C) as a handful of numpy passes over structure-of-arrays
-state:
+After the substrate went incremental, per-object agent stepping
+dominated ``routing_world_step``.  This module rebuilds the routing
+agents' four-phase step (decide / meet / move / install, paper §III-C)
+as a handful of numpy passes over structure-of-arrays state:
 
 * ``loc``            — ``int64[P]`` agent locations,
 * ``track_hops``     — ``int64[P, G]`` gateway tracks keyed by gateway
@@ -14,89 +13,98 @@ state:
   (``NEVER`` = not remembered) plus a per-agent entry count,
 * one ``int64[P]`` delta array per :class:`OverheadMeter` counter.
 
-The engine is an *optimization twin*, not a fork: the per-object
-:class:`~repro.core.routing_agents.RoutingAgent` path stays the semantic
-oracle (exactly how the reference sweep stays the topology's), and
-hypothesis property tests drive both to bit-identical
-:class:`~repro.routing.world.RoutingResult`\\ s under faults, loss,
-visiting, and stigmergy.  Bit-identity constrains the design in three
-places:
+The engine models exactly one configuration — the paper's routing
+figures: plain random or oldest-node agents, with or without visiting,
+over hops that always deliver (:func:`batch_unsupported` names the
+first feature outside it).  Faults, the table guard, corrupted agents,
+traffic, invariants and observability all run on it.  Every other
+configuration — stigmergy, health monitoring, a lossy channel, loss
+bursts, ant agents — runs the per-object step, which is also the
+engine's oracle twin: hypothesis property tests drive both to
+bit-identical :class:`~repro.routing.world.RoutingResult`\\ s, agent
+state and tables.  Bit-identity constrains the design in two places:
 
 * **RNG alignment** — ``rng.choice(seq)`` is ``seq[rng._randbelow(len(seq))]``
   on every supported CPython, and ``_randbelow`` consumes a
-  length-dependent amount of the Mersenne stream.  The batch paths make
+  length-dependent amount of the Mersenne stream.  The decide pass makes
   *exactly* the draws the per-object code makes, in the same per-agent
   order: oldest-node draws only on ties, random draws once per decision,
   and single-candidate ties draw nothing.
-* **Keyed channel** — loss draws hash ``(step, key)``, so outcomes are
-  iteration-order independent and the lossless fast path can account a
-  whole mover batch with one ``attempts`` bump.
-* **Shared mutable substrates** — tables, stigmergy boards, and the
-  health monitor are the real objects; scalar fallbacks touch them in
-  the same agent order the per-object loop would.
+* **Shared mutable substrates** — the routing tables are the real
+  objects, written in the agent order the per-object loop writes them.
 
-Slow features degrade gracefully instead of forking semantics: with
-stigmergy or a health monitor the decide pass runs a scalar mirror per
-agent (same candidate ordering, same counters, same rng calls), and a
-lossy channel routes movement through the real
-:class:`~repro.core.migration.ReliableMigration` protocol per mover.
-Only the clean configuration — the benchmark path — is fully
-vectorized.
+Because no hop can be lost, no agent ever has a hop in flight: every
+acting agent decides afresh each step, every mover arrives, and each
+mover batch accounts its channel attempts with one ``attempts`` bump.
 
 Agent *objects* stay allocated and authoritative for cold state
 (identity, rng, :class:`MigrationState`, the lifetime
 :class:`OverheadMeter`); locations are flushed back every step so the
-fault injector, the invariant checker, and the channel's distance terms
-always observe truthful positions.  :meth:`BatchAgentEngine.flush`
-writes everything else back when the run ends.
+fault injector and the invariant checker always observe truthful
+positions.  :meth:`BatchAgentEngine.flush` writes everything else back
+when the run ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields as dataclass_fields
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as _np
 
-from repro.core.migration import ABANDONED, DELIVERED
 from repro.core.overhead import OverheadMeter
-from repro.core.routing_agents import GatewayTrack
+from repro.core.routing_agents import _FORGED_SEQUENCE_AHEAD, GatewayTrack
 from repro.errors import ConfigurationError
 from repro.types import NEVER, NodeId, Time
 
-__all__ = ["BATCH_AGENT_KINDS", "batch_agents_supported", "BatchAgentEngine"]
+__all__ = ["BATCH_AGENT_KINDS", "batch_unsupported", "BatchAgentEngine"]
 
-#: Agent kinds the batch engine vectorizes; others fall back per-object.
+#: Agent kinds the batch engine vectorizes; others run per-object.
 BATCH_AGENT_KINDS = frozenset({"random", "oldest-node"})
 
 #: Sentinel larger than any visit time; masks padded candidate slots.
 _BIG = 1 << 62
 
 #: Overhead counters mirrored as per-agent delta arrays.  The meters on
-#: the agent objects stay authoritative (scalar fallbacks and the
-#: migration protocol write them directly); these arrays hold only the
-#: increments the vectorized passes produce, flushed additively.
+#: the agent objects stay authoritative (the install pass writes guard
+#: rejections to them directly); these arrays hold only the increments
+#: the vectorized passes produce, flushed additively.
 _OH_FIELDS = tuple(f.name for f in dataclass_fields(OverheadMeter))
 
 
-def batch_agents_supported(agent_kind: str) -> bool:
-    """Whether the batch engine can drive ``agent_kind``."""
-    return agent_kind in BATCH_AGENT_KINDS
+def batch_unsupported(config: Any) -> Optional[str]:
+    """The first feature of a routing config the engine does not model.
+
+    ``None`` means the engine can drive the run.  Loss bursts are the
+    only way a lossless channel loses a hop mid-run (gray failures drop
+    data-plane payloads only), so a plan that schedules one is out too.
+    """
+    if config.agent_kind not in BATCH_AGENT_KINDS:
+        return f"{config.agent_kind!r} agents"
+    if config.stigmergic:
+        return "stigmergic routing"
+    if config.health is not None:
+        return "health monitoring"
+    if config.channel is not None and not config.channel.lossless:
+        return "a lossy channel"
+    plan = config.fault_plan
+    if plan is not None and any(event.kind == "lossburst" for event in plan.events):
+        return "loss bursts"
+    return None
 
 
 class BatchAgentEngine:
     """Structure-of-arrays execution of one routing world's agent phases."""
 
     def __init__(self, world: Any) -> None:
-        kind = world.config.agent_kind
-        if kind not in BATCH_AGENT_KINDS:
+        unsupported = batch_unsupported(world.config)
+        if unsupported is not None:
             raise ConfigurationError(
-                f"batch agent engine supports {sorted(BATCH_AGENT_KINDS)}, "
-                f"not {kind!r}"
+                f"the batch agent engine does not model {unsupported}; "
+                "leave batch_agents unset to run the per-object step"
             )
         self._world = world
-        self._kind = kind
-        self._random_kind = kind == "random"
+        self._random_kind = world.config.agent_kind == "random"
         agents = world.agents
         self._agents = agents
         self._population = len(agents)
@@ -115,8 +123,7 @@ class BatchAgentEngine:
         # bound ``_randbelow`` skips one method dispatch per tie-break;
         # it is a stable CPython API (3.2+) and exactly what
         # ``random.choice`` calls.
-        self._rngs = [agent._rng for agent in agents]
-        self._randbelow = [rng._randbelow for rng in self._rngs]
+        self._randbelow = [agent._rng._randbelow for agent in agents]
         self._all_idx = _np.arange(self._population, dtype=_np.int64)
         # SoA state + overhead delta arrays.
         self.loc = _np.zeros(self._population, dtype=_np.int64)
@@ -147,11 +154,6 @@ class BatchAgentEngine:
             name: _np.zeros(self._population, dtype=_np.int64)
             for name in _OH_FIELDS
         }
-        #: indices of agents with a hop in flight (retry/backoff state on
-        #: the agent's own MigrationState).  Empty over a lossless
-        #: channel — which is what lets the batch move pass skip
-        #: ``resolve_intent`` entirely (the migration fast path).
-        self._pending: Set[int] = set()
         for index in range(self._population):
             self._load_row(index)
 
@@ -182,10 +184,6 @@ class BatchAgentEngine:
         nodes_row.fill(-1)
         if visits:
             nodes_row[: len(visits)] = list(visits)
-        if agent.migration.target is None:
-            self._pending.discard(index)
-        else:
-            self._pending.add(index)
 
     def _reload_respawned(self) -> None:
         """Pull rows for agents the fault layer rebuilt since last step.
@@ -249,13 +247,10 @@ class BatchAgentEngine:
         phase, including the profiler lap boundaries and obs hooks.
         """
         world = self._world
-        topology = world.topology
-        config = world.config
-        adjacency = topology.adjacency_view()
         injector = world.injector
         if injector is not None:
             self._reload_respawned()
-            down = topology.down_ids
+            down = world.topology.down_ids
             loc_list = self.loc.tolist()
             acting = [
                 index
@@ -266,25 +261,21 @@ class BatchAgentEngine:
             acts = _np.asarray(acting, dtype=_np.int64)
         else:
             acts = self._all_idx
-        # Phase 1: decide (or resolve an in-flight hop).
+        # Phase 1: decide.
         targets = _np.full(self._population, -1, dtype=_np.int64)
-        fresh = _np.zeros(self._population, dtype=bool)
-        if config.stigmergic or world.health is not None:
-            self._decide_scalar(acts, now, adjacency, targets, fresh)
-        else:
-            self._decide_vector(acts, now, adjacency, targets, fresh)
+        self._decide(acts, targets)
         if profiler is not None:
             phase_started = profiler.lap("decide", phase_started)
         # Phase 2: visiting exchanges.
-        if config.visiting:
-            held = self._meet(acts, now)
+        if world.config.visiting:
+            held = self._meet(acts)
             world.result.meetings += held
             if world._obs is not None:
                 world._obs.meetings(now, held)
         if profiler is not None:
             phase_started = profiler.lap("meet", phase_started)
-        # Phases 3 & 4: move over the channel, then install routes.
-        step_installs = self._move_and_install(acts, now, targets, fresh)
+        # Phases 3 & 4: move, then install routes.
+        step_installs = self._move_and_install(acts, now, targets)
         self._flush_locations()
         if profiler is not None:
             phase_started = profiler.lap("move", phase_started)
@@ -294,46 +285,8 @@ class BatchAgentEngine:
     # Phase 1: decide
     # ------------------------------------------------------------------
 
-    def _decide_vector(
-        self,
-        acts: "_np.ndarray",
-        now: Time,
-        adjacency: Sequence[Sequence[NodeId]],
-        targets: "_np.ndarray",
-        fresh: "_np.ndarray",
-    ) -> None:
-        """Vectorized decisions for every acting agent (clean config)."""
-        pending = self._pending
-        if pending:
-            # Migration fast path: only *acting* agents with a hop in
-            # flight pay the per-agent resolve_intent; everyone else
-            # goes vector.  (Inactive pending agents keep their state
-            # untouched, exactly like the per-object loop.)
-            resolved = self._world._migration.resolve_intents_batch(
-                self._agents,
-                [index for index in acts.tolist() if index in pending],
-                now,
-                adjacency,
-                self.loc,
-            )
-            vector_rows = []
-            for index in acts.tolist():
-                decision = resolved.get(index)
-                if decision is None:
-                    vector_rows.append(index)
-                    continue
-                needs_decision, forced = decision
-                if needs_decision:
-                    pending.discard(index)
-                    vector_rows.append(index)
-                else:
-                    if forced is not None:
-                        targets[index] = forced
-                    # waiting out a backoff: stay, no footprint re-stamp
-            acts = _np.asarray(vector_rows, dtype=_np.int64)
-            if not len(acts):
-                return
-        fresh[acts] = True
+    def _decide(self, acts: "_np.ndarray", targets: "_np.ndarray") -> None:
+        """Vectorized decisions for every acting agent."""
         cand, deg, valid = self._candidate_matrix(acts)
         if cand is None:
             return
@@ -419,79 +372,11 @@ class BatchAgentEngine:
         _np.take(padded, occ_rows, axis=0, out=cand)
         return cand, counts[occ_rows], cand >= 0
 
-    def _decide_scalar(
-        self,
-        acts: "_np.ndarray",
-        now: Time,
-        adjacency: Sequence[Sequence[NodeId]],
-        targets: "_np.ndarray",
-        fresh: "_np.ndarray",
-    ) -> None:
-        """Per-agent decide mirror for stigmergic / health-filtered runs.
-
-        Line-for-line the logic of ``RoutingWorld._step``'s decide loop
-        plus ``RoutingAgent.decide``, reading SoA state instead of the
-        (stale) agent attributes.  Speed is irrelevant here; equivalence
-        is what the property tests pin.
-        """
-        world = self._world
-        migration = world._migration
-        field = world.field
-        health = world.health
-        stigmergic = world.config.stigmergic
-        pending = self._pending
-        agents = self._agents
-        vt = self.vt
-        oh_decisions = self._oh["decisions"]
-        oh_lookups = self._oh["footprint_lookups"]
-        oh_examined = self._oh["candidates_examined"]
-        for index in acts.tolist():
-            location = int(self.loc[index])
-            neighbors = adjacency[location]
-            if index in pending:
-                agent = agents[index]
-                needs_decision, forced = migration.resolve_intent(
-                    agent, now, neighbors
-                )
-                if not needs_decision:
-                    if forced is not None:
-                        targets[index] = forced
-                    continue
-                pending.discard(index)
-            fresh[index] = True
-            if health is not None:
-                neighbors = health.filter_targets(location, neighbors)
-            candidates = sorted(neighbors)
-            if not candidates:
-                continue
-            oh_decisions[index] += 1
-            if stigmergic and field is not None:
-                oh_lookups[index] += 1
-                candidates = field.filter_candidates(location, candidates, now)
-            oh_examined[index] += len(candidates)
-            if self._random_kind:
-                targets[index] = self._rngs[index].choice(candidates)
-                continue
-            row = vt[index]
-            best_time = None
-            best: List[NodeId] = []
-            for candidate in candidates:
-                visited = int(row[candidate])
-                if best_time is None or visited < best_time:
-                    best_time = visited
-                    best = [candidate]
-                elif visited == best_time:
-                    best.append(candidate)
-            if len(best) == 1:
-                targets[index] = best[0]
-            else:
-                targets[index] = self._rngs[index].choice(best)
-
     # ------------------------------------------------------------------
     # Phase 2: visiting meetings
     # ------------------------------------------------------------------
 
-    def _meet(self, acts: "_np.ndarray", now: Time) -> int:
+    def _meet(self, acts: "_np.ndarray") -> int:
         """Group co-located agents and merge tracks + histories.
 
         The array mirror of
@@ -500,21 +385,19 @@ class BatchAgentEngine:
         freshest-per-node merged history are computed from pre-exchange
         snapshots; every receiving participant adopts both, with the
         merged history trimmed to capacity by evicting the stalest
-        ``(time, id)`` entries — `record()`'s tie-break.
+        ``(time, id)`` entries — `record()`'s tie-break.  Every
+        participant receives: the channel loses no meeting payload.
         """
         groups: Dict[int, List[int]] = {}
         loc_list = self.loc.tolist()
         for index in acts.tolist():
             groups.setdefault(loc_list[index], []).append(index)
-        channel = self._world.channel
-        channel_fast = channel.hops_lossless
+        channel_stats = self._world.channel.stats
         capacity = self._capacity
-        agents = self._agents
         meetings = 0
         oh_meetings = self._oh["meetings"]
         oh_received = self._oh["items_received"]
-        oh_lost = self._oh["payloads_lost"]
-        for location, members in groups.items():
+        for members in groups.values():
             if len(members) < 2:
                 continue
             meetings += 1
@@ -545,33 +428,15 @@ class BatchAgentEngine:
             new_hops = _np.where(any_track, best_hops, -1)
             new_seen = _np.where(any_track, best_seen, 0)
             oh_meetings[rows] += 1
-            if channel_fast:
-                channel.stats.attempts += len(members)
-                receivers = members
-            else:
-                receivers = [
-                    index
-                    for index in members
-                    if channel.attempt(
-                        location,
-                        location,
-                        now,
-                        f"meet:{agents[index].agent_id}",
-                    )
-                ]
-                lost = [i for i in members if i not in receivers]
-                if lost:
-                    oh_lost[_np.asarray(lost, dtype=_np.int64)] += 1
-            if receivers:
-                rec = _np.asarray(receivers, dtype=_np.int64)
-                self.track_hops[rec] = new_hops
-                self.track_seen[rec] = new_seen
-                self.vt[rec] = merged
-                self.visit_count[rec] = merged_count
-                nodes_row = _np.full(capacity + 1, -1, dtype=_np.int64)
-                nodes_row[:merged_count] = merged_nodes
-                self.visit_nodes[rec] = nodes_row
-                oh_received[rec] += payload
+            channel_stats.attempts += len(members)
+            self.track_hops[rows] = new_hops
+            self.track_seen[rows] = new_seen
+            self.vt[rows] = merged
+            self.visit_count[rows] = merged_count
+            nodes_row = _np.full(capacity + 1, -1, dtype=_np.int64)
+            nodes_row[:merged_count] = merged_nodes
+            self.visit_nodes[rows] = nodes_row
+            oh_received[rows] += payload
         return meetings
 
     # ------------------------------------------------------------------
@@ -579,52 +444,29 @@ class BatchAgentEngine:
     # ------------------------------------------------------------------
 
     def _move_and_install(
-        self,
-        acts: "_np.ndarray",
-        now: Time,
-        targets: "_np.ndarray",
-        fresh: "_np.ndarray",
+        self, acts: "_np.ndarray", now: Time, targets: "_np.ndarray"
     ) -> int:
+        """Move every decided agent, install its routes, record visits.
+
+        Every hop delivers, so one pass moves the whole mover batch and
+        advances its tracks; installs then follow in agent order, and
+        agents without a target stay.
+        """
         world = self._world
-        topology = world.topology
-        down = topology.down_ids
+        down = world.topology.down_ids
         gw_mask = self._gw_mask
         if down:
             live_gw = gw_mask.copy()
             live_gw[list(down)] = False
         else:
             live_gw = gw_mask
-        # Stamp footprints before any movement, in agent order — the
-        # same point the per-object loop calls leave_footprint.
-        if world.config.stigmergic:
-            field = world.field
-            stamped = _np.nonzero((targets >= 0) & fresh)[0]
-            if len(stamped):
-                self._oh["footprints_stamped"][stamped] += 1
-                agents = self._agents
-                loc_list = self.loc.tolist()
-                for index in stamped.tolist():
-                    field.stamp(
-                        loc_list[index],
-                        agents[index].agent_id,
-                        int(targets[index]),
-                        now,
-                    )
-        mover_rows = _np.nonzero(targets[acts] >= 0)[0]
-        movers = acts[mover_rows]
-        channel = world.channel
-        channel_fast = channel.hops_lossless
-        if channel_fast and world._obs is None and not self._pending:
-            step_installs, stayed = self._move_fast(acts, movers, targets, now, live_gw)
-        else:
-            step_installs, stayed = self._move_scalar(movers, targets, now, live_gw)
+        movers = acts[targets[acts] >= 0]
+        step_installs = self._move(movers, targets, now, live_gw)
         # Stayers standing on a live gateway refresh their zero-hop track
-        # (RoutingAgent.stay), movers already handled arrival tracks.
-        if len(movers) < len(acts) or stayed:
+        # (RoutingAgent.stay); movers already took their arrival tracks.
+        if len(movers) < len(acts):
             stay_mask = _np.ones(self._population, dtype=bool)
             stay_mask[movers] = False
-            if stayed:
-                stay_mask[stayed] = True
             stayers = acts[stay_mask[acts]]
             on_gateway = stayers[live_gw[self.loc[stayers]]]
             if len(on_gateway):
@@ -635,21 +477,28 @@ class BatchAgentEngine:
         self._record_visits(acts, now)
         return step_installs
 
-    def _move_fast(
+    def _move(
         self,
-        acts: "_np.ndarray",
         movers: "_np.ndarray",
         targets: "_np.ndarray",
         now: Time,
         live_gw: "_np.ndarray",
-    ) -> Tuple[int, List[int]]:
-        """Lossless-channel movement: every hop delivers, in one pass."""
+    ) -> int:
+        """Deliver every mover in one pass, then install its routes.
+
+        Exactly what a delivered :meth:`ReliableMigration.attempt_hop`
+        plus ``RoutingAgent.move_to`` do per agent: one attempt counted
+        on the agent and on the channel, tracks aged by one hop (dropped
+        past the history size), a zero-hop track at a live gateway.
+        ``agent_moved`` fires per mover in agent order, and its payload
+        is built only when someone receives it.
+        """
         if not len(movers):
-            return 0, []
+            return 0
         dest = targets[movers]
         self._oh["hops_attempted"][movers] += 1
-        channel = self._world.channel
-        channel.stats.attempts += len(movers)
+        world = self._world
+        world.channel.stats.attempts += len(movers)
         origins = self.loc[movers].copy()
         self.loc[movers] = dest
         hops = self.track_hops[movers]
@@ -663,90 +512,14 @@ class BatchAgentEngine:
             cols = arrival_cols[at_gateway]
             self.track_hops[rows, cols] = 0
             self.track_seen[rows, cols] = now
-        return self._install_batch(movers, origins, dest, now), []
-
-    def _move_scalar(
-        self,
-        movers: "_np.ndarray",
-        targets: "_np.ndarray",
-        now: Time,
-        live_gw: "_np.ndarray",
-    ) -> Tuple[int, List[int]]:
-        """Movement through the full reliable-migration protocol.
-
-        One mover at a time in agent order — exactly the per-object
-        loop: a lost hop leaves the agent in place (it "stays" this
-        step), an abandoned target drops routes through the dead link,
-        a delivery advances tracks and installs routes immediately.
-        """
-        world = self._world
-        migration = world._migration
-        agents = self._agents
-        obs = world._obs
         hooks = world.engine.hooks
-        injector = world.injector
-        tables = world.tables
-        guard = tables.guard
-        pending = self._pending
-        gw_ids = self._gw_ids
-        hist = self._hist
-        step_installs = 0
-        stayed: List[int] = []
-        oh_installed = self._oh["routes_installed"]
-        for index in movers.tolist():
-            agent = agents[index]
-            target = int(targets[index])
-            outcome = migration.attempt_hop(agent, target, now)
-            if outcome != DELIVERED:
-                if outcome == ABANDONED:
-                    world._suspect_link(agent, target, now)
-                    pending.discard(index)
-                else:
-                    pending.add(index)
-                stayed.append(index)
-                continue
-            pending.discard(index)
-            origin = int(self.loc[index])
-            self.loc[index] = target
-            row = self.track_hops[index]
-            live = row >= 0
-            advanced = row + 1
-            keep = live & (advanced <= hist)
-            self.track_hops[index] = _np.where(keep, advanced, -1)
-            column = int(self._gw_col[target])
-            if column >= 0 and live_gw[target]:
-                row[column] = 0
-                self.track_seen[index, column] = now
-            if obs is not None:
+        if hooks.is_live("agent_moved"):
+            agents = self._agents
+            for index, target in zip(movers.tolist(), dest.tolist()):
                 hooks.fire(
-                    "agent_moved", time=now, agent=agent.agent_id, to=target
+                    "agent_moved", time=now, agent=agents[index].agent_id, to=target
                 )
-            track_row = self.track_hops[index]
-            columns = _np.nonzero(track_row > 0)[0].tolist()
-            if not columns:
-                continue  # nothing to write: the node's table stays unbuilt
-            table = tables.table(target)
-            corrupted = injector is not None and injector.is_corrupted(
-                agent.agent_id
-            )
-            rejected_before = table.guard_rejections if guard is not None else 0
-            install = table.install_fast
-            seen_row = self.track_seen[index]
-            for column in columns:
-                oh_installed[index] += 1
-                step_installs += 1
-                hops = int(track_row[column])
-                seen_at = int(seen_row[column])
-                next_hop = origin
-                if corrupted:
-                    hops = 1
-                    seen_at = now + _forged_sequence_ahead()
-                install(gw_ids[column], next_hop, hops, now, seen_at, seen_at)
-            if guard is not None:
-                agent.overhead.routes_rejected += (
-                    table.guard_rejections - rejected_before
-                )
-        return step_installs, stayed
+        return self._install_batch(movers, origins, dest, now)
 
     def _install_batch(
         self,
@@ -779,7 +552,7 @@ class BatchAgentEngine:
         corrupted = False
         table = None
         rejected_before = 0
-        forged_ahead = _forged_sequence_ahead()
+        forged_ahead = _FORGED_SEQUENCE_AHEAD
         for row, column, hops, seen_at in zip(
             pair_rows.tolist(), pair_cols.tolist(), hops_flat, seen_flat
         ):
@@ -845,9 +618,3 @@ class BatchAgentEngine:
             self.visit_nodes[over, last] = -1
             self.visit_count[over] = last
 
-
-def _forged_sequence_ahead() -> int:
-    """The corrupted-agent forgery offset (single source in the world)."""
-    from repro.routing import world as routing_world
-
-    return routing_world._FORGED_SEQUENCE_AHEAD

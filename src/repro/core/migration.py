@@ -25,7 +25,7 @@ cannot drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Container, Optional, Tuple
 
 from repro.net.channel import ChannelModel
 from repro.types import NodeId, Time
@@ -89,32 +89,6 @@ class ReliableMigration:
             return False, state.target
         state.reset()
         return True, None
-
-    def resolve_intents_batch(
-        self,
-        agents: Sequence,
-        indices: Iterable[int],
-        now: Time,
-        adjacency: Sequence[Container[NodeId]],
-        locations,
-    ) -> Dict[int, Tuple[bool, Optional[NodeId]]]:
-        """Resolve pending-hop intents for the given agent indices only.
-
-        The batch engine's fast path: over a lossless channel no hop is
-        ever in flight, so ``indices`` is empty and the whole population
-        skips :meth:`resolve_intent`; with losses only the few agents in
-        retry/backoff pay the per-agent call.  ``locations`` is the
-        engine's location array (== each agent's object location at
-        decision time).  Returns ``index -> (needs_decision, forced)``
-        with :meth:`resolve_intent` semantics, mutating only the listed
-        agents' states — exactly the set the per-object loop would touch.
-        """
-        resolved: Dict[int, Tuple[bool, Optional[NodeId]]] = {}
-        for index in indices:
-            resolved[index] = self.resolve_intent(
-                agents[index], now, adjacency[int(locations[index])]
-            )
-        return resolved
 
     def attempt_hop(self, agent, target: NodeId, now: Time) -> str:
         """Try to deliver ``agent`` to ``target``; returns the outcome.

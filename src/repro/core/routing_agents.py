@@ -49,6 +49,12 @@ __all__ = [
     "make_routing_agent",
 ]
 
+#: How far ahead of the clock a corrupted agent stamps its forged
+#: sequence numbers — "stale-but-renumbered" knowledge that, undefended,
+#: raises the per-gateway floors and blocks honest refreshes for this
+#: many steps.  The table guard's future-sequence check rejects it.
+_FORGED_SEQUENCE_AHEAD = 50
+
 
 @dataclass(frozen=True)
 class GatewayTrack:

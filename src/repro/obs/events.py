@@ -160,8 +160,12 @@ class EventBus:
         self._sinks = list(sinks)
         self._kinds = set(kinds) if kinds is not None else None
 
-    def emit(self, time: Time, kind: str, **payload: Any) -> None:
-        """Build one event and deliver it to every sink."""
+    def emit(self, time: Time, kind: str, /, **payload: Any) -> None:
+        """Build one event and deliver it to every sink.
+
+        ``time`` and ``kind`` are positional-only, so a payload may carry
+        its own ``kind`` (a ``fault_injected`` event names the fault's).
+        """
         if self._kinds is not None and kind not in self._kinds:
             return
         event = Event(time=time, kind=kind, payload=payload)

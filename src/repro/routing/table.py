@@ -409,6 +409,8 @@ class TableBank:
     ) -> None:
         if node_count < 1:
             raise RoutingError(f"node_count must be >= 1, got {node_count}")
+        if ttl is not None and ttl < 1:
+            raise RoutingError(f"ttl must be >= 1 or None, got {ttl}")
         self.node_count = node_count
         self.ttl = ttl
         self.guard = guard

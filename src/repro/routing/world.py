@@ -23,11 +23,15 @@ from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.ant_agents import AntRoutingAgent
-from repro.core.batch import BatchAgentEngine, batch_agents_supported
+from repro.core.batch import BatchAgentEngine, batch_unsupported
 from repro.core.comms import exchange_routing_knowledge
 from repro.core.migration import ABANDONED, DELIVERED, ReliableMigration
 from repro.core.overhead import aggregate_overheads
-from repro.core.routing_agents import RoutingAgent, make_routing_agent
+from repro.core.routing_agents import (
+    _FORGED_SEQUENCE_AHEAD,
+    RoutingAgent,
+    make_routing_agent,
+)
 from repro.core.stigmergy import StigmergyField
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
@@ -47,13 +51,6 @@ from repro.traffic.plane import TrafficConfig, TrafficPlane, TrafficReport
 from repro.types import NodeId, Time
 
 __all__ = ["RoutingWorldConfig", "RoutingResult", "RoutingWorld", "run_routing"]
-
-#: How far ahead of the clock a corrupted agent stamps its forged
-#: sequence numbers — "stale-but-renumbered" knowledge that, undefended,
-#: raises the per-gateway floors and blocks honest refreshes for this
-#: many steps.  The table guard's future-sequence check rejects it.
-_FORGED_SEQUENCE_AHEAD = 50
-
 
 @dataclass(frozen=True)
 class RoutingWorldConfig:
@@ -103,10 +100,11 @@ class RoutingWorldConfig:
     # --- batch agent engine ----------------------------------------------
     #: drive the agent phases through the vectorized SoA engine
     #: (:class:`~repro.core.batch.BatchAgentEngine`, bit-identical to
-    #: the per-object path).  ``None`` auto-enables it when the agent
-    #: kind is supported and numpy is importable; ``False`` forces the
-    #: per-object oracle; ``True`` demands the engine (and raises if the
-    #: kind or environment cannot support it).
+    #: the per-object path).  ``None`` enables it exactly on the
+    #: configuration it models (see
+    #: :func:`~repro.core.batch.batch_unsupported`); ``False`` forces the
+    #: per-object oracle; ``True`` demands the engine and raises
+    #: :class:`ConfigurationError` naming any feature it does not model.
     batch_agents: Optional[bool] = None
     # --- sharded arena ---------------------------------------------------
     #: partition the arena into this many spatial tiles and step them as
@@ -124,6 +122,10 @@ class RoutingWorldConfig:
         if self.history_size < 1:
             raise ConfigurationError(
                 f"history_size must be >= 1, got {self.history_size}"
+            )
+        if self.route_ttl is not None and self.route_ttl < 1:
+            raise ConfigurationError(
+                f"route_ttl must be >= 1 or None, got {self.route_ttl}"
             )
         if self.total_steps < 1:
             raise ConfigurationError(f"total_steps must be >= 1, got {self.total_steps}")
@@ -259,7 +261,7 @@ class RoutingWorld:
         self._batch: Optional[BatchAgentEngine] = None
         use_batch = config.batch_agents
         if use_batch is None:
-            use_batch = batch_agents_supported(config.agent_kind)
+            use_batch = batch_unsupported(config) is None
         if use_batch:
             self._batch = BatchAgentEngine(self)
         self.engine.add_process(self._step)
@@ -437,6 +439,8 @@ class RoutingWorld:
                     agent.leave_footprint(target, now, self.field)
                 moves.append((agent, target))
         step_installs = 0
+        hooks = self.engine.hooks
+        announce = hooks.is_live("agent_moved")
         for agent, target in moves:
             # Agent hops are control-plane traffic and deliberately feed
             # no evidence into the health monitor: a gray-failed node
@@ -452,12 +456,8 @@ class RoutingWorld:
                     self._suspect_link(agent, target, now)
                 continue
             came_from = agent.move_to(target, now, target in live_gateways)
-            if self._obs is not None:
-                # The routing hot loop has no other agent_moved consumer,
-                # so the fire stays behind the obs guard (zero-cost off).
-                self.engine.hooks.fire(
-                    "agent_moved", time=now, agent=agent.agent_id, to=target
-                )
+            if announce:
+                hooks.fire("agent_moved", time=now, agent=agent.agent_id, to=target)
             routes = agent.installable_routes(came_from)
             if not routes:
                 continue  # nothing to write: the node's table stays unbuilt

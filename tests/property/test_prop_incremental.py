@@ -417,7 +417,11 @@ class TestWorldMetricMatchesOracle:
                 converged_after=steps // 2,
                 walk_ttl=walk_ttl,
                 fault_plan=plan,
-                channel=ChannelConfig(loss=0.25, hop_retries=2, backoff_base=1, backoff_cap=4),
+                # The batch engine models lossless hops only; the lossy
+                # channel stays on the per-object step.
+                channel=None if batch else ChannelConfig(
+                    loss=0.25, hop_retries=2, backoff_base=1, backoff_cap=4
+                ),
                 batch_agents=batch,
             ),
             seed + 1,

@@ -58,6 +58,14 @@ class TestSinks:
         assert [e.kind for e in sink.events] == ["keep"]
         assert bus.wants("keep") and not bus.wants("drop")
 
+    def test_payload_may_carry_its_own_kind_and_time(self):
+        # fault_injected names the fault's kind in its payload.
+        sink = MemorySink()
+        EventBus([sink]).emit(3, "fault_injected", kind="crash", time=9)
+        (event,) = sink.events
+        assert (event.time, event.kind) == (3, "fault_injected")
+        assert event.payload == {"kind": "crash", "time": 9}
+
     def test_multiple_sinks_all_receive(self):
         one, two = MemorySink(), MemorySink()
         EventBus([one, two]).emit(1, "x")

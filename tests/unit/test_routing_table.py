@@ -189,6 +189,13 @@ class TestTableBank:
         with pytest.raises(RoutingError):
             TableBank(0)
 
+    @pytest.mark.parametrize("ttl", [0, -3])
+    def test_bad_ttl_rejected_at_construction(self, ttl):
+        # Tables are built lazily, so the bank must not wait for the
+        # first write to refuse a TTL no table could take.
+        with pytest.raises(RoutingError):
+            TableBank(3, ttl=ttl)
+
     def test_per_node_tables(self):
         bank = TableBank(3)
         bank.table(0).install(entry())

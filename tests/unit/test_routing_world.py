@@ -3,6 +3,11 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.faults.plan import FaultPlan
+from repro.net.channel import ChannelConfig
+from repro.net.health import HealthConfig
+from repro.obs.collector import ObsConfig
+from repro.routing.table import TableGuard
 from repro.routing.world import RoutingResult, RoutingWorld, RoutingWorldConfig, run_routing
 
 
@@ -28,6 +33,52 @@ class TestConfig:
             RoutingWorldConfig(total_steps=0)
         with pytest.raises(ConfigurationError):
             RoutingWorldConfig(total_steps=10, converged_after=20)
+
+    @pytest.mark.parametrize("route_ttl", [0, -1])
+    def test_bad_route_ttl_rejected_when_built(self, route_ttl):
+        with pytest.raises(ConfigurationError, match="route_ttl"):
+            RoutingWorldConfig(route_ttl=route_ttl)
+
+
+class TestBatchEngineScope:
+    """The engine runs exactly on the configuration it vectorises."""
+
+    @pytest.mark.parametrize(
+        "overrides, feature",
+        [
+            ({"stigmergic": True}, "stigmergic"),
+            ({"health": HealthConfig()}, "health"),
+            ({"channel": ChannelConfig(loss=0.1)}, "lossy channel"),
+            (
+                {"fault_plan": FaultPlan().loss_burst(5, 1, 0.5).loss_clear(9, 1)},
+                "loss bursts",
+            ),
+            ({"agent_kind": "ant"}, "'ant'"),
+        ],
+    )
+    def test_out_of_scope_configs(self, small_manet, overrides, feature):
+        with pytest.raises(ConfigurationError, match=feature):
+            RoutingWorld(small_manet, small_config(batch_agents=True, **overrides), seed=4)
+        world = RoutingWorld(small_manet, small_config(**overrides), seed=4)
+        assert world._batch is None
+
+    @pytest.mark.parametrize("kind", ["random", "oldest-node"])
+    def test_in_scope_configs_build_the_engine(self, small_manet, kind):
+        plan = (
+            FaultPlan()
+            .crash(3, 2)
+            .gray_failure(4, 5, 0.5)
+            .corrupt_agent(5, 1)
+        )
+        config = small_config(
+            agent_kind=kind,
+            visiting=True,
+            fault_plan=plan,
+            channel=ChannelConfig(),
+            table_guard=TableGuard(),
+            obs=ObsConfig(metrics=True, events=True, profile=True),
+        )
+        assert RoutingWorld(small_manet, config, seed=4)._batch is not None
 
 
 class TestRoutingResult:
