@@ -178,23 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="validate cross-layer invariants after every step (fail fast)",
     )
     run.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "step every routing variant as N spatial arena tiles "
-            "(bit-identical results; scales to 10k+ nodes — see repro.shard)"
-        ),
-    )
-    run.add_argument(
-        "--tile-size",
-        type=float,
-        default=None,
-        metavar="LENGTH",
-        help="explicit tile edge length for --shards (shard count follows)",
-    )
-    run.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
         help=(
@@ -407,9 +390,6 @@ def _command_run(args: argparse.Namespace) -> int:
         fields["traffic"] = dataclasses.replace(
             fields.get("traffic") or TrafficConfig(), **traffic_overrides
         )
-    if args.shards is not None or args.tile_size is not None:
-        fields["shards"] = args.shards if args.shards is not None else 1
-        fields["tile_size"] = args.tile_size
     if args.checkpoint_dir:
         fields["checkpoint_dir"] = pathlib.Path(args.checkpoint_dir)
     if args.task_retries is not None:
@@ -475,8 +455,6 @@ def _command_run(args: argparse.Namespace) -> int:
                 "adversary": args.adversary,
                 "quarantine": args.quarantine,
                 "check_invariants": args.check_invariants,
-                "shards": args.shards,
-                "tile_size": args.tile_size,
             },
         )
         if args.metrics_out:

@@ -220,21 +220,12 @@ class RunDefaults:
     #: adversary spec materialized into a seeded fault plan for variants
     #: that carry no plan of their own.
     adversary: Optional[AdversarySpec] = None
-    #: sharded-arena tiling for routing variants that carry none of their
-    #: own: shard count and optional explicit tile edge length (see
-    #: :mod:`repro.shard`).  Mapping worlds carry no such knob.
-    shards: Optional[int] = None
-    tile_size: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
         if self.route_ttl is not None and self.route_ttl < 1:
             raise ConfigurationError(f"route ttl must be >= 1, got {self.route_ttl}")
-        if self.shards is not None and self.shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
-        if self.tile_size is not None and self.tile_size <= 0:
-            raise ConfigurationError(f"tile_size must be > 0, got {self.tile_size}")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ConfigurationError(
                 f"task timeout must be > 0, got {self.task_timeout}"
@@ -387,14 +378,6 @@ def _with_run_defaults(
             and config.table_guard is None
         ):
             changes["table_guard"] = defaults.table_guard
-        if (
-            defaults.shards is not None
-            and hasattr(config, "shards")
-            and config.shards is None
-        ):
-            changes["shards"] = defaults.shards
-            if defaults.tile_size is not None and config.tile_size is None:
-                changes["tile_size"] = defaults.tile_size
         adjusted[name] = dataclasses.replace(config, **changes) if changes else config
     return adjusted
 
@@ -459,7 +442,7 @@ def _routing_task(
 ) -> Tuple[str, int, RoutingResult]:
     """One (variant, run) routing execution — top-level for pickling."""
     name, generator_config, world_config, network_seed, world_seed, run_index = task
-    if world_config.shards is not None or world_config.tile_size is not None:
+    if world_config.shards is not None:
         # Tiled variants step through the sharded world (bit-identical
         # to the serial path), which copies the same blueprint itself.
         from repro.shard.world import run_sharded_routing

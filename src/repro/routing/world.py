@@ -112,9 +112,6 @@ class RoutingWorldConfig:
     #: :mod:`repro.shard`).  ``None`` (default) runs the serial world;
     #: the sharded world is bit-identical at any shard count.
     shards: Optional[int] = None
-    #: explicit tile edge length; overrides the tile shape derived from
-    #: ``shards`` (the shard count then follows from the arena size).
-    tile_size: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.population < 1:
@@ -136,10 +133,6 @@ class RoutingWorldConfig:
             )
         if self.shards is not None and self.shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
-        if self.tile_size is not None and self.tile_size <= 0:
-            raise ConfigurationError(
-                f"tile_size must be > 0, got {self.tile_size}"
-            )
 
 
 @dataclass

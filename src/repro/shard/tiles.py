@@ -23,7 +23,6 @@ sees, never the outcome.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional, Tuple
 
 import numpy as _np
@@ -51,34 +50,19 @@ def _factor_tiles(count: int, width: float, height: float) -> Tuple[int, int]:
 class TileGrid:
     """The arena's rectangular tile decomposition.
 
-    Built either from a shard count (``shards`` tiles factored into the
-    grid with the squarest tiles) or from an explicit ``tile_size``
-    (square-ish tiles of roughly that edge length; the shard count
-    follows).  Ownership is clipped floor division, so positions exactly
-    on the far arena edge belong to the last tile.
+    ``shards`` tiles are factored into the grid with the squarest tiles.
+    Ownership is clipped floor division, so positions exactly on the far
+    arena edge belong to the last tile.
     """
 
-    def __init__(
-        self,
-        width: float,
-        height: float,
-        shards: Optional[int] = None,
-        tile_size: Optional[float] = None,
-    ) -> None:
+    def __init__(self, width: float, height: float, shards: int = 1) -> None:
         if width <= 0 or height <= 0:
             raise ConfigurationError(
                 f"arena must have positive extent, got {width}x{height}"
             )
-        if tile_size is not None:
-            if tile_size <= 0:
-                raise ConfigurationError(f"tile_size must be > 0, got {tile_size}")
-            nx = max(1, math.ceil(width / tile_size))
-            ny = max(1, math.ceil(height / tile_size))
-        else:
-            count = 1 if shards is None else shards
-            if count < 1:
-                raise ConfigurationError(f"shards must be >= 1, got {count}")
-            nx, ny = _factor_tiles(count, width, height)
+        if shards < 1:
+            raise ConfigurationError(f"shards must be >= 1, got {shards}")
+        nx, ny = _factor_tiles(shards, width, height)
         self.width = width
         self.height = height
         self.nx = nx

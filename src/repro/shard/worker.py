@@ -23,10 +23,8 @@ three exchange rounds the coordinator drives per step:
    phase-4 loop produces, on the owning tile *and* on the
    coordinator's replica bank.
 
-The worker is spawn-safe: :func:`worker_main` rebuilds the tile from
-the pickled configs (each process generates its own topology replica —
-replicated motion is cheaper than shipping positions every step) and
-serves the three rounds over a pipe.
+All tiles share one topology, which the coordinator advances once per
+step before round 1.
 """
 
 from __future__ import annotations
@@ -38,12 +36,11 @@ import numpy as _np
 
 from repro.core.comms import exchange_routing_knowledge
 from repro.core.migration import ABANDONED, DELIVERED
-from repro.net.generator import manet_blueprint
 from repro.routing.table import RouteEntry
 from repro.routing.world import RoutingWorld
 from repro.shard.tiles import TileAdjacency, TileGrid
 
-__all__ = ["TileWorker", "TileReport", "worker_main", "inner_world_config"]
+__all__ = ["TileWorker", "TileReport", "inner_world_config"]
 
 
 def inner_world_config(config):
@@ -60,7 +57,6 @@ def inner_world_config(config):
         obs=None,
         check_invariants=False,
         shards=None,
-        tile_size=None,
     )
 
 
@@ -89,17 +85,10 @@ class TileWorker:
         self,
         tile: int,
         grid: TileGrid,
-        generator_config,
         world_config,
-        network_seed: int,
         world_seed: int,
-        topology=None,
+        topology,
     ) -> None:
-        if topology is None:
-            topology = manet_blueprint(generator_config, network_seed).topology()
-            self._advance = True  # process mode: each replica advances itself
-        else:
-            self._advance = False  # inline mode: the coordinator advances once
         self.tile = tile
         self.grid = grid
         self.topology = topology
@@ -142,13 +131,11 @@ class TileWorker:
         return self._initial
 
     # ------------------------------------------------------------------
-    # Round 1: motion + node hand-over
+    # Round 1: node hand-over after motion
     # ------------------------------------------------------------------
 
     def begin_step(self, now: int) -> Dict[int, List[dict]]:
-        """Advance motion, re-derive ownership, emit hand-over payloads."""
-        if self._advance:
-            self.topology.advance()
+        """Re-derive ownership from the advanced positions; emit hand-overs."""
         ax, ay, __ = self.topology.motion_state()
         own_new = self.grid.owners(ax, ay)
         tile = self.tile
@@ -323,40 +310,3 @@ class TileWorker:
         stats = self.channel.stats
         agents = [self.agents[agent_id] for agent_id in sorted(self.agents)]
         return agents, (stats.attempts, stats.losses, dict(stats.losses_by_kind))
-
-
-def worker_main(conn, payload: dict) -> None:
-    """Process-mode entry: rebuild the tile, serve the exchange rounds.
-
-    Top-level and driven entirely by picklable state, so it works under
-    the ``spawn`` start method (the only one safe to combine with an
-    arbitrary host application).
-    """
-    worker = TileWorker(
-        tile=payload["tile"],
-        grid=payload["grid"],
-        generator_config=payload["generator_config"],
-        world_config=payload["world_config"],
-        network_seed=payload["network_seed"],
-        world_seed=payload["world_seed"],
-    )
-    try:
-        # Ready handshake doubles as the mirror seed.
-        conn.send(worker.initial_edges())
-        while True:
-            message = conn.recv()
-            command = message[0]
-            if command == "begin":
-                conn.send(worker.begin_step(message[1]))
-            elif command == "core":
-                conn.send(worker.step_core(message[1], message[2]))
-            elif command == "finish":
-                conn.send(worker.finish_step(message[1], message[2]))
-            elif command == "finalize":
-                conn.send(worker.finalize())
-            elif command == "close":
-                break
-            else:  # pragma: no cover - protocol bug guard
-                raise RuntimeError(f"unknown shard command {command!r}")
-    finally:
-        conn.close()

@@ -3,31 +3,23 @@
 :class:`ShardedRoutingWorld` steps ``config.shards`` spatial tiles
 (each a :class:`~repro.shard.worker.TileWorker`) through the serial
 world's per-step phases, exchanging only boundary state between
-rounds.  The coordinator itself holds no arena: it routes hand-over
-and agent-transfer payloads between tiles, merges the per-tile edge
-deltas into a mirror of the global adjacency, and replays every table
-write of the step onto a replica :class:`~repro.routing.table.TableBank`
-in global agent order — giving the connectivity metric, observability,
-and result aggregation exactly the serial world's inputs.
+rounds.  The tiles run in the coordinator's process over one shared
+topology, each recomputing adjacency over its own halo with the serial
+link kernel.  The coordinator holds no arena state of its own: it
+routes hand-over and agent-transfer payloads between tiles, merges the
+per-tile edge deltas into a mirror of the global adjacency, and
+replays every table write of the step onto a replica
+:class:`~repro.routing.table.TableBank` in global agent order — giving
+the connectivity metric, observability, and result aggregation exactly
+the serial world's inputs.
 
-Two execution modes share the wire protocol:
-
-* **inline** (default): the tiles run in the coordinator process over
-  one shared topology, each recomputing adjacency over its own halo
-  with the serial link kernel — on one core about as fast as the
-  serial world.
-* **processes**: each tile runs in a spawned worker process with its
-  own topology replica (replicated seeded motion is cheaper than
-  shipping positions), talking over pipes.
-
-Both are bit-identical to :class:`~repro.routing.world.RoutingWorld`
+The run is bit-identical to :class:`~repro.routing.world.RoutingWorld`
 at any shard count; the property suite pins results, tables, and obs
-metrics.
+metrics.  On one core it is about as fast as the serial world.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import List, Optional, Tuple
 
 import numpy as _np
@@ -42,7 +34,7 @@ from repro.routing.connectivity import FunctionalConnectivity
 from repro.routing.table import RouteEntry, TableBank
 from repro.routing.world import RoutingResult, RoutingWorldConfig
 from repro.shard.tiles import TileGrid
-from repro.shard.worker import TileWorker, worker_main
+from repro.shard.worker import TileWorker
 from repro.sim.engine import TimeStepEngine
 from repro.types import Time
 
@@ -144,69 +136,6 @@ def _merged(arrays):
     return _np.sort(_np.concatenate(arrays))
 
 
-class _InlineHandle:
-    """Drives a tile worker in-process with the pipe protocol's shape."""
-
-    def __init__(self, worker: TileWorker) -> None:
-        self.worker = worker
-        self._pending = None
-
-    def initial_edges(self):
-        return self.worker.initial_edges()
-
-    def send(self, message) -> None:
-        command = message[0]
-        worker = self.worker
-        if command == "begin":
-            self._pending = worker.begin_step(message[1])
-        elif command == "core":
-            self._pending = worker.step_core(message[1], message[2])
-        elif command == "finish":
-            self._pending = worker.finish_step(message[1], message[2])
-        elif command == "finalize":
-            self._pending = worker.finalize()
-        else:  # pragma: no cover - protocol bug guard
-            raise RuntimeError(f"unknown shard command {command!r}")
-
-    def recv(self):
-        pending, self._pending = self._pending, None
-        return pending
-
-    def close(self) -> None:
-        pass
-
-
-class _ProcessHandle:
-    """One spawned tile worker behind a duplex pipe."""
-
-    def __init__(self, ctx, payload: dict) -> None:
-        parent_conn, child_conn = ctx.Pipe()
-        self._conn = parent_conn
-        self._process = ctx.Process(
-            target=worker_main, args=(child_conn, payload), daemon=True
-        )
-        self._process.start()
-        child_conn.close()
-        self._initial = parent_conn.recv()  # ready handshake
-
-    def initial_edges(self):
-        return self._initial
-
-    def send(self, message) -> None:
-        self._conn.send(message)
-
-    def recv(self):
-        return self._conn.recv()
-
-    def close(self) -> None:
-        try:
-            self._conn.send(("close",))
-        except (BrokenPipeError, OSError):  # pragma: no cover - dead worker
-            pass
-        self._conn.close()
-        self._process.join(timeout=60)
-
-
 class ShardedRoutingWorld:
     """One seeded routing run, stepped as spatial tiles."""
 
@@ -216,7 +145,6 @@ class ShardedRoutingWorld:
         config: RoutingWorldConfig,
         network_seed: int,
         seed: int,
-        processes: bool = False,
     ) -> None:
         _check_supported(config)
         if generator_config.gateway_count < 1:
@@ -226,8 +154,7 @@ class ShardedRoutingWorld:
         self.grid = TileGrid(
             generator_config.arena_width,
             generator_config.arena_height,
-            shards=config.shards,
-            tile_size=config.tile_size,
+            shards=config.shards or 1,
         )
         n = generator_config.node_count
         self.node_count = n
@@ -239,43 +166,14 @@ class ShardedRoutingWorld:
         )
         self.result = RoutingResult(converged_after=config.converged_after)
         # The generator lays gateways out first, so their ids are fixed
-        # by the config alone — the coordinator never needs a topology.
+        # by the config alone.
         gateways = tuple(range(generator_config.gateway_count))
-        self._topology = None
-        if processes:
-            ctx = multiprocessing.get_context("spawn")
-            self._handles: List = [
-                _ProcessHandle(
-                    ctx,
-                    {
-                        "tile": tile,
-                        "grid": self.grid,
-                        "generator_config": generator_config,
-                        "world_config": config,
-                        "network_seed": network_seed,
-                        "world_seed": seed,
-                    },
-                )
-                for tile in range(self.grid.tiles)
-            ]
-        else:
-            topology = manet_blueprint(generator_config, network_seed).topology()
-            self._topology = topology
-            self._handles = [
-                _InlineHandle(
-                    TileWorker(
-                        tile,
-                        self.grid,
-                        generator_config,
-                        config,
-                        network_seed,
-                        seed,
-                        topology=topology,
-                    )
-                )
-                for tile in range(self.grid.tiles)
-            ]
-        initial = _merged([handle.initial_edges() for handle in self._handles])
+        self._topology = manet_blueprint(generator_config, network_seed).topology()
+        self._workers = [
+            TileWorker(tile, self.grid, config, seed, self._topology)
+            for tile in range(self.grid.tiles)
+        ]
+        initial = _merged([worker.initial_edges() for worker in self._workers])
         self._mirror = _MirrorTopology(n, gateways, initial)
         self._connectivity = FunctionalConnectivity(self._mirror, self.tables, config.walk_ttl)
         self._obs: Optional[ObsCollector] = None
@@ -284,7 +182,6 @@ class ShardedRoutingWorld:
             self._obs_last_losses = 0
             self._obs_last_cache = (0, 0)
         self.agents: List = []
-        self._closed = False
         self.engine.add_process(self._step)
 
     # ------------------------------------------------------------------
@@ -292,31 +189,23 @@ class ShardedRoutingWorld:
     # ------------------------------------------------------------------
 
     def _step(self, now: Time) -> None:
-        handles = self._handles
-        if self._topology is not None:
-            # Inline mode shares one topology; advance it once here
-            # (process-mode replicas advance themselves in round 1).
-            self._topology.advance()
+        workers = self._workers
+        # The tiles share one topology, so motion advances once here.
+        self._topology.advance()
         # Round 1: motion + node hand-over.
-        for handle in handles:
-            handle.send(("begin", now))
-        outboxes = [handle.recv() for handle in handles]
-        inboxes: List[List[dict]] = [[] for __ in handles]
-        for outbox in outboxes:
-            for destination, payloads in outbox.items():
+        inboxes: List[List[dict]] = [[] for __ in workers]
+        for worker in workers:
+            for destination, payloads in worker.begin_step(now).items():
                 inboxes[destination].extend(payloads)
         # Round 2: local phases 1-4a + agent transfer.
-        for handle, inbox in zip(handles, inboxes):
-            handle.send(("core", now, inbox))
-        transfer_maps = [handle.recv() for handle in handles]
-        arrivals: List[List[tuple]] = [[] for __ in handles]
-        for transfers in transfer_maps:
-            for destination, items in transfers.items():
+        arrivals: List[List[tuple]] = [[] for __ in workers]
+        for worker, inbox in zip(workers, inboxes):
+            for destination, items in worker.step_core(now, inbox).items():
                 arrivals[destination].extend(items)
         # Round 3: globally sorted table writes + reports.
-        for handle, batch in zip(handles, arrivals):
-            handle.send(("finish", now, batch))
-        reports = [handle.recv() for handle in handles]
+        reports = [
+            worker.finish_step(now, batch) for worker, batch in zip(workers, arrivals)
+        ]
         self._apply_reports(now, reports)
 
     def _apply_reports(self, now: Time, reports) -> None:
@@ -402,13 +291,8 @@ class ShardedRoutingWorld:
 
     def run(self) -> RoutingResult:
         """Run the configured number of steps; return the result."""
-        try:
-            steps = self.engine.run(self.config.total_steps)
-            for handle in self._handles:
-                handle.send(("finalize",))
-            finals = [handle.recv() for handle in self._handles]
-        finally:
-            self.close()
+        steps = self.engine.run(self.config.total_steps)
+        finals = [worker.finalize() for worker in self._workers]
         agents = [agent for tile_agents, __ in finals for agent in tile_agents]
         agents.sort(key=lambda agent: agent.agent_id)
         self.agents = agents
@@ -433,23 +317,12 @@ class ShardedRoutingWorld:
             )
         return self.result
 
-    def close(self) -> None:
-        """Release the tile workers (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for handle in self._handles:
-            handle.close()
-
 
 def run_sharded_routing(
     generator_config: GeneratorConfig,
     config: RoutingWorldConfig,
     network_seed: int,
     seed: int,
-    processes: bool = False,
 ) -> RoutingResult:
     """Convenience: build a sharded world and run it."""
-    return ShardedRoutingWorld(
-        generator_config, config, network_seed, seed, processes=processes
-    ).run()
+    return ShardedRoutingWorld(generator_config, config, network_seed, seed).run()

@@ -103,13 +103,13 @@ class TestRunFlagsScope:
     """``repro run`` scopes one frozen RunDefaults to its own sweeps."""
 
     @pytest.mark.parametrize(
-        "experiment_id, code",
-        # fig1 is a mapping sweep (no shards knob, so it runs clean);
-        # fig7's sharded tiles refuse invariant checking, so it errors.
-        [("fig1", 0), ("fig7", 2)],
+        "experiment_id, crash_node, code",
+        # fig1 is a mapping sweep, fig7 a routing one; crashing a node the
+        # network lacks fails the sweep inside the scope, so it exits 2.
+        [("fig1", 3, 0), ("fig7", 3, 0), ("fig7", 99, 2)],
     )
     def test_flags_leave_no_defaults_behind(
-        self, experiment_id, code, capsys, monkeypatch
+        self, experiment_id, crash_node, code, capsys, monkeypatch
     ):
         import repro.cli as cli_module
         from repro.experiments.runner import RunDefaults, current_defaults
@@ -117,8 +117,8 @@ class TestRunFlagsScope:
         monkeypatch.setattr(cli_module, "QUICK", TINY)
         argv = [
             "run", experiment_id, "--runs", "1", "--quiet", "--no-plot",
-            "--faults", "crash@10:3;recover@30:3;policy=respawn",
-            "--route-ttl", "7", "--check-invariants", "--shards", "2",
+            "--faults", f"crash@10:{crash_node};recover@30:{crash_node};policy=respawn",
+            "--route-ttl", "7", "--check-invariants",
         ]
         assert main(argv) == code
         assert current_defaults() == RunDefaults()
@@ -129,9 +129,6 @@ class TestRunFlagsScope:
             ("--workers", "0"),
             ("--workers", "-3"),
             ("--route-ttl", "0"),
-            ("--shards", "0"),
-            ("--tile-size", "0"),
-            ("--tile-size", "-1.5"),
             ("--task-timeout", "0"),
             ("--task-retries", "-1"),
         ],

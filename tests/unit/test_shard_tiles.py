@@ -20,25 +20,12 @@ class TestTileGrid:
         # squarest split of 6 on a square arena is 3x2 (or 2x3).
         assert {grid.nx, grid.ny} == {2, 3}
 
-    def test_tile_size_derives_the_grid(self):
-        grid = TileGrid(1000.0, 800.0, tile_size=300.0)
-        assert (grid.nx, grid.ny) == (4, 3)
-        assert grid.tiles == 12
-        assert grid.tile_w == pytest.approx(250.0)
-
     def test_default_is_one_tile(self):
         grid = TileGrid(500.0, 500.0)
         assert grid.tiles == 1
         assert grid.bounds(0) == (0.0, 0.0, 500.0, 500.0)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"shards": 0},
-            {"tile_size": 0.0},
-            {"tile_size": -5.0},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"shards": 0}])
     def test_bad_parameters_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             TileGrid(1000.0, 1000.0, **kwargs)
