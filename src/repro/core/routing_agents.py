@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.history import VisitHistory
 from repro.core.migration import MigrationState
@@ -122,21 +122,6 @@ class RoutingAgent:
 
     def _pick(self, candidates: List[NodeId]) -> NodeId:
         raise NotImplementedError
-
-    # -- phase 2: visiting (direct communication) --------------------------
-
-    def exchange_with(self, peers: Iterable["RoutingAgent"]) -> None:
-        """Adopt the best route tracks and the union of peer histories.
-
-        Must be called on snapshots taken before anyone merged this step
-        (the world handles that), so exchanges are order-independent.
-        """
-        for peer in peers:
-            for gateway, track in peer.tracks.items():
-                mine = self.tracks.get(gateway)
-                if mine is None or track.better_than(mine):
-                    self.tracks[gateway] = track
-            self.history.merge_from(peer.history)
 
     # -- phases 3 & 4: move, then install routes ---------------------------
 

@@ -42,6 +42,8 @@ __all__ = [
     "routing_result_to_dict",
     "routing_result_from_dict",
     "SweepCheckpoint",
+    "append_record",
+    "read_journal",
 ]
 
 #: bumped when the on-disk layout changes incompatibly.
@@ -235,6 +237,54 @@ def routing_result_from_dict(payload: dict) -> RoutingResult:
 
 
 # ----------------------------------------------------------------------
+# JSONL journals
+# ----------------------------------------------------------------------
+
+
+def _parse_record(line: str) -> Optional[dict]:
+    try:
+        payload = json.loads(line)
+    except json.JSONDecodeError:
+        return None  # torn line: the writer died mid-append
+    return payload if isinstance(payload, dict) else None
+
+
+def append_record(path: pathlib.Path, payload: dict) -> None:
+    """Append one JSON record to a journal and flush it.
+
+    A torn trailing line (a writer killed mid-append) has no newline;
+    it is sealed off first, so the new record starts a fresh line
+    instead of merging with the garbage and being lost too.
+    """
+    with path.open("a+b") as handle:
+        handle.seek(0, 2)
+        if handle.tell() > 0:
+            handle.seek(-1, 2)
+            if handle.read(1) != b"\n":
+                handle.write(b"\n")
+        handle.write(json.dumps(payload, sort_keys=True).encode() + b"\n")
+        handle.flush()
+
+
+def read_journal(path: pathlib.Path, schema: int, what: str) -> Tuple[dict, List[dict]]:
+    """A journal's header and its records, torn lines dropped.
+
+    Raises :class:`ExperimentError` naming ``what`` when the journal is
+    empty or its header does not carry ``schema``.
+    """
+    lines = path.read_text().splitlines()
+    if not lines:
+        raise ExperimentError(f"{what} {path} is empty; delete it to restart")
+    header = _parse_record(lines[0])
+    if header is None or header.get("schema") != schema:
+        raise ExperimentError(
+            f"{what} {path} has an unsupported header; delete it to restart"
+        )
+    records = [record for record in map(_parse_record, lines[1:]) if record is not None]
+    return header, records
+
+
+# ----------------------------------------------------------------------
 # Sweep checkpoints
 # ----------------------------------------------------------------------
 
@@ -259,7 +309,8 @@ class SweepCheckpoint:
             self._load()
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._append(
+            append_record(
+                self.path,
                 {
                     "schema": CHECKPOINT_SCHEMA,
                     "scenario": scenario,
@@ -268,45 +319,14 @@ class SweepCheckpoint:
             )
 
     def _load(self) -> None:
-        lines = self.path.read_text().splitlines()
-        if not lines:
-            raise ExperimentError(f"checkpoint {self.path} is empty; delete it to restart")
-        header = self._parse(lines[0])
-        if header is None or header.get("schema") != CHECKPOINT_SCHEMA:
-            raise ExperimentError(
-                f"checkpoint {self.path} has an unsupported header; delete it to restart"
-            )
+        header, entries = read_journal(self.path, CHECKPOINT_SCHEMA, "checkpoint")
         if header.get("fingerprint") != self.fingerprint:
             raise ExperimentError(
                 f"checkpoint {self.path} belongs to a different sweep "
                 "(configs or seed changed); delete it to restart"
             )
-        for line in lines[1:]:
-            entry = self._parse(line)
-            if entry is None:
-                continue  # killed mid-write; drop the torn line
+        for entry in entries:
             self._results[(entry["name"], entry["run_index"])] = entry["result"]
-
-    @staticmethod
-    def _parse(line: str) -> Optional[dict]:
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        return payload if isinstance(payload, dict) else None
-
-    def _append(self, payload: dict) -> None:
-        with self.path.open("a+b") as handle:
-            # A torn trailing line (previous run killed mid-write) has no
-            # newline; seal it off so the new record starts a fresh line
-            # instead of merging with the garbage and being lost too.
-            handle.seek(0, 2)
-            if handle.tell() > 0:
-                handle.seek(-1, 2)
-                if handle.read(1) != b"\n":
-                    handle.write(b"\n")
-            handle.write(json.dumps(payload, sort_keys=True).encode() + b"\n")
-            handle.flush()
 
     def __contains__(self, key: Tuple[str, int]) -> bool:
         return key in self._results
@@ -324,4 +344,6 @@ class SweepCheckpoint:
         if key in self._results:
             return
         self._results[key] = result_payload
-        self._append({"name": name, "run_index": run_index, "result": result_payload})
+        append_record(
+            self.path, {"name": name, "run_index": run_index, "result": result_payload}
+        )

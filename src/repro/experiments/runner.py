@@ -23,8 +23,8 @@ leak between runs.
 
 The runner is hardened for paper-scale sweeps:
 
-* a per-task **timeout** with bounded **retry** (``task_timeout`` /
-  ``task_retries``).  In pool mode the timeout doubles as crash
+* a per-task **timeout** with bounded **retry** (the ``task_timeout`` /
+  ``task_retries`` fields of :class:`RunDefaults`).  In pool mode the timeout doubles as crash
   detection: ``multiprocessing.Pool`` respawns a worker that dies hard
   (segfault, ``os._exit``) but silently never completes the job it was
   carrying, so an overdue task is abandoned and resubmitted;
@@ -47,7 +47,7 @@ import multiprocessing
 import pathlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from repro.analysis.series import TimeSeries, average_series
 from repro.analysis.stats import RunSummary, summarize
@@ -120,8 +120,12 @@ class MappingVariantResult:
     """Aggregated mapping outcomes of one variant over all runs."""
 
     name: str
-    finishing_times: List[Optional[int]] = field(default_factory=list)
     results: List[MappingResult] = field(default_factory=list)
+
+    @property
+    def finishing_times(self) -> List[Optional[int]]:
+        """Each run's finishing time (``None`` where it did not finish)."""
+        return [result.finishing_time for result in self.results]
 
     @property
     def finished_runs(self) -> int:
@@ -300,21 +304,6 @@ def _resolve_workers(workers: Optional[int]) -> int:
     # Cap at the machine's core count, but never below 2 so the pool code
     # path stays reachable (and testable) on single-core machines.
     return min(workers, max(2, multiprocessing.cpu_count()))
-
-
-def _resolve_limits(
-    timeout: Optional[float], retries: Optional[int]
-) -> Tuple[Optional[float], int]:
-    defaults = current_defaults()
-    if timeout is None:
-        timeout = defaults.task_timeout
-    if retries is None:
-        retries = defaults.task_retries
-    if timeout is not None and timeout <= 0:
-        raise ConfigurationError(f"task timeout must be > 0, got {timeout}")
-    if retries < 0:
-        raise ConfigurationError(f"task retries must be >= 0, got {retries}")
-    return timeout, retries
 
 
 def _with_run_defaults(
@@ -612,6 +601,84 @@ def _run_tasks(
         )
 
 
+class _Scenario(NamedTuple):
+    """What one scenario's sweep runs, journals and aggregates into.
+
+    The sweep functions build theirs per call, so the task functions are
+    looked up when a sweep starts.
+    """
+
+    name: str
+    task: Callable[[Tuple], Tuple[str, int, Any]]
+    to_dict: Callable[[Any], dict]
+    from_dict: Callable[[dict], Any]
+    outcome: Callable[[str], Any]
+
+
+def _run_variants(
+    scenario: _Scenario,
+    generator_config: GeneratorConfig,
+    variants: Dict[str, Any],
+    runs: int,
+    master_seed: int,
+    progress: Optional[ProgressCallback],
+    workers: Optional[int],
+    checkpoint_dir: Union[str, pathlib.Path, None],
+) -> Dict[str, Any]:
+    """The sweep body of :func:`run_mapping_variants` and
+    :func:`run_routing_variants`.
+
+    Every variant runs ``runs`` times on the network drawn from
+    ``{scenario}-net``; run ``i`` of every variant seeds its world from
+    ``{scenario}-world:{i}``.  Results are re-sorted into run order per
+    variant, so pooled sweeps match serial ones.
+    """
+    name = scenario.name
+    variants = _with_run_defaults(variants, generator_config, master_seed)
+    defaults = current_defaults()
+    checkpoint = _open_checkpoint(
+        checkpoint_dir, name, master_seed, generator_config, variants
+    )
+    network_seed = derive_seed(master_seed, f"{name}-net")
+    tasks = [
+        (
+            variant,
+            generator_config,
+            world_config,
+            network_seed,
+            derive_seed(master_seed, f"{name}-world:{run_index}"),
+            run_index,
+        )
+        for run_index in range(runs)
+        for variant, world_config in variants.items()
+    ]
+    collected: Dict[str, List[Tuple[int, Any]]] = {variant: [] for variant in variants}
+    for variant, run_index, result in _run_tasks(
+        tasks,
+        scenario.task,
+        _resolve_workers(workers),
+        progress,
+        name,
+        checkpoint=checkpoint,
+        to_dict=scenario.to_dict,
+        from_dict=scenario.from_dict,
+        timeout=defaults.task_timeout,
+        retries=defaults.task_retries,
+    ):
+        collected[variant].append((run_index, result))
+    accumulator = defaults.obs_accumulator
+    outcomes = {}
+    for variant, pairs in collected.items():
+        pairs.sort(key=lambda pair: pair[0])
+        outcome = scenario.outcome(variant)
+        for run_index, result in pairs:
+            outcome.results.append(result)
+            if accumulator is not None:
+                accumulator.add(name, variant, run_index, result.obs)
+        outcomes[variant] = outcome
+    return outcomes
+
+
 def run_mapping_variants(
     generator_config: GeneratorConfig,
     variants: Dict[str, MappingWorldConfig],
@@ -620,63 +687,22 @@ def run_mapping_variants(
     progress: Optional[ProgressCallback] = None,
     workers: Optional[int] = None,
     checkpoint_dir: Union[str, pathlib.Path, None] = None,
-    task_timeout: Optional[float] = None,
-    task_retries: Optional[int] = None,
 ) -> Dict[str, MappingVariantResult]:
     """Run every mapping variant ``runs`` times on the shared network.
 
     ``workers > 1`` fans the (variant, run) grid over a process pool;
     results are identical to a serial run (everything is seed-driven).
     ``checkpoint_dir`` journals completed runs so an interrupted sweep
-    resumes; ``task_timeout``/``task_retries`` bound each task.
+    resumes; the active :class:`RunDefaults` bound each task's time and
+    retries.
     """
-    variants = _with_run_defaults(variants, generator_config, master_seed)
-    timeout, retries = _resolve_limits(task_timeout, task_retries)
-    checkpoint = _open_checkpoint(
-        checkpoint_dir, "mapping", master_seed, generator_config, variants
+    scenario = _Scenario(
+        "mapping", _mapping_task, mapping_result_to_dict, mapping_result_from_dict,
+        MappingVariantResult,
     )
-    network_seed = derive_seed(master_seed, "mapping-net")
-    tasks = [
-        (
-            name,
-            generator_config,
-            world_config,
-            network_seed,
-            derive_seed(master_seed, f"mapping-world:{run_index}"),
-            run_index,
-        )
-        for run_index in range(runs)
-        for name, world_config in variants.items()
-    ]
-    collected: Dict[str, List[Tuple[int, MappingResult]]] = {
-        name: [] for name in variants
-    }
-    accumulator = current_defaults().obs_accumulator
-    pool_size = _resolve_workers(workers)
-    for name, run_index, result in _run_tasks(
-        tasks,
-        _mapping_task,
-        pool_size,
-        progress,
-        "mapping",
-        checkpoint=checkpoint,
-        to_dict=mapping_result_to_dict,
-        from_dict=mapping_result_from_dict,
-        timeout=timeout,
-        retries=retries,
-    ):
-        collected[name].append((run_index, result))
-    outcomes = {}
-    for name, pairs in collected.items():
-        pairs.sort(key=lambda pair: pair[0])
-        outcome = MappingVariantResult(name)
-        for run_index, result in pairs:
-            outcome.finishing_times.append(result.finishing_time)
-            outcome.results.append(result)
-            if accumulator is not None:
-                accumulator.add("mapping", name, run_index, result.obs)
-        outcomes[name] = outcome
-    return outcomes
+    return _run_variants(
+        scenario, generator_config, variants, runs, master_seed, progress, workers, checkpoint_dir
+    )
 
 
 def run_routing_variants(
@@ -687,59 +713,18 @@ def run_routing_variants(
     progress: Optional[ProgressCallback] = None,
     workers: Optional[int] = None,
     checkpoint_dir: Union[str, pathlib.Path, None] = None,
-    task_timeout: Optional[float] = None,
-    task_retries: Optional[int] = None,
 ) -> Dict[str, RoutingVariantResult]:
     """Run every routing variant ``runs`` times on the shared MANET.
 
     MANETs mutate as they run, so every variant and run copies one
     blueprint drawn from the network seed (once per worker process),
     which reproduces the identical placement and movement paths.
-    Hardening knobs are as in :func:`run_mapping_variants`.
+    Pooling and checkpointing are as in :func:`run_mapping_variants`.
     """
-    variants = _with_run_defaults(variants, generator_config, master_seed)
-    timeout, retries = _resolve_limits(task_timeout, task_retries)
-    checkpoint = _open_checkpoint(
-        checkpoint_dir, "routing", master_seed, generator_config, variants
+    scenario = _Scenario(
+        "routing", _routing_task, routing_result_to_dict, routing_result_from_dict,
+        RoutingVariantResult,
     )
-    network_seed = derive_seed(master_seed, "routing-net")
-    tasks = [
-        (
-            name,
-            generator_config,
-            world_config,
-            network_seed,
-            derive_seed(master_seed, f"routing-world:{run_index}"),
-            run_index,
-        )
-        for run_index in range(runs)
-        for name, world_config in variants.items()
-    ]
-    collected: Dict[str, List[Tuple[int, RoutingResult]]] = {
-        name: [] for name in variants
-    }
-    accumulator = current_defaults().obs_accumulator
-    pool_size = _resolve_workers(workers)
-    for name, run_index, result in _run_tasks(
-        tasks,
-        _routing_task,
-        pool_size,
-        progress,
-        "routing",
-        checkpoint=checkpoint,
-        to_dict=routing_result_to_dict,
-        from_dict=routing_result_from_dict,
-        timeout=timeout,
-        retries=retries,
-    ):
-        collected[name].append((run_index, result))
-    outcomes = {}
-    for name, pairs in collected.items():
-        pairs.sort(key=lambda pair: pair[0])
-        outcome = RoutingVariantResult(name)
-        for run_index, result in pairs:
-            outcome.results.append(result)
-            if accumulator is not None:
-                accumulator.add("routing", name, run_index, result.obs)
-        outcomes[name] = outcome
-    return outcomes
+    return _run_variants(
+        scenario, generator_config, variants, runs, master_seed, progress, workers, checkpoint_dir
+    )

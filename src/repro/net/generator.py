@@ -45,6 +45,16 @@ __all__ = [
 ]
 
 
+#: static layouts drawn before the closest one to the edge target wins.
+MAX_ATTEMPTS = 40
+
+#: MANET gateways' radio range relative to an ordinary node's.
+GATEWAY_RANGE_MULTIPLIER = 1.6
+
+#: a mobile node's range on an empty battery, as a fraction of its full range.
+BATTERY_RANGE_FLOOR_FRACTION = 0.35
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Parameters for one generated network.
@@ -64,15 +74,12 @@ class GeneratorConfig:
     edge_tolerance: int = 60
     range_heterogeneity: float = 0.3
     require_strong_connectivity: bool = True
-    max_attempts: int = 40
     # --- MANET-only knobs -------------------------------------------
     gateway_count: int = 0
-    gateway_range_multiplier: float = 1.6
     mobile_fraction: float = 0.0
     min_speed: float = 2.0
     max_speed: float = 12.0
     battery_drain_per_step: float = 1.0 / 1200.0
-    battery_range_floor_fraction: float = 0.35
     degraded_fraction: float = 0.0
     degradation_amount: float = 0.3
 
@@ -144,7 +151,7 @@ class NetworkGenerator:
         arena = Arena(config.arena_width, config.arena_height)
         best: Optional[Topology] = None
         best_error = float("inf")
-        for attempt in range(config.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             rng = self._spawner.stream(f"placement:{attempt}")
             positions = [arena.random_point(rng) for __ in range(config.node_count)]
             h = config.range_heterogeneity
@@ -167,7 +174,7 @@ class NetworkGenerator:
             # stand-in for the paper's unpublished layout.
             return best
         raise GenerationError(
-            f"could not generate a satisfying network in {config.max_attempts} attempts "
+            f"could not generate a satisfying network in {MAX_ATTEMPTS} attempts "
             f"(nodes={config.node_count}, target_edges={config.target_edges})"
         )
 
@@ -268,7 +275,7 @@ class NetworkGenerator:
             base = base_scale * rng.uniform(1.0 - h, 1.0 + h)
             speed = vx = vy = 0.0
             if node_id < config.gateway_count:
-                base *= config.gateway_range_multiplier
+                base *= GATEWAY_RANGE_MULTIPLIER
             elif node_id >= mobile_from:
                 model = RandomVelocity(
                     self._spawner.stream(f"manet:mobility:{node_id}"),
@@ -310,7 +317,7 @@ def _full_ranges(config: GeneratorConfig, base):
     """
     mobile = slice(_mobile_from(config), config.node_count)
     floor = np.zeros(config.node_count)
-    floor[mobile] = base[mobile] * config.battery_range_floor_fraction
+    floor[mobile] = base[mobile] * BATTERY_RANGE_FLOOR_FRACTION
     return floor, np.maximum(floor, base)
 
 

@@ -10,7 +10,8 @@ builds one :class:`ObsCollector`, which
   ``fault_injected``, ``link_suspected``) to feed counters, rings, a
   histogram, and the event stream,
 * receives per-step aggregates the worlds push only when a collector
-  exists (meetings held, routes installed, channel losses), and
+  exists (meetings held, routes installed; channel losses, edge flips
+  and connectivity hits/walks as cumulative totals it differences), and
 * owns the :class:`~repro.obs.profiler.PhaseProfiler` the engine, hook
   registry, and world phases lap into.
 
@@ -43,6 +44,9 @@ OBS_REPORT_SCHEMA = 1
 #: default cap on events retained per run (excess counted as dropped).
 DEFAULT_MAX_EVENTS = 100_000
 
+#: capacity of the per-step time-series rings.
+RING_CAPACITY = 512
+
 #: connectivity / knowledge are fractions; ten equal buckets plus overflow.
 _FRACTION_BOUNDS = tuple(round(0.1 * i, 1) for i in range(1, 11))
 
@@ -62,12 +66,8 @@ class ObsConfig:
     events: bool = False
     #: record wall-time per engine phase and hook fire.
     profile: bool = False
-    #: restrict the event stream to these kinds (``None`` = all).
-    event_kinds: Optional[Tuple[str, ...]] = None
     #: per-run cap on retained events.
     max_events: int = DEFAULT_MAX_EVENTS
-    #: capacity of the per-step time-series rings.
-    ring_capacity: int = 512
 
     @property
     def enabled(self) -> bool:
@@ -116,9 +116,21 @@ class ObsReport:
 class ObsCollector:
     """Feeds one run's metrics, events, and profile from world hooks."""
 
-    def __init__(self, config: ObsConfig, engine: Any, scenario: str) -> None:
+    def __init__(
+        self,
+        config: ObsConfig,
+        engine: Any,
+        scenario: str,
+        edge_totals: Tuple[int, int] = (0, 0),
+    ) -> None:
         self.config = config
         self.scenario = scenario
+        # The world pushes cumulative totals; each push records the
+        # difference from the previous one.  ``edge_totals`` are the
+        # topology's (added, removed) counters when the world was built.
+        self._last_losses = 0
+        self._last_edges = edge_totals
+        self._last_cache = (0, 0)
         self.metrics: Optional[MetricsRegistry] = (
             MetricsRegistry() if config.metrics else None
         )
@@ -126,7 +138,7 @@ class ObsCollector:
         self._bus: Optional[EventBus] = None
         if config.events:
             self._sink = MemorySink(max_events=config.max_events)
-            self._bus = EventBus([self._sink], kinds=config.event_kinds)
+            self._bus = EventBus([self._sink])
         self.profiler: Optional[PhaseProfiler] = (
             PhaseProfiler() if config.profile else None
         )
@@ -136,7 +148,7 @@ class ObsCollector:
         metric = "knowledge" if scenario == "mapping" else "connectivity"
         self._metric_name = metric
         if self.metrics is not None:
-            self.metrics.ring(f"{metric}.series", config.ring_capacity)
+            self.metrics.ring(f"{metric}.series", RING_CAPACITY)
             self.metrics.histogram(f"{metric}.histogram", _FRACTION_BOUNDS)
         hooks = engine.hooks
         hooks.subscribe("agent_moved", self._on_agent_moved)
@@ -241,8 +253,11 @@ class ObsCollector:
         if self._bus is not None:
             self._bus.emit(time, "routes_installed", count=count)
 
-    def channel_losses(self, time: Time, count: int) -> None:
-        """Record channel-dropped transfers observed this step."""
+    def channel_losses(self, time: Time, total: int) -> None:
+        """Record the transfers dropped since the last push, given the
+        channel's cumulative loss count."""
+        count = total - self._last_losses
+        self._last_losses = total
         if count <= 0:
             return
         if self.metrics is not None:
@@ -260,9 +275,7 @@ class ObsCollector:
     ) -> None:
         """Record the data plane's per-step queue-occupancy levels."""
         if self.metrics is not None:
-            self.metrics.ring(
-                "traffic.buffered.series", self.config.ring_capacity
-            )
+            self.metrics.ring("traffic.buffered.series", RING_CAPACITY)
             self.metrics.ring_record("traffic.buffered.series", time, buffered)
         if self._bus is not None:
             self._bus.emit(
@@ -280,9 +293,9 @@ class ObsCollector:
         """Record the health monitor's per-step quarantine/suspicion view."""
         if self.metrics is not None:
             registry = self.metrics
-            registry.ring("health.quarantined.series", self.config.ring_capacity)
+            registry.ring("health.quarantined.series", RING_CAPACITY)
             registry.ring_record("health.quarantined.series", time, quarantined)
-            registry.ring("health.suspicion.series", self.config.ring_capacity)
+            registry.ring("health.suspicion.series", RING_CAPACITY)
             registry.ring_record("health.suspicion.series", time, suspicion)
         if self._bus is not None:
             self._bus.emit(
@@ -314,8 +327,12 @@ class ObsCollector:
         for name, value in sorted(report.queues.items()):
             registry.inc(f"traffic.queue.{name}", value)
 
-    def topology_churn(self, time: Time, added: int, removed: int) -> None:
-        """Record the topology engine's edge flips this step."""
+    def topology_churn(self, time: Time, added_total: int, removed_total: int) -> None:
+        """Record the edge flips since the last push, given the topology's
+        cumulative added and removed counts."""
+        added = added_total - self._last_edges[0]
+        removed = removed_total - self._last_edges[1]
+        self._last_edges = (added_total, removed_total)
         if added <= 0 and removed <= 0:
             return
         if self.metrics is not None:
@@ -327,8 +344,12 @@ class ObsCollector:
         if self._bus is not None:
             self._bus.emit(time, "topology_delta", added=added, removed=removed)
 
-    def connectivity_cache(self, time: Time, hits: int, walks: int) -> None:
-        """Record how the connectivity metric resolved this step's starts."""
+    def connectivity_cache(self, time: Time, hits_total: int, walks_total: int) -> None:
+        """Record how the connectivity metric resolved its starts since the
+        last push, given its cumulative hit and walk counts."""
+        hits = hits_total - self._last_cache[0]
+        walks = walks_total - self._last_cache[1]
+        self._last_cache = (hits_total, walks_total)
         if hits <= 0 and walks <= 0:
             return
         if self.metrics is not None:

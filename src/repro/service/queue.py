@@ -5,7 +5,9 @@ plus its lifecycle state (``queued -> running -> done | failed |
 cancelled``).  Every submission, state transition, and cancellation
 request is appended to ``jobs.jsonl`` in the service directory and
 flushed immediately, so the queue's full state is reconstructible after
-a crash by replaying the journal — the same design as the runner's
+a crash by replaying the journal — the same JSONL journal
+(:func:`~repro.experiments.persistence.append_record` /
+:func:`~repro.experiments.persistence.read_journal`) as the runner's
 :class:`~repro.experiments.persistence.SweepCheckpoint`.  A torn
 trailing line (the process died mid-write) is tolerated and dropped.
 
@@ -25,7 +27,6 @@ server are swept during recovery alongside the ``running`` re-queue.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import time
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import ExperimentError
+from repro.experiments.persistence import append_record, read_journal
 from repro.service.spec import SweepSpec, spec_from_dict
 
 __all__ = ["JOB_STATES", "JOURNAL_SCHEMA", "Job", "JobQueue"]
@@ -118,51 +120,14 @@ class JobQueue:
                 self._recover()
         else:
             self.directory.mkdir(parents=True, exist_ok=True)
-            self._append({"kind": "header", "schema": JOURNAL_SCHEMA})
-
-    # ------------------------------------------------------------------
-    # Journal plumbing
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _parse(line: str) -> Optional[dict]:
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            return None  # torn tail line: the writer died mid-append
-        return payload if isinstance(payload, dict) else None
-
-    def _append(self, payload: dict) -> None:
-        with self.path.open("a+b") as handle:
-            # Seal off a torn trailing line (a writer died mid-append) so
-            # this record starts a fresh line instead of merging with it.
-            handle.seek(0, 2)
-            if handle.tell() > 0:
-                handle.seek(-1, 2)
-                if handle.read(1) != b"\n":
-                    handle.write(b"\n")
-            handle.write(json.dumps(payload, sort_keys=True).encode() + b"\n")
-            handle.flush()
+            append_record(self.path, {"kind": "header", "schema": JOURNAL_SCHEMA})
 
     def _replay(self) -> None:
         """Rebuild the whole in-memory state from the journal."""
-        lines = self.path.read_text().splitlines()
-        if not lines:
-            raise ExperimentError(
-                f"job journal {self.path} is empty; delete it to restart"
-            )
-        header = self._parse(lines[0])
-        if header is None or header.get("schema") != JOURNAL_SCHEMA:
-            raise ExperimentError(
-                f"job journal {self.path} has an unsupported header; "
-                "delete it to restart"
-            )
+        __, records = read_journal(self.path, JOURNAL_SCHEMA, "job journal")
         jobs: Dict[str, Job] = {}
         submit_count = 0
-        for line in lines[1:]:
-            record = self._parse(line)
-            if record is None:
-                continue
+        for record in records:
             kind = record.get("kind")
             if kind == "submit":
                 submit_count += 1
@@ -241,7 +206,8 @@ class JobQueue:
         """
         for job in self._jobs.values():
             if job.state == "running":
-                self._append(
+                append_record(
+                    self.path,
                     {
                         "kind": "state",
                         "job_id": job.job_id,
@@ -276,7 +242,8 @@ class JobQueue:
             priority=spec.priority if priority is None else priority,
             submitted_at=time.time(),
         )
-        self._append(
+        append_record(
+            self.path,
             {
                 "kind": "submit",
                 "job_id": job.job_id,
@@ -351,7 +318,7 @@ class JobQueue:
             record["error"] = error
         if drift:
             record["drift"] = list(drift)
-        self._append(record)
+        append_record(self.path, record)
         job.state = state
         if state == "running":
             job.started_at = at
@@ -382,7 +349,7 @@ class JobQueue:
             )
         if job.state == "queued":
             return self.transition(job_id, "cancelled", error="cancelled before start")
-        self._append({"kind": "cancel", "job_id": job_id, "at": time.time()})
+        append_record(self.path, {"kind": "cancel", "job_id": job_id, "at": time.time()})
         job.cancel_requested = True
         return job
 

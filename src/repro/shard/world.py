@@ -101,6 +101,9 @@ class _MirrorTopology:
         self._gateways = list(gateways)
         self._edges = edges
         self._view: Optional[AdjacencyView] = None
+        #: cumulative edge flips applied, as ``Topology.stats`` counts them.
+        self.edges_added = 0
+        self.edges_removed = 0
 
     @property
     def gateway_ids(self) -> List[int]:
@@ -124,6 +127,8 @@ class _MirrorTopology:
 
     def apply(self, added, removed) -> None:
         """Fold one step's merged sorted packed tile deltas into the edges."""
+        self.edges_added += added.size
+        self.edges_removed += removed.size
         if not added.size and not removed.size:
             return
         kept = edge_delta(self._edges, removed)[0]
@@ -179,8 +184,6 @@ class ShardedRoutingWorld:
         self._obs: Optional[ObsCollector] = None
         if config.obs is not None and config.obs.enabled:
             self._obs = ObsCollector(config.obs, self.engine, scenario="routing")
-            self._obs_last_losses = 0
-            self._obs_last_cache = (0, 0)
         self.agents: List = []
         self.engine.add_process(self._step)
 
@@ -266,21 +269,14 @@ class ShardedRoutingWorld:
             obs.routes_installed(
                 now, sum(report.installs for report in reports)
             )
-            losses = sum(report.channel[1] for report in reports)
-            obs.channel_losses(now, losses - self._obs_last_losses)
-            self._obs_last_losses = losses
+            obs.channel_losses(now, sum(report.channel[1] for report in reports))
         # Metric, over exactly the serial world's inputs.
         fraction = len(self._connectivity.connected()) / self.node_count
         if obs is not None:
-            obs.topology_churn(now, added=added.size, removed=removed.size)
+            mirror = self._mirror
+            obs.topology_churn(now, mirror.edges_added, mirror.edges_removed)
             cache_stats = self._connectivity.stats
-            last_cache = self._obs_last_cache
-            obs.connectivity_cache(
-                now,
-                hits=cache_stats.hits - last_cache[0],
-                walks=cache_stats.walks - last_cache[1],
-            )
-            self._obs_last_cache = (cache_stats.hits, cache_stats.walks)
+            obs.connectivity_cache(now, cache_stats.hits, cache_stats.walks)
         self.result.times.append(now)
         self.result.connectivity.append(fraction)
         hooks.fire("connectivity_recorded", time=now, fraction=fraction)

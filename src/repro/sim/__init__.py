@@ -10,15 +10,17 @@ simulation".  This package provides:
 * :class:`~repro.sim.engine.TimeStepEngine` — the outer loop that advances
   the clock one step at a time, fires due events, then runs registered
   per-step processes in a fixed order,
-* :mod:`~repro.sim.hooks` — observer hooks for instrumentation,
-* :mod:`~repro.sim.trace` — an optional structured trace recorder.
+* :mod:`~repro.sim.hooks` — observer hooks for instrumentation.
+
+The scaffolding the two scenario worlds share lives in
+:mod:`repro.sim.world`, which this package does not import: it pulls in
+faults, observability and traffic.
 """
 
 from repro.sim.clock import SimClock
 from repro.sim.engine import Process, StopSimulation, TimeStepEngine
 from repro.sim.events import EventQueue, ScheduledEvent
 from repro.sim.hooks import HookRegistry
-from repro.sim.trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "SimClock",
@@ -28,6 +30,4 @@ __all__ = [
     "EventQueue",
     "ScheduledEvent",
     "HookRegistry",
-    "TraceRecorder",
-    "TraceEvent",
 ]

@@ -4,7 +4,7 @@ and the CLI drives them."""
 import pytest
 
 from repro.cli import main
-from repro.experiments import QUICK, get_experiment, list_experiments
+from repro.experiments import get_experiment, list_experiments
 from repro.experiments.config import Scale
 from repro.experiments.runner import clear_topology_cache
 

@@ -103,6 +103,15 @@ class TestRoutingExchange:
         assert a.tracks[9].hops == 2
         assert b.tracks[9].hops == 2
 
+    def test_own_better_track_is_kept(self):
+        a = routing_agent(0, 5)
+        b = routing_agent(1, 5, seed=2)
+        a.tracks = {9: GatewayTrack(hops=1, visited_at=5)}
+        b.tracks = {9: GatewayTrack(hops=4, visited_at=9)}
+        exchange_routing_knowledge([a, b])
+        assert a.tracks[9].hops == 1
+        assert b.tracks[9].hops == 1
+
     def test_tracks_union_over_gateways(self):
         a = routing_agent(0, 5)
         b = routing_agent(1, 5, seed=2)

@@ -21,6 +21,8 @@ from repro.experiments.config import PAPER
 from repro.net import generator as generator_module
 from repro.net.battery import Battery, LinearDrain
 from repro.net.generator import (
+    BATTERY_RANGE_FLOOR_FRACTION,
+    GATEWAY_RANGE_MULTIPLIER,
     MANET_PRESET,
     GeneratorConfig,
     NetworkGenerator,
@@ -114,7 +116,7 @@ def legacy_manet(config, seed):
         position = arena.random_point(rng)
         factor = rng.uniform(1.0 - h, 1.0 + h)
         if node_id < config.gateway_count:
-            radio = HeterogeneousRange(base_scale * factor * config.gateway_range_multiplier)
+            radio = HeterogeneousRange(base_scale * factor * GATEWAY_RANGE_MULTIPLIER)
             nodes.append(Node(node_id, position, radio, is_gateway=True))
         elif node_id < static_until:
             nodes.append(Node(node_id, position, HeterogeneousRange(base_scale * factor)))
@@ -122,7 +124,7 @@ def legacy_manet(config, seed):
             battery = Battery(LinearDrain(config.battery_drain_per_step))
             base = base_scale * factor
             radio = BatteryCoupledRange(
-                base, battery, floor=base * config.battery_range_floor_fraction
+                base, battery, floor=base * BATTERY_RANGE_FLOOR_FRACTION
             )
             mobility = RandomVelocity(
                 spawner.stream(f"manet:mobility:{node_id}"), config.min_speed, config.max_speed

@@ -14,7 +14,6 @@ from repro.obs.events import (
     NullSink,
     read_jsonl,
 )
-from repro.sim.trace import TraceRecorder
 
 
 class TestEvent:
@@ -113,23 +112,3 @@ class TestJsonl:
         sink.close()
         with pytest.raises(ConfigurationError):
             sink.emit(Event(1, "late"))
-
-
-class TestTraceRecorderAdapter:
-    """The legacy recorder is a thin adapter over the event bus."""
-
-    def test_recorder_is_bus_backed(self):
-        recorder = TraceRecorder(kinds=["hop"])
-        recorder.record(1, "hop", agent=2)
-        recorder.record(1, "noise")
-        assert len(recorder) == 1
-        (event,) = recorder.of_kind("hop")
-        assert isinstance(event, Event)
-        assert event.payload == {"agent": 2}
-
-    def test_recorder_cap_counts_drops(self):
-        recorder = TraceRecorder(max_events=1)
-        recorder.record(1, "a")
-        recorder.record(2, "b")
-        assert recorder.dropped == 1
-        assert [e.kind for e in recorder.events] == ["a"]

@@ -145,28 +145,3 @@ class TestDecide:
         plain = agent_of(RandomRoutingAgent)
         plain.leave_footprint(4, time=1, field=field)
         assert field.total_marks() == 0
-
-
-class TestExchange:
-    def test_adopts_better_track(self):
-        a = agent_of(RandomRoutingAgent, visiting=True)
-        b = agent_of(RandomRoutingAgent, seed=2, visiting=True)
-        a.tracks = {9: GatewayTrack(hops=5, visited_at=1)}
-        b.tracks = {9: GatewayTrack(hops=2, visited_at=3)}
-        a.exchange_with([b])
-        assert a.tracks[9] == GatewayTrack(hops=2, visited_at=3)
-
-    def test_keeps_own_better_track(self):
-        a = agent_of(RandomRoutingAgent, visiting=True)
-        b = agent_of(RandomRoutingAgent, seed=2, visiting=True)
-        a.tracks = {9: GatewayTrack(hops=1, visited_at=5)}
-        b.tracks = {9: GatewayTrack(hops=4, visited_at=9)}
-        a.exchange_with([b])
-        assert a.tracks[9].hops == 1
-
-    def test_histories_merge(self):
-        a = agent_of(OldestNodeAgent, visiting=True)
-        b = agent_of(OldestNodeAgent, seed=2, visiting=True)
-        b.history.record(7, 42)
-        a.exchange_with([b])
-        assert a.history.last_visit(7) == 42

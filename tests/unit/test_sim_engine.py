@@ -1,11 +1,11 @@
-"""Unit tests for the time-step engine, hooks, and trace recorder."""
+"""Unit tests for the time-step engine, hooks, and event traces of a run."""
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs.events import EventBus, MemorySink
 from repro.sim.engine import StopSimulation, TimeStepEngine
 from repro.sim.hooks import HookRegistry
-from repro.sim.trace import TraceRecorder
 
 
 class TestTimeStepEngine:
@@ -210,36 +210,48 @@ class TestHookRegistry:
 
 
 class TestTraceRecorder:
+    """A run's hook fires recorded as events: an :class:`EventBus`
+    subscribed to the engine's hooks, feeding a :class:`MemorySink`."""
+
+    @staticmethod
+    def traced_run(steps, kinds=None, max_events=None):
+        """Run an engine whose one process fires ``move`` then ``learn``."""
+        engine = TimeStepEngine()
+        sink = MemorySink(max_events=max_events)
+        bus = EventBus([sink], kinds=kinds)
+        for kind in ("move", "learn"):
+            engine.hooks.subscribe(
+                kind, lambda time, kind=kind, **payload: bus.emit(time, kind, **payload)
+            )
+
+        def process(now):
+            engine.hooks.fire("move", time=now, agent=0, to=now + 4)
+            engine.hooks.fire("learn", time=now, agent=0)
+
+        engine.add_process(process)
+        engine.run(steps)
+        return sink
+
     def test_records_events(self):
-        trace = TraceRecorder()
-        trace.record(1, "move", agent=0, to=5)
-        trace.record(2, "learn", agent=0)
-        assert len(trace) == 2
-        assert trace.events[0].payload == {"agent": 0, "to": 5}
+        sink = self.traced_run(1)
+        assert len(sink) == 2
+        assert sink.events[0].payload == {"agent": 0, "to": 5}
 
     def test_kind_filter(self):
-        trace = TraceRecorder(kinds={"move"})
-        trace.record(1, "move")
-        trace.record(1, "learn")
-        assert [e.kind for e in trace.events] == ["move"]
+        sink = self.traced_run(1, kinds={"move"})
+        assert [e.kind for e in sink.events] == ["move"]
 
     def test_of_kind(self):
-        trace = TraceRecorder()
-        trace.record(1, "a")
-        trace.record(2, "b")
-        trace.record(3, "a")
-        assert [e.time for e in trace.of_kind("a")] == [1, 3]
+        sink = self.traced_run(3)
+        assert [e.time for e in sink.events if e.kind == "learn"] == [1, 2, 3]
 
     def test_max_events_drops_overflow(self):
-        trace = TraceRecorder(max_events=2)
-        for t in range(5):
-            trace.record(t, "x")
-        assert len(trace) == 2
-        assert trace.dropped == 3
+        sink = self.traced_run(5, max_events=2)
+        assert len(sink) == 2
+        assert sink.dropped == 8
 
     def test_clear(self):
-        trace = TraceRecorder()
-        trace.record(1, "x")
-        trace.clear()
-        assert len(trace) == 0
-        assert trace.dropped == 0
+        sink = self.traced_run(1, max_events=1)
+        sink.clear()
+        assert len(sink) == 0
+        assert sink.dropped == 0

@@ -1,8 +1,8 @@
-"""Unit tests: worlds publish hooks that a TraceRecorder can consume."""
+"""Unit tests: worlds publish hooks that an event trace can consume."""
 
 from repro.mapping.world import MappingWorld, MappingWorldConfig
+from repro.obs.events import EventBus, MemorySink
 from repro.routing.world import RoutingWorld, RoutingWorldConfig
-from repro.sim.trace import TraceRecorder
 
 
 class TestMappingHooks:
@@ -10,13 +10,14 @@ class TestMappingHooks:
         world = MappingWorld(
             line5, MappingWorldConfig(population=2, max_steps=10), seed=1
         )
-        trace = TraceRecorder(kinds={"agent_moved"})
+        trace = MemorySink()
+        bus = EventBus([trace], kinds={"agent_moved"})
         world.engine.hooks.subscribe(
             "agent_moved",
-            lambda time, agent, to: trace.record(time, "agent_moved", agent=agent, to=to),
+            lambda time, agent, to: bus.emit(time, "agent_moved", agent=agent, to=to),
         )
         world.run()
-        moves = list(trace.of_kind("agent_moved"))
+        moves = trace.events
         assert moves, "agents on a line must move"
         assert {m.payload["agent"] for m in moves} <= {0, 1}
 
