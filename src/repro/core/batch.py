@@ -269,7 +269,7 @@ class BatchAgentEngine:
         # Phase 2: visiting exchanges.
         if world.config.visiting:
             held = self._meet(acts)
-            world.result.meetings += held
+            world.meetings += held
             if world._obs is not None:
                 world._obs.meetings(now, held)
         if profiler is not None:

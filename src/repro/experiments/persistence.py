@@ -17,17 +17,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type, TypeVar, Union
 
 from repro.analysis.series import TimeSeries
 from repro.analysis.svg_plot import svg_plot
 from repro.errors import ExperimentError
 from repro.experiments.report import ExperimentReport
 from repro.faults.metrics import ResilienceReport
-from repro.mapping.world import MappingResult
 from repro.net.health import HealthReport
 from repro.obs.collector import ObsReport
-from repro.routing.world import RoutingResult
+from repro.sim.world import ScenarioResult
 from repro.traffic.plane import TrafficReport
 
 __all__ = [
@@ -37,14 +36,14 @@ __all__ = [
     "load_report",
     "report_paths",
     "save_svg",
-    "mapping_result_to_dict",
-    "mapping_result_from_dict",
-    "routing_result_to_dict",
-    "routing_result_from_dict",
+    "result_to_dict",
+    "result_from_dict",
     "SweepCheckpoint",
     "append_record",
     "read_journal",
 ]
+
+R = TypeVar("R", bound=ScenarioResult)
 
 #: bumped when the on-disk layout changes incompatibly.
 SCHEMA_VERSION = 1
@@ -146,94 +145,68 @@ def save_svg(report: ExperimentReport, directory: Union[str, pathlib.Path]) -> U
 # ----------------------------------------------------------------------
 
 
-def _resilience_to_dict(report: Optional[ResilienceReport]) -> Optional[dict]:
-    return dataclasses.asdict(report) if report is not None else None
+def _floats(values: List[float]) -> List[float]:
+    return [float(value) for value in values]
 
 
-def _resilience_from_dict(payload: Optional[dict]) -> Optional[ResilienceReport]:
-    return ResilienceReport(**payload) if payload is not None else None
+#: Per result field, how a sub-report becomes JSON-safe; every other
+#: field is a number or a list or dict of numbers, copied as it is.
+_ENCODERS: Dict[str, Callable[[Any], Any]] = {
+    "resilience": dataclasses.asdict,
+    "obs": ObsReport.to_dict,
+    "traffic": TrafficReport.to_dict,
+    "health": HealthReport.to_dict,
+}
+
+#: Per result field, how its JSON form is read back.  Float fields come
+#: back as floats whatever number the JSON holds, so a resumed report
+#: prints like one computed straight through.
+_DECODERS: Dict[str, Callable[[Any], Any]] = {
+    "resilience": lambda payload: ResilienceReport(**payload),
+    "obs": ObsReport.from_dict,
+    "traffic": TrafficReport.from_dict,
+    "health": HealthReport.from_dict,
+    "overhead": lambda payload: {key: float(value) for key, value in payload.items()},
+    "average_knowledge": _floats,
+    "minimum_knowledge": _floats,
+    "connectivity": _floats,
+}
 
 
-def _obs_to_dict(report: Optional[ObsReport]) -> Optional[dict]:
-    return report.to_dict() if report is not None else None
+def _copy(value: Any) -> Any:
+    if isinstance(value, list):
+        return list(value)
+    if isinstance(value, dict):
+        return dict(value)
+    return value
 
 
-def _traffic_to_dict(report: Optional[TrafficReport]) -> Optional[dict]:
-    return report.to_dict() if report is not None else None
+def result_to_dict(result: ScenarioResult) -> dict:
+    """The JSON-safe form of one run's outcome, keyed by result field."""
+    payload = {}
+    for spec in dataclasses.fields(result):
+        value = getattr(result, spec.name)
+        if value is not None:
+            value = _ENCODERS.get(spec.name, _copy)(value)
+        payload[spec.name] = value
+    return payload
 
 
-def _health_to_dict(report: Optional[HealthReport]) -> Optional[dict]:
-    return report.to_dict() if report is not None else None
+def result_from_dict(cls: Type[R], payload: dict) -> R:
+    """Rebuild a ``cls`` result from its :func:`result_to_dict` form.
 
-
-def _health_from_dict(payload: Optional[dict]) -> Optional[HealthReport]:
-    return HealthReport.from_dict(payload) if payload is not None else None
-
-
-def mapping_result_to_dict(result: MappingResult) -> dict:
-    """The JSON-safe form of one mapping run's outcome."""
-    return {
-        "finishing_time": result.finishing_time,
-        "steps_simulated": result.steps_simulated,
-        "times": list(result.times),
-        "average_knowledge": list(result.average_knowledge),
-        "minimum_knowledge": list(result.minimum_knowledge),
-        "meetings": result.meetings,
-        "overhead": dict(result.overhead),
-        "resilience": _resilience_to_dict(result.resilience),
-        "obs": _obs_to_dict(result.obs),
-        "traffic": _traffic_to_dict(result.traffic),
-        "health": _health_to_dict(result.health),
-    }
-
-
-def mapping_result_from_dict(payload: dict) -> MappingResult:
-    """Rebuild a :class:`MappingResult` from its JSON-safe form."""
-    return MappingResult(
-        finishing_time=payload["finishing_time"],
-        steps_simulated=payload["steps_simulated"],
-        times=list(payload["times"]),
-        average_knowledge=[float(v) for v in payload["average_knowledge"]],
-        minimum_knowledge=[float(v) for v in payload["minimum_knowledge"]],
-        meetings=payload["meetings"],
-        overhead={k: float(v) for k, v in payload["overhead"].items()},
-        resilience=_resilience_from_dict(payload.get("resilience")),
-        obs=ObsReport.from_dict(payload.get("obs")),
-        traffic=TrafficReport.from_dict(payload.get("traffic")),
-        health=_health_from_dict(payload.get("health")),
-    )
-
-
-def routing_result_to_dict(result: RoutingResult) -> dict:
-    """The JSON-safe form of one routing run's outcome."""
-    return {
-        "times": list(result.times),
-        "connectivity": list(result.connectivity),
-        "converged_after": result.converged_after,
-        "meetings": result.meetings,
-        "overhead": dict(result.overhead),
-        "guard_rejections": result.guard_rejections,
-        "resilience": _resilience_to_dict(result.resilience),
-        "obs": _obs_to_dict(result.obs),
-        "traffic": _traffic_to_dict(result.traffic),
-        "health": _health_to_dict(result.health),
-    }
-
-
-def routing_result_from_dict(payload: dict) -> RoutingResult:
-    """Rebuild a :class:`RoutingResult` from its JSON-safe form."""
-    return RoutingResult(
-        times=list(payload["times"]),
-        connectivity=[float(v) for v in payload["connectivity"]],
-        converged_after=payload["converged_after"],
-        meetings=payload["meetings"],
-        overhead={k: float(v) for k, v in payload["overhead"].items()},
-        guard_rejections=int(payload.get("guard_rejections", 0)),
-        resilience=_resilience_from_dict(payload.get("resilience")),
-        obs=ObsReport.from_dict(payload.get("obs")),
-        traffic=TrafficReport.from_dict(payload.get("traffic")),
-        health=_health_from_dict(payload.get("health")),
-    )
+    A field the payload lacks (a journal older than the field) keeps
+    its default.
+    """
+    values = {}
+    for spec in dataclasses.fields(cls):
+        if spec.name not in payload:
+            continue
+        value = payload[spec.name]
+        if value is not None:
+            value = _DECODERS.get(spec.name, _copy)(value)
+        values[spec.name] = value
+    return cls(**values)
 
 
 # ----------------------------------------------------------------------

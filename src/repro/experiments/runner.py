@@ -55,10 +55,8 @@ from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.config import DEFAULT_MASTER_SEED
 from repro.experiments.persistence import (
     SweepCheckpoint,
-    mapping_result_from_dict,
-    mapping_result_to_dict,
-    routing_result_from_dict,
-    routing_result_to_dict,
+    result_from_dict,
+    result_to_dict,
 )
 from repro.faults.plan import (
     AdversarySpec,
@@ -338,7 +336,7 @@ def _with_run_defaults(
                 gray_fraction=spec.gray_fraction,
                 gray_rate=spec.gray_rate,
                 corrupt_agents=spec.corrupt_agents,
-                population=getattr(config, "population", 0),
+                population=config.population,
                 flap_nodes=spec.flap_nodes,
                 start=spec.start,
                 exclude=tuple(range(generator_config.gateway_count)),
@@ -354,10 +352,7 @@ def _with_run_defaults(
             changes["route_ttl"] = defaults.route_ttl
         if defaults.obs is not None and config.obs is None:
             changes["obs"] = defaults.obs
-        if (
-            defaults.traffic is not None
-            and getattr(config, "traffic", None) is None
-        ):
+        if defaults.traffic is not None and config.traffic is None:
             changes["traffic"] = defaults.traffic
         if defaults.health is not None and config.health is None:
             changes["health"] = defaults.health
@@ -547,8 +542,7 @@ def _run_tasks(
     progress: Optional[ProgressCallback],
     scenario: str,
     checkpoint: Optional[SweepCheckpoint] = None,
-    to_dict: Optional[Callable[[Any], dict]] = None,
-    from_dict: Optional[Callable[[dict], Any]] = None,
+    result_type: Optional[type] = None,
     timeout: Optional[float] = None,
     retries: int = 0,
 ) -> Iterator[Tuple[str, int, Any]]:
@@ -556,10 +550,11 @@ def _run_tasks(
 
     Results are collected unordered and re-sorted by the caller, so
     parallel runs are bit-identical to serial ones.  Checkpointed tasks
-    are served from the journal without running; fresh completions are
-    journalled before being yielded.  Permanent failures raise
-    :class:`ExperimentError` only after every other task finished, so
-    completed work survives a partially poisoned sweep.
+    are served from the journal as ``result_type`` results without
+    running; fresh completions are journalled before being yielded.
+    Permanent failures raise :class:`ExperimentError` only after every
+    other task finished, so completed work survives a partially
+    poisoned sweep.
     """
     completed = 0
     total = len(tasks)
@@ -576,7 +571,7 @@ def _run_tasks(
         name, run_index = task[0], task[5]
         if checkpoint is not None and (name, run_index) in checkpoint:
             payload = checkpoint.result_payload(name, run_index)
-            yield emit(name, run_index, from_dict(payload))
+            yield emit(name, run_index, result_from_dict(result_type, payload))
         else:
             fresh.append(task)
 
@@ -587,7 +582,7 @@ def _run_tasks(
         source = _pool_results(fresh, task_fn, workers, timeout, retries, failures)
     for name, run_index, result in source:
         if checkpoint is not None:
-            checkpoint.record(name, run_index, to_dict(result))
+            checkpoint.record(name, run_index, result_to_dict(result))
         yield emit(name, run_index, result)
 
     if failures:
@@ -610,8 +605,7 @@ class _Scenario(NamedTuple):
 
     name: str
     task: Callable[[Tuple], Tuple[str, int, Any]]
-    to_dict: Callable[[Any], dict]
-    from_dict: Callable[[dict], Any]
+    result: type
     outcome: Callable[[str], Any]
 
 
@@ -660,8 +654,7 @@ def _run_variants(
         progress,
         name,
         checkpoint=checkpoint,
-        to_dict=scenario.to_dict,
-        from_dict=scenario.from_dict,
+        result_type=scenario.result,
         timeout=defaults.task_timeout,
         retries=defaults.task_retries,
     ):
@@ -696,10 +689,7 @@ def run_mapping_variants(
     resumes; the active :class:`RunDefaults` bound each task's time and
     retries.
     """
-    scenario = _Scenario(
-        "mapping", _mapping_task, mapping_result_to_dict, mapping_result_from_dict,
-        MappingVariantResult,
-    )
+    scenario = _Scenario("mapping", _mapping_task, MappingResult, MappingVariantResult)
     return _run_variants(
         scenario, generator_config, variants, runs, master_seed, progress, workers, checkpoint_dir
     )
@@ -721,10 +711,7 @@ def run_routing_variants(
     which reproduces the identical placement and movement paths.
     Pooling and checkpointing are as in :func:`run_mapping_variants`.
     """
-    scenario = _Scenario(
-        "routing", _routing_task, routing_result_to_dict, routing_result_from_dict,
-        RoutingVariantResult,
-    )
+    scenario = _Scenario("routing", _routing_task, RoutingResult, RoutingVariantResult)
     return _run_variants(
         scenario, generator_config, variants, runs, master_seed, progress, workers, checkpoint_dir
     )

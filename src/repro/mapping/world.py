@@ -26,95 +26,71 @@ import dataclasses
 from dataclasses import dataclass, field
 from random import Random
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.comms import exchange_mapping_knowledge
 from repro.core.knowledge import EdgeBits, EdgeIndex
 from repro.core.mapping_agents import MappingAgent, make_mapping_agent
 from repro.core.migration import ABANDONED, DELIVERED
 from repro.errors import ConfigurationError
-from repro.faults.metrics import ResilienceReport
-from repro.faults.plan import FaultPlan
 from repro.mapping.metrics import KnowledgeTracker
-from repro.net.channel import ChannelConfig
-from repro.net.health import HealthConfig, HealthReport
 from repro.net.radio import HeterogeneousRange
 from repro.net.topology import Topology
-from repro.obs.collector import ObsConfig, ObsReport
 from repro.sim.engine import StopSimulation
-from repro.sim.world import ScenarioWorld
-from repro.traffic.plane import TrafficConfig, TrafficReport
+from repro.sim.world import ScenarioConfig, ScenarioResult, ScenarioWorld
 from repro.types import NodeId, Time
 
 __all__ = ["MappingWorldConfig", "MappingResult", "MappingWorld"]
 
 
 @dataclass(frozen=True)
-class MappingWorldConfig:
-    """Agent-team and protocol parameters for one mapping run."""
+class MappingWorldConfig(ScenarioConfig):
+    """Agent-team and protocol parameters for one mapping run.
 
-    agent_kind: str = "conscientious"
+    ``traffic`` sends unicast payloads: the mapping world has no
+    gateways, so ``store-and-forward`` runs as ``epidemic``.
+    """
+
     population: int = 1
-    stigmergic: bool = False
-    #: probability of a uniformly random move (Minar's dispersal fix).
-    epsilon: float = 0.0
-    cooperation: bool = True
     # Marks repel for a short window only: a footprint says "someone just
     # went that way", not "that node is claimed forever".  Permanent marks
     # measurably wall off the last unexplored nodes and stall teams (see
     # the abl1 ablation); 10 steps reproduced the paper's team speed-ups.
     footprint_freshness: Optional[int] = 10
+    agent_kind: str = "conscientious"
+    stigmergic: bool = False
+    #: probability of a uniformly random move (Minar's dispersal fix).
+    epsilon: float = 0.0
+    cooperation: bool = True
     max_steps: int = 50_000
     degrade_at: Optional[Time] = None
     degrade_fraction: float = 0.1
     degrade_amount: float = 0.3
-    fault_plan: Optional[FaultPlan] = None
-    #: ``None`` means a lossless channel (identical to ``ChannelConfig()``).
-    channel: Optional[ChannelConfig] = None
-    #: ``None`` (default) attaches no health monitor — next-hop choice
-    #: never consults quarantine state; a
-    #: :class:`~repro.net.health.HealthConfig` switches the defense on.
-    health: Optional[HealthConfig] = None
-    #: ``None`` defers to the ``REPRO_CHECK_INVARIANTS`` environment
-    #: variable (tests switch it on); ``True``/``False`` force it.
-    check_invariants: Optional[bool] = None
-    #: ``None`` (default) records nothing — the zero-overhead path;
-    #: an :class:`~repro.obs.collector.ObsConfig` switches layers on.
-    obs: Optional[ObsConfig] = None
-    #: ``None`` (default) moves no payloads; a
-    #: :class:`~repro.traffic.plane.TrafficConfig` builds the data plane
-    #: (unicast destinations — the mapping world has no gateways, so the
-    #: replication routers apply, not ``store-and-forward``).
-    traffic: Optional[TrafficConfig] = None
 
     def __post_init__(self) -> None:
-        if self.population < 1:
-            raise ConfigurationError(f"population must be >= 1, got {self.population}")
+        super().__post_init__()
         if self.max_steps < 1:
             raise ConfigurationError(f"max_steps must be >= 1, got {self.max_steps}")
         if not 0.0 <= self.degrade_fraction <= 1.0:
             raise ConfigurationError(
                 f"degrade_fraction must be in [0, 1], got {self.degrade_fraction}"
             )
+        if not 0.0 <= self.degrade_amount < 1.0:
+            raise ConfigurationError(
+                f"degrade_amount must be in [0, 1), got {self.degrade_amount}"
+            )
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigurationError(f"epsilon must be in [0, 1], got {self.epsilon}")
 
 
 @dataclass
-class MappingResult:
+class MappingResult(ScenarioResult):
     """Outcome of one mapping run."""
 
-    finishing_time: Optional[Time]
-    steps_simulated: Time
-    times: List[Time] = field(default_factory=list)
+    finishing_time: Optional[Time] = None
+    steps_simulated: Time = 0
     average_knowledge: List[float] = field(default_factory=list)
     minimum_knowledge: List[float] = field(default_factory=list)
-    meetings: int = 0
-    overhead: Dict[str, float] = field(default_factory=dict)
-    resilience: Optional[ResilienceReport] = None
-    obs: Optional[ObsReport] = None
-    traffic: Optional[TrafficReport] = None
-    health: Optional[HealthReport] = None
 
     @property
     def finished(self) -> bool:
@@ -142,7 +118,6 @@ class MappingWorld(ScenarioWorld):
         # checked against the live edge set, not a simple count.
         mutable = config.degrade_at is not None or config.fault_plan is not None
         self._live_edges = self._live_edge_mask() if mutable else None
-        self.meetings = 0
         self._build_checks("knowledge_recorded", "average")
         traffic = config.traffic
         if traffic is not None and traffic.router == "store-and-forward":
@@ -364,7 +339,6 @@ class MappingWorld(ScenarioWorld):
             times=list(self.tracker.times),
             average_knowledge=list(self.tracker.average_knowledge),
             minimum_knowledge=list(self.tracker.minimum_knowledge),
-            meetings=self.meetings,
             **self._fold_reports(steps),
         )
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.ant_agents import AntRoutingAgent
 from repro.core.batch import BatchAgentEngine, batch_unsupported
@@ -34,62 +34,32 @@ from repro.core.routing_agents import (
     make_routing_agent,
 )
 from repro.errors import ConfigurationError
-from repro.faults.metrics import ResilienceReport
-from repro.faults.plan import FaultPlan
-from repro.net.channel import ChannelConfig
-from repro.net.health import HealthConfig, HealthReport
 from repro.net.topology import Topology
-from repro.obs.collector import ObsConfig, ObsReport
 from repro.routing.connectivity import DEFAULT_WALK_TTL, FunctionalConnectivity
 from repro.routing.table import RouteEntry, TableBank, TableGuard
-from repro.sim.world import ScenarioWorld
-from repro.traffic.plane import TrafficConfig, TrafficReport
+from repro.sim.world import ScenarioConfig, ScenarioResult, ScenarioWorld
 from repro.types import NodeId, Time
 
 __all__ = ["RoutingWorldConfig", "RoutingResult", "RoutingWorld", "run_routing"]
 
 @dataclass(frozen=True)
-class RoutingWorldConfig:
+class RoutingWorldConfig(ScenarioConfig):
     """Agent-team and protocol parameters for one routing run."""
 
-    agent_kind: str = "oldest-node"
     population: int = 100
+    footprint_freshness: Optional[int] = 8
+    agent_kind: str = "oldest-node"
     history_size: int = 10
     visiting: bool = False
     stigmergic: bool = False
-    footprint_freshness: Optional[int] = 8
     route_ttl: Optional[int] = 150
     walk_ttl: int = DEFAULT_WALK_TTL
     total_steps: int = 300
     converged_after: Time = 150
-    # --- fault injection ----------------------------------------------
-    fault_plan: Optional[FaultPlan] = None
-    # --- lossy channel -------------------------------------------------
-    #: ``None`` means a lossless channel (identical to ``ChannelConfig()``).
-    channel: Optional[ChannelConfig] = None
-    # --- adversarial resilience -----------------------------------------
-    #: ``None`` (default) attaches no health monitor — next-hop choice
-    #: and custody transfer never consult quarantine state; a
-    #: :class:`~repro.net.health.HealthConfig` switches the defense on.
-    health: Optional[HealthConfig] = None
     #: ``None`` (default) leaves table writes unguarded; a
     #: :class:`~repro.routing.table.TableGuard` bounds how much one
     #: agent visit can move an entry (sequence + hop-delta sanity).
     table_guard: Optional[TableGuard] = None
-    # --- runtime invariant checking -------------------------------------
-    #: ``None`` defers to the ``REPRO_CHECK_INVARIANTS`` environment
-    #: variable (tests switch it on); ``True``/``False`` force it.
-    check_invariants: Optional[bool] = None
-    # --- observability ---------------------------------------------------
-    #: ``None`` (default) records nothing — the zero-overhead path;
-    #: an :class:`~repro.obs.collector.ObsConfig` switches layers on.
-    obs: Optional[ObsConfig] = None
-    # --- data plane ------------------------------------------------------
-    #: ``None`` (default) moves no payloads — bit-identical to a run
-    #: without the traffic subsystem; a
-    #: :class:`~repro.traffic.plane.TrafficConfig` builds the plane.
-    traffic: Optional[TrafficConfig] = None
-    # --- batch agent engine ----------------------------------------------
     #: drive the agent phases through the vectorized SoA engine
     #: (:class:`~repro.core.batch.BatchAgentEngine`, bit-identical to
     #: the per-object path).  ``None`` enables it exactly on the
@@ -98,7 +68,6 @@ class RoutingWorldConfig:
     #: per-object oracle; ``True`` demands the engine and raises
     #: :class:`ConfigurationError` naming any feature it does not model.
     batch_agents: Optional[bool] = None
-    # --- sharded arena ---------------------------------------------------
     #: partition the arena into this many spatial tiles and step them as
     #: independent workers exchanging only boundary state (see
     #: :mod:`repro.shard`).  ``None`` (default) runs the serial world;
@@ -106,8 +75,7 @@ class RoutingWorldConfig:
     shards: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.population < 1:
-            raise ConfigurationError(f"population must be >= 1, got {self.population}")
+        super().__post_init__()
         if self.history_size < 1:
             raise ConfigurationError(
                 f"history_size must be >= 1, got {self.history_size}"
@@ -116,6 +84,8 @@ class RoutingWorldConfig:
             raise ConfigurationError(
                 f"route_ttl must be >= 1 or None, got {self.route_ttl}"
             )
+        if self.walk_ttl < 1:
+            raise ConfigurationError(f"walk_ttl must be >= 1, got {self.walk_ttl}")
         if self.total_steps < 1:
             raise ConfigurationError(f"total_steps must be >= 1, got {self.total_steps}")
         if not 0 <= self.converged_after <= self.total_steps:
@@ -128,20 +98,13 @@ class RoutingWorldConfig:
 
 
 @dataclass
-class RoutingResult:
+class RoutingResult(ScenarioResult):
     """Outcome of one routing run."""
 
-    times: List[Time] = field(default_factory=list)
     connectivity: List[float] = field(default_factory=list)
     converged_after: Time = 150
-    meetings: int = 0
-    overhead: Dict[str, float] = field(default_factory=dict)
     #: raw table-guard rejection count (``overhead`` is per-decision).
     guard_rejections: int = 0
-    resilience: Optional[ResilienceReport] = None
-    obs: Optional[ObsReport] = None
-    traffic: Optional[TrafficReport] = None
-    health: Optional[HealthReport] = None
 
     @property
     def mean_connectivity(self) -> float:
@@ -310,7 +273,7 @@ class RoutingWorld(ScenarioWorld):
         # Phase 2: visiting agents exchange knowledge where co-located.
         if config.visiting:
             held = exchange_routing_knowledge(agents, channel=self.channel, now=now)
-            self.result.meetings += held
+            self.meetings += held
             if self._obs is not None:
                 self._obs.meetings(now, held)
         if profiler is not None:

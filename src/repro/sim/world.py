@@ -9,7 +9,10 @@ skeleton is built the same way in both, and lives here:
 * the checks — fault injection with its resilience tracker, runtime
   invariant checking, and the observability collector;
 * the data plane, registered after the world's own step process;
-* the end-of-run fold of resilience, traffic, health and obs reports.
+* the end-of-run fold of meetings, overhead, resilience, traffic,
+  health and obs reports;
+* the config fields and result fields both scenarios carry
+  (:class:`ScenarioConfig`, :class:`ScenarioResult`).
 
 A subclass calls these in order around its own agents, metric and step.
 Hooks are subscribed in a fixed order — injector, resilience tracker,
@@ -23,24 +26,84 @@ engine package must not pull in faults, obs and traffic.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.core.migration import ReliableMigration
 from repro.core.overhead import aggregate_overheads
 from repro.core.stigmergy import StigmergyField
+from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
-from repro.faults.metrics import ResilienceTracker
+from repro.faults.metrics import ResilienceReport, ResilienceTracker
+from repro.faults.plan import FaultPlan
 from repro.net.channel import ChannelConfig, ChannelModel
-from repro.net.health import HealthMonitor
+from repro.net.health import HealthConfig, HealthMonitor, HealthReport
 from repro.net.topology import Topology
-from repro.obs.collector import ObsCollector
+from repro.obs.collector import ObsCollector, ObsConfig, ObsReport
 from repro.rng import SeedSpawner
 from repro.sim.engine import TimeStepEngine
 from repro.sim.invariants import InvariantChecker, default_invariants_enabled
-from repro.traffic.plane import TrafficConfig, TrafficPlane
+from repro.traffic.plane import TrafficConfig, TrafficPlane, TrafficReport
 from repro.types import Time
 
-__all__ = ["ScenarioWorld"]
+__all__ = ["ScenarioConfig", "ScenarioResult", "ScenarioWorld"]
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """The config fields both scenarios carry.
+
+    Base of :class:`~repro.mapping.world.MappingWorldConfig` and
+    :class:`~repro.routing.world.RoutingWorldConfig`, which each give
+    ``population`` and ``footprint_freshness`` their own default.
+    """
+
+    #: agents in the team.
+    population: int
+    #: steps a footprint stays fresh (``None``: marks never fade).
+    footprint_freshness: Optional[int]
+    fault_plan: Optional[FaultPlan] = None
+    #: ``None`` means a lossless channel (identical to ``ChannelConfig()``).
+    channel: Optional[ChannelConfig] = None
+    #: ``None`` (default) attaches no health monitor — next-hop choice
+    #: and custody transfer never consult quarantine state; a
+    #: :class:`~repro.net.health.HealthConfig` switches the defense on.
+    health: Optional[HealthConfig] = None
+    #: ``None`` defers to the ``REPRO_CHECK_INVARIANTS`` environment
+    #: variable (tests switch it on); ``True``/``False`` force it.
+    check_invariants: Optional[bool] = None
+    #: ``None`` (default) records nothing — the zero-overhead path;
+    #: an :class:`~repro.obs.collector.ObsConfig` switches layers on.
+    obs: Optional[ObsConfig] = None
+    #: ``None`` (default) moves no payloads — bit-identical to a run
+    #: without the traffic subsystem; a
+    #: :class:`~repro.traffic.plane.TrafficConfig` builds the plane.
+    traffic: Optional[TrafficConfig] = None
+
+    def __post_init__(self) -> None:
+        if self.population < 1:
+            raise ConfigurationError(f"population must be >= 1, got {self.population}")
+
+
+@dataclass
+class ScenarioResult:
+    """The result fields both scenarios report.
+
+    Base of :class:`~repro.mapping.world.MappingResult` and
+    :class:`~repro.routing.world.RoutingResult`; every field but
+    ``times`` is filled by :meth:`ScenarioWorld._fold_reports`.
+    """
+
+    #: the step of each recorded metric value.
+    times: List[Time] = field(default_factory=list)
+    #: co-located knowledge exchanges held over the run.
+    meetings: int = 0
+    #: team overhead per decision.
+    overhead: Dict[str, float] = field(default_factory=dict)
+    resilience: Optional[ResilienceReport] = None
+    obs: Optional[ObsReport] = None
+    traffic: Optional[TrafficReport] = None
+    health: Optional[HealthReport] = None
 
 
 class ScenarioWorld:
@@ -48,9 +111,8 @@ class ScenarioWorld:
     :class:`~repro.routing.world.RoutingWorld`.
 
     Subclasses name their ``scenario`` and define ``_make_agent`` and
-    ``_step``; their configs carry ``population``,
-    ``footprint_freshness``, ``channel``, ``health``, ``fault_plan``,
-    ``check_invariants``, ``obs`` and ``traffic``.
+    ``_step``; their configs are :class:`ScenarioConfig` subclasses, and
+    their ``_step`` adds the meetings it holds to ``meetings``.
     """
 
     #: ``"mapping"`` or ``"routing"``: the spawner child every seeded
@@ -58,10 +120,11 @@ class ScenarioWorld:
     scenario: str
     agents: List[Any]
 
-    def _build_substrate(self, topology: Topology, config: Any, seed: int) -> None:
+    def _build_substrate(self, topology: Topology, config: ScenarioConfig, seed: int) -> None:
         """Spawner, engine, field, channel, migration and health monitor."""
         self.topology = topology
         self.config = config
+        self.meetings = 0
         self._spawner = SeedSpawner(seed).child(self.scenario)
         self.engine = TimeStepEngine()
         self.field = StigmergyField(freshness=config.footprint_freshness)
@@ -169,9 +232,9 @@ class ScenarioWorld:
     def _fold_reports(self, steps: Time) -> Dict[str, Any]:
         """The end-of-run reports both results carry, by result field.
 
-        Team overhead per decision, and the resilience, traffic, health
-        and obs reports of whichever subsystems were built (``None``
-        for the others).
+        Meetings held, team overhead per decision, and the resilience,
+        traffic, health and obs reports of whichever subsystems were
+        built (``None`` for the others).
         """
         team_overhead = aggregate_overheads(agent.overhead for agent in self.agents)
         agents_total = agents_alive = len(self.agents)
@@ -194,6 +257,7 @@ class ScenarioWorld:
                 steps=steps,
             )
         return {
+            "meetings": self.meetings,
             "overhead": team_overhead.per_decision(),
             "resilience": resilience,
             "traffic": traffic,

@@ -9,10 +9,7 @@ knob reaches the runner/CLI surface.
 
 import pytest
 
-from repro.experiments.persistence import (
-    routing_result_from_dict,
-    routing_result_to_dict,
-)
+from repro.experiments.persistence import result_from_dict, result_to_dict
 from repro.experiments.registry import get_experiment, list_experiments
 from repro.experiments.runner import (
     RunDefaults,
@@ -24,7 +21,7 @@ from repro.faults.plan import AdversarySpec, FaultPlan
 from repro.net.generator import GeneratorConfig, NetworkGenerator
 from repro.net.health import HealthConfig
 from repro.routing.table import TableGuard
-from repro.routing.world import RoutingWorldConfig, run_routing
+from repro.routing.world import RoutingResult, RoutingWorldConfig, run_routing
 from repro.traffic.plane import TrafficConfig
 
 NET = GeneratorConfig(
@@ -173,9 +170,9 @@ class TestRunnerDefaultInjection:
 class TestPersistenceRoundTrip:
     def test_defended_result_round_trips(self):
         result = run_arm(True, adversary_plan())
-        payload = routing_result_to_dict(result)
+        payload = result_to_dict(result)
         assert payload["guard_rejections"] == result.guard_rejections
-        restored = routing_result_from_dict(payload)
+        restored = result_from_dict(RoutingResult, payload)
         assert restored.guard_rejections == result.guard_rejections
         assert restored.health == result.health
         assert restored.traffic.to_dict() == result.traffic.to_dict()
@@ -183,9 +180,9 @@ class TestPersistenceRoundTrip:
 
     def test_legacy_payload_defaults_guard_rejections_to_zero(self):
         result = run_arm(False)
-        payload = routing_result_to_dict(result)
+        payload = result_to_dict(result)
         del payload["guard_rejections"]
-        assert routing_result_from_dict(payload).guard_rejections == 0
+        assert result_from_dict(RoutingResult, payload).guard_rejections == 0
 
 
 class TestSurface:

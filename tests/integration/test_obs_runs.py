@@ -16,10 +16,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments.persistence import (
-    routing_result_from_dict,
-    routing_result_to_dict,
-)
+from repro.experiments.persistence import result_from_dict, result_to_dict
 from repro.experiments.runner import (
     RunDefaults,
     clear_topology_cache,
@@ -29,7 +26,7 @@ from repro.experiments.runner import (
 from repro.net.generator import GeneratorConfig, NetworkGenerator
 from repro.obs import EVENT_SCHEMA, ObsAccumulator, ObsConfig, read_jsonl
 from repro.obs.output import METRICS_FILE_SCHEMA
-from repro.routing.world import RoutingWorld, RoutingWorldConfig
+from repro.routing.world import RoutingResult, RoutingWorld, RoutingWorldConfig
 
 ROUTING_NET = GeneratorConfig(
     node_count=40,
@@ -115,18 +112,18 @@ class TestSerialVsPooled:
 class TestCheckpointRoundTrip:
     def test_obs_report_survives_result_serialization(self):
         result = _world_result(FULL_OBS)
-        payload = routing_result_to_dict(result)
+        payload = result_to_dict(result)
         assert json.loads(json.dumps(payload)) == payload
-        restored = routing_result_from_dict(payload)
+        restored = result_from_dict(RoutingResult, payload)
         assert restored.obs is not None
         assert restored.obs.metrics == result.obs.metrics
         assert restored.obs.events == result.obs.events
         assert restored.obs.profile == result.obs.profile
 
     def test_obs_free_result_round_trips_to_none(self):
-        payload = routing_result_to_dict(_world_result(None))
+        payload = result_to_dict(_world_result(None))
         assert payload["obs"] is None
-        assert routing_result_from_dict(payload).obs is None
+        assert result_from_dict(RoutingResult, payload).obs is None
 
 
 class TestCliEndToEnd:

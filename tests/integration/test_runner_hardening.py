@@ -21,8 +21,11 @@ from repro.experiments.runner import (
     _static_topology,
     _topology_cache,
     clear_topology_cache,
+    run_mapping_variants,
     run_routing_variants,
 )
+from repro.faults.plan import parse_fault_plan
+from repro.mapping.world import MappingWorldConfig
 from repro.net.generator import GeneratorConfig
 from repro.routing.world import RoutingWorldConfig
 
@@ -32,6 +35,9 @@ ROUTING_NET = GeneratorConfig(
     require_strong_connectivity=False,
     gateway_count=2,
     mobile_fraction=0.5,
+)
+MAPPING_NET = GeneratorConfig(
+    node_count=25, target_edges=None, require_strong_connectivity=True
 )
 
 
@@ -160,22 +166,41 @@ class TestCheckpointResume:
         "a": RoutingWorldConfig(population=5, total_steps=20, converged_after=10)
     }
 
-    def test_interrupted_sweep_resumes_without_recomputing(self, tmp_path, monkeypatch):
-        first = run_routing_variants(
-            ROUTING_NET, self.VARIANTS, runs=2, master_seed=4, checkpoint_dir=tmp_path
-        )
+    @pytest.mark.parametrize("scenario", ["mapping", "routing"])
+    def test_interrupted_sweep_resumes_without_recomputing(
+        self, tmp_path, monkeypatch, scenario
+    ):
+        # A fault plan fills the resilience report too, so the whole
+        # result — every field the journal codec carries — is compared.
+        faults = parse_fault_plan("crash@5:3;recover@12:3;policy=respawn")
+        if scenario == "mapping":
+            sweep = run_mapping_variants
+            net = MAPPING_NET
+            variants = {
+                "a": MappingWorldConfig(population=4, max_steps=400, fault_plan=faults)
+            }
+        else:
+            sweep = run_routing_variants
+            net = ROUTING_NET
+            variants = {
+                "a": RoutingWorldConfig(
+                    population=5,
+                    total_steps=20,
+                    converged_after=10,
+                    visiting=True,
+                    fault_plan=faults,
+                )
+            }
+        first = sweep(net, variants, runs=2, master_seed=4, checkpoint_dir=tmp_path)
         # Same command again, but the task function now explodes: every
         # result must come from the journal, so nothing actually runs.
         def exploding_task(task):
             raise AssertionError("checkpointed task was recomputed")
 
-        monkeypatch.setattr(runner, "_routing_task", exploding_task)
-        again = run_routing_variants(
-            ROUTING_NET, self.VARIANTS, runs=2, master_seed=4, checkpoint_dir=tmp_path
-        )
-        assert [r.connectivity for r in first["a"].results] == [
-            r.connectivity for r in again["a"].results
-        ]
+        monkeypatch.setattr(runner, f"_{scenario}_task", exploding_task)
+        again = sweep(net, variants, runs=2, master_seed=4, checkpoint_dir=tmp_path)
+        assert first["a"].results[0].resilience is not None
+        assert again["a"].results == first["a"].results
 
     def test_growing_runs_only_computes_the_new_ones(self, tmp_path, monkeypatch):
         run_routing_variants(

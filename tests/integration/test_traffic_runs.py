@@ -26,7 +26,7 @@ from repro.faults.plan import FaultPlan
 from repro.mapping.world import MappingWorldConfig, run_mapping
 from repro.net.channel import ChannelConfig
 from repro.net.generator import GeneratorConfig, NetworkGenerator
-from repro.routing.world import RoutingWorldConfig, run_routing
+from repro.routing.world import RoutingResult, RoutingWorldConfig, run_routing
 from repro.traffic.plane import TrafficConfig
 
 ROUTING_NET = GeneratorConfig(
@@ -199,14 +199,11 @@ class TestMappingWorldTraffic:
 
 class TestTrafficPersistence:
     def test_routing_result_roundtrip_keeps_traffic(self):
-        from repro.experiments.persistence import (
-            routing_result_from_dict,
-            routing_result_to_dict,
-        )
+        from repro.experiments.persistence import result_from_dict, result_to_dict
 
         config = routing_config(traffic=TrafficConfig(rate=1.0))
         result = run_routing(make_manet(), config, seed=5)
-        rebuilt = routing_result_from_dict(routing_result_to_dict(result))
+        rebuilt = result_from_dict(RoutingResult, result_to_dict(result))
         assert rebuilt.traffic == result.traffic
 
     def test_checkpoint_resume_reuses_traffic_results(self, tmp_path):

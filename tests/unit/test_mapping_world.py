@@ -21,6 +21,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             MappingWorldConfig(degrade_fraction=1.5)
 
+    @pytest.mark.parametrize("amount", [1.0, 1.5, -0.1])
+    def test_bad_degrade_amount_rejected_when_built(self, amount):
+        # Caught here, not at the degradation step mid-run.
+        with pytest.raises(ConfigurationError, match="degrade_amount"):
+            MappingWorldConfig(degrade_at=5, degrade_amount=amount)
+
     def test_defaults(self):
         config = MappingWorldConfig()
         assert config.agent_kind == "conscientious"

@@ -14,12 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.persistence import (
-    mapping_result_from_dict,
-    mapping_result_to_dict,
     report_from_dict,
     report_to_dict,
-    routing_result_from_dict,
-    routing_result_to_dict,
+    result_from_dict,
+    result_to_dict,
 )
 from repro.experiments.report import ExperimentReport
 from repro.analysis.series import TimeSeries
@@ -177,14 +175,14 @@ def test_report_round_trip(report):
 @settings(max_examples=50, deadline=None)
 @given(mapping_results)
 def test_mapping_result_round_trip(result):
-    payload = json_round_trip(mapping_result_to_dict(result))
-    clone = mapping_result_from_dict(payload)
+    payload = json_round_trip(result_to_dict(result))
+    clone = result_from_dict(MappingResult, payload)
     assert dataclasses.asdict(clone) == dataclasses.asdict(result)
 
 
 @settings(max_examples=50, deadline=None)
 @given(routing_results)
 def test_routing_result_round_trip(result):
-    payload = json_round_trip(routing_result_to_dict(result))
-    clone = routing_result_from_dict(payload)
+    payload = json_round_trip(result_to_dict(result))
+    clone = result_from_dict(RoutingResult, payload)
     assert dataclasses.asdict(clone) == dataclasses.asdict(result)

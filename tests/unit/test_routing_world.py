@@ -39,6 +39,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="route_ttl"):
             RoutingWorldConfig(route_ttl=route_ttl)
 
+    @pytest.mark.parametrize("walk_ttl", [0, -3])
+    def test_bad_walk_ttl_rejected_when_built(self, walk_ttl):
+        # A walk of no hops counts only the gateways as connected, and the
+        # fast path and the reference walk agree on that, so no later
+        # check would notice.
+        with pytest.raises(ConfigurationError, match="walk_ttl"):
+            RoutingWorldConfig(walk_ttl=walk_ttl)
+
 
 class TestBatchEngineScope:
     """The engine runs exactly on the configuration it vectorises."""
