@@ -151,21 +151,19 @@ def _floats(values: List[float]) -> List[float]:
 
 #: Per result field, how a sub-report becomes JSON-safe; every other
 #: field is a number or a list or dict of numbers, copied as it is.
-_ENCODERS: Dict[str, Callable[[Any], Any]] = {
-    "resilience": dataclasses.asdict,
-    "obs": ObsReport.to_dict,
-    "traffic": TrafficReport.to_dict,
-    "health": HealthReport.to_dict,
-}
+_ENCODERS: Dict[str, Callable[[Any], Any]] = dict.fromkeys(
+    ("resilience", "obs", "traffic", "health"), dataclasses.asdict
+)
 
-#: Per result field, how its JSON form is read back.  Float fields come
+#: Per result field, how its JSON form is read back.  A sub-report field
+#: the payload lacks keeps its dataclass default.  Float fields come
 #: back as floats whatever number the JSON holds, so a resumed report
 #: prints like one computed straight through.
 _DECODERS: Dict[str, Callable[[Any], Any]] = {
     "resilience": lambda payload: ResilienceReport(**payload),
-    "obs": ObsReport.from_dict,
-    "traffic": TrafficReport.from_dict,
-    "health": HealthReport.from_dict,
+    "obs": lambda payload: ObsReport(**payload),
+    "traffic": lambda payload: TrafficReport(**payload),
+    "health": lambda payload: HealthReport(**payload),
     "overhead": lambda payload: {key: float(value) for key, value in payload.items()},
     "average_knowledge": _floats,
     "minimum_knowledge": _floats,

@@ -133,25 +133,6 @@ class HealthReport:
     #: lowest link quality estimate at run end (1.0 when untracked).
     worst_quality: float = 1.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "quarantines": self.quarantines,
-            "rehabilitations": self.rehabilitations,
-            "quarantined_final": self.quarantined_final,
-            "links_tracked": self.links_tracked,
-            "worst_quality": self.worst_quality,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "HealthReport":
-        return cls(
-            quarantines=int(payload.get("quarantines", 0)),
-            rehabilitations=int(payload.get("rehabilitations", 0)),
-            quarantined_final=int(payload.get("quarantined_final", 0)),
-            links_tracked=int(payload.get("links_tracked", 0)),
-            worst_quality=float(payload.get("worst_quality", 1.0)),
-        )
-
 
 class HealthMonitor:
     """EWMA link-quality estimates and quarantine state for one world.

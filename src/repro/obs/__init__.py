@@ -3,14 +3,14 @@
 The paper's central quantitative claims are about *cost* — stigmergy
 "imposes negligible overhead" versus the 4–5× heavier agents of related
 work — so this reproduction measures instead of asserting.  The layer
-has four parts, each usable alone:
+has four parts:
 
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges, fixed-bucket histograms, and per-step time-series rings whose
   snapshots merge associatively across process-pool workers;
-* :mod:`repro.obs.events` — a schema-versioned event bus with pluggable
-  sinks (memory, JSONL file, null) carrying agent hops, meetings, route
-  installs, channel losses, and fault events;
+* :mod:`repro.obs.collector` — the per-run collector, whose bounded
+  event list carries agent hops, meetings, route installs, channel
+  losses, and fault events;
 * :mod:`repro.obs.profiler` — wall-time accounting per engine phase and
   hook fire, with percentile summaries;
 * :mod:`repro.obs.manifest` — run manifests (seeds, config hash,
@@ -28,19 +28,9 @@ unchanged speed — the zero-overhead contract the integration tests pin.
 """
 
 from repro.obs.collector import ObsCollector, ObsConfig, ObsReport
-from repro.obs.events import (
-    EVENT_SCHEMA,
-    Event,
-    EventBus,
-    EventSink,
-    JsonlSink,
-    MemorySink,
-    NullSink,
-    read_jsonl,
-)
 from repro.obs.manifest import MANIFEST_SCHEMA, build_manifest
 from repro.obs.metrics import METRICS_SCHEMA, MetricsRegistry, merge_snapshots
-from repro.obs.output import ObsAccumulator
+from repro.obs.output import EVENT_SCHEMA, ObsAccumulator
 from repro.obs.profiler import (
     PhaseProfiler,
     merge_profiles,
@@ -55,13 +45,6 @@ __all__ = [
     "MetricsRegistry",
     "merge_snapshots",
     "METRICS_SCHEMA",
-    "Event",
-    "EventBus",
-    "EventSink",
-    "MemorySink",
-    "JsonlSink",
-    "NullSink",
-    "read_jsonl",
     "EVENT_SCHEMA",
     "PhaseProfiler",
     "merge_profiles",

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from repro.obs.events import EventBus, MemorySink
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import PhaseProfiler
 from repro.types import Time
@@ -41,11 +40,8 @@ __all__ = ["ObsConfig", "ObsCollector", "ObsReport", "OBS_REPORT_SCHEMA"]
 #: bumped when the per-run report layout changes incompatibly.
 OBS_REPORT_SCHEMA = 1
 
-#: default cap on events retained per run (excess counted as dropped).
-DEFAULT_MAX_EVENTS = 100_000
-
-#: capacity of the per-step time-series rings.
-RING_CAPACITY = 512
+#: cap on events retained per run (excess counted as dropped).
+MAX_EVENTS = 100_000
 
 #: connectivity / knowledge are fractions; ten equal buckets plus overflow.
 _FRACTION_BOUNDS = tuple(round(0.1 * i, 1) for i in range(1, 11))
@@ -66,8 +62,6 @@ class ObsConfig:
     events: bool = False
     #: record wall-time per engine phase and hook fire.
     profile: bool = False
-    #: per-run cap on retained events.
-    max_events: int = DEFAULT_MAX_EVENTS
 
     @property
     def enabled(self) -> bool:
@@ -88,29 +82,6 @@ class ObsReport:
     events_dropped: int = 0
     #: :meth:`PhaseProfiler.as_dict` output, or ``None``.
     profile: Optional[dict] = None
-
-    def to_dict(self) -> dict:
-        """The JSON-safe form (checkpoint journal entry)."""
-        return {
-            "schema": self.schema,
-            "metrics": self.metrics,
-            "events": self.events,
-            "events_dropped": self.events_dropped,
-            "profile": self.profile,
-        }
-
-    @staticmethod
-    def from_dict(payload: Optional[dict]) -> Optional["ObsReport"]:
-        """Rebuild a report from :meth:`to_dict` output (``None`` safe)."""
-        if payload is None:
-            return None
-        return ObsReport(
-            schema=payload.get("schema", OBS_REPORT_SCHEMA),
-            metrics=payload.get("metrics"),
-            events=payload.get("events"),
-            events_dropped=payload.get("events_dropped", 0),
-            profile=payload.get("profile"),
-        )
 
 
 class ObsCollector:
@@ -134,11 +105,10 @@ class ObsCollector:
         self.metrics: Optional[MetricsRegistry] = (
             MetricsRegistry() if config.metrics else None
         )
-        self._sink: Optional[MemorySink] = None
-        self._bus: Optional[EventBus] = None
-        if config.events:
-            self._sink = MemorySink(max_events=config.max_events)
-            self._bus = EventBus([self._sink])
+        #: event dicts in emission order (``None`` with events off); the
+        #: ones beyond :data:`MAX_EVENTS` are only counted.
+        self.events: Optional[List[dict]] = [] if config.events else None
+        self.events_dropped = 0
         self.profiler: Optional[PhaseProfiler] = (
             PhaseProfiler() if config.profile else None
         )
@@ -148,7 +118,7 @@ class ObsCollector:
         metric = "knowledge" if scenario == "mapping" else "connectivity"
         self._metric_name = metric
         if self.metrics is not None:
-            self.metrics.ring(f"{metric}.series", RING_CAPACITY)
+            self.metrics.ring(f"{metric}.series")
             self.metrics.histogram(f"{metric}.histogram", _FRACTION_BOUNDS)
         hooks = engine.hooks
         hooks.subscribe("agent_moved", self._on_agent_moved)
@@ -161,22 +131,33 @@ class ObsCollector:
         else:
             hooks.subscribe("connectivity_recorded", self._on_connectivity)
 
+    def _emit(self, time: Time, kind: str, /, **payload: Any) -> None:
+        """Append one event (no-op with events off).
+
+        ``time`` and ``kind`` are positional-only, so a payload may carry
+        its own ``kind`` (a ``fault_injected`` event names the fault's).
+        """
+        if self.events is None:
+            return
+        if len(self.events) >= MAX_EVENTS:
+            self.events_dropped += 1
+            return
+        self.events.append({"time": time, "kind": kind, "payload": payload})
+
     # -- hook subscribers ----------------------------------------------
 
     def _on_agent_moved(self, *, time: Time, agent: int, to: Any) -> None:
         if self.metrics is not None:
             self.metrics.inc("agents.hops")
-        if self._bus is not None:
-            self._bus.emit(time, "agent_moved", agent=agent, to=to)
+        self._emit(time, "agent_moved", agent=agent, to=to)
 
     def _on_fault(self, *, time: Time, kind: str, target: Any, applied: bool) -> None:
         if self.metrics is not None:
             self.metrics.inc("faults.injected")
             self.metrics.inc(f"faults.kind.{kind}")
-        if self._bus is not None:
-            self._bus.emit(
-                time, "fault_injected", kind=kind, target=list(target), applied=applied
-            )
+        self._emit(
+            time, "fault_injected", kind=kind, target=list(target), applied=applied
+        )
 
     def _on_link_suspected(
         self, *, time: Time, node: Any, neighbor: Any, dropped: int
@@ -184,38 +165,31 @@ class ObsCollector:
         if self.metrics is not None:
             self.metrics.inc("links.suspected")
             self.metrics.inc("routes.invalidated", dropped)
-        if self._bus is not None:
-            self._bus.emit(
-                time, "link_suspected", node=node, neighbor=neighbor, dropped=dropped
-            )
+        self._emit(
+            time, "link_suspected", node=node, neighbor=neighbor, dropped=dropped
+        )
 
     def _on_quarantined(
         self, *, time: Time, node: Any, neighbor: Any, quality: float
     ) -> None:
         if self.metrics is not None:
             self.metrics.inc("health.quarantines")
-        if self._bus is not None:
-            self._bus.emit(
-                time,
-                "neighbor_quarantined",
-                node=node,
-                neighbor=neighbor,
-                quality=quality,
-            )
+        self._emit(
+            time, "neighbor_quarantined", node=node, neighbor=neighbor, quality=quality
+        )
 
     def _on_rehabilitated(
         self, *, time: Time, node: Any, neighbor: Any, quality: float
     ) -> None:
         if self.metrics is not None:
             self.metrics.inc("health.rehabilitations")
-        if self._bus is not None:
-            self._bus.emit(
-                time,
-                "neighbor_rehabilitated",
-                node=node,
-                neighbor=neighbor,
-                quality=quality,
-            )
+        self._emit(
+            time,
+            "neighbor_rehabilitated",
+            node=node,
+            neighbor=neighbor,
+            quality=quality,
+        )
 
     def _record_metric(self, time: Time, value: float) -> None:
         if self.metrics is not None:
@@ -225,13 +199,11 @@ class ObsCollector:
 
     def _on_knowledge(self, *, time: Time, average: float, minimum: float) -> None:
         self._record_metric(time, average)
-        if self._bus is not None:
-            self._bus.emit(time, "knowledge", average=average, minimum=minimum)
+        self._emit(time, "knowledge", average=average, minimum=minimum)
 
     def _on_connectivity(self, *, time: Time, fraction: float) -> None:
         self._record_metric(time, fraction)
-        if self._bus is not None:
-            self._bus.emit(time, "connectivity", fraction=fraction)
+        self._emit(time, "connectivity", fraction=fraction)
 
     # -- world-pushed aggregates (called only when a collector exists) --
 
@@ -241,8 +213,7 @@ class ObsCollector:
             return
         if self.metrics is not None:
             self.metrics.inc("meetings.held", count)
-        if self._bus is not None:
-            self._bus.emit(time, "meetings", count=count)
+        self._emit(time, "meetings", count=count)
 
     def routes_installed(self, time: Time, count: int) -> None:
         """Record route-table installs committed this step."""
@@ -250,8 +221,7 @@ class ObsCollector:
             return
         if self.metrics is not None:
             self.metrics.inc("routes.installed", count)
-        if self._bus is not None:
-            self._bus.emit(time, "routes_installed", count=count)
+        self._emit(time, "routes_installed", count=count)
 
     def channel_losses(self, time: Time, total: int) -> None:
         """Record the transfers dropped since the last push, given the
@@ -262,8 +232,7 @@ class ObsCollector:
             return
         if self.metrics is not None:
             self.metrics.inc("channel.step_losses", count)
-        if self._bus is not None:
-            self._bus.emit(time, "channel_loss", count=count)
+        self._emit(time, "channel_loss", count=count)
 
     def traffic_step(
         self,
@@ -275,32 +244,24 @@ class ObsCollector:
     ) -> None:
         """Record the data plane's per-step queue-occupancy levels."""
         if self.metrics is not None:
-            self.metrics.ring("traffic.buffered.series", RING_CAPACITY)
             self.metrics.ring_record("traffic.buffered.series", time, buffered)
-        if self._bus is not None:
-            self._bus.emit(
-                time,
-                "traffic",
-                generated=generated,
-                delivered=delivered,
-                buffered=buffered,
-                in_flight=in_flight,
-            )
+        self._emit(
+            time,
+            "traffic",
+            generated=generated,
+            delivered=delivered,
+            buffered=buffered,
+            in_flight=in_flight,
+        )
 
     def health_step(
         self, time: Time, quarantined: int, suspicion: float
     ) -> None:
         """Record the health monitor's per-step quarantine/suspicion view."""
         if self.metrics is not None:
-            registry = self.metrics
-            registry.ring("health.quarantined.series", RING_CAPACITY)
-            registry.ring_record("health.quarantined.series", time, quarantined)
-            registry.ring("health.suspicion.series", RING_CAPACITY)
-            registry.ring_record("health.suspicion.series", time, suspicion)
-        if self._bus is not None:
-            self._bus.emit(
-                time, "health", quarantined=quarantined, suspicion=suspicion
-            )
+            self.metrics.ring_record("health.quarantined.series", time, quarantined)
+            self.metrics.ring_record("health.suspicion.series", time, suspicion)
+        self._emit(time, "health", quarantined=quarantined, suspicion=suspicion)
 
     def traffic_totals(self, report: Any) -> None:
         """Fold a run's final :class:`~repro.traffic.plane.TrafficReport`.
@@ -341,8 +302,7 @@ class ObsCollector:
                 registry.inc("topology.edges_added", added)
             if removed > 0:
                 registry.inc("topology.edges_removed", removed)
-        if self._bus is not None:
-            self._bus.emit(time, "topology_delta", added=added, removed=removed)
+        self._emit(time, "topology_delta", added=added, removed=removed)
 
     def connectivity_cache(self, time: Time, hits_total: int, walks_total: int) -> None:
         """Record how the connectivity metric resolved its starts since the
@@ -358,8 +318,7 @@ class ObsCollector:
                 registry.inc("connectivity.cache_hits", hits)
             if walks > 0:
                 registry.inc("connectivity.cache_walks", walks)
-        if self._bus is not None:
-            self._bus.emit(time, "connectivity_cache", hits=hits, walks=walks)
+        self._emit(time, "connectivity_cache", hits=hits, walks=walks)
 
     # -- finalization ---------------------------------------------------
 
@@ -391,15 +350,10 @@ class ObsCollector:
             registry.gauge_set("steps.simulated", steps)
             registry.inc("runs", 1)
             metrics_snapshot = registry.snapshot()
-        events = None
-        dropped = 0
-        if self._sink is not None:
-            events = [event.to_dict() for event in self._sink.events]
-            dropped = self._sink.dropped
         profile = self.profiler.as_dict() if self.profiler is not None else None
         return ObsReport(
             metrics=metrics_snapshot,
-            events=events,
-            events_dropped=dropped,
+            events=self.events,
+            events_dropped=self.events_dropped,
             profile=profile,
         )

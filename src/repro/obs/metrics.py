@@ -36,7 +36,8 @@ __all__ = ["MetricsRegistry", "merge_snapshots", "METRICS_SCHEMA"]
 #: bumped when the snapshot layout changes incompatibly.
 METRICS_SCHEMA = 1
 
-#: default ring capacity when a ring is created implicitly.
+#: ring capacity unless a declaration names another; every ring the
+#: collector records uses it.
 DEFAULT_RING_CAPACITY = 512
 
 

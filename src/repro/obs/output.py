@@ -15,6 +15,8 @@ Two artifacts come out:
 * ``--trace-out FILE`` — one JSONL stream: a schema-versioned header
   line carrying the manifest, then every run's events tagged with
   ``experiment`` / ``scenario`` / ``variant`` / ``run`` / ``seq``.
+  ``read_journal(path, EVENT_SCHEMA, "trace")`` from
+  :mod:`repro.experiments.persistence` reads it back, tags included.
 """
 
 from __future__ import annotations
@@ -25,14 +27,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.obs.collector import ObsReport
-from repro.obs.events import EVENT_SCHEMA
 from repro.obs.metrics import merge_snapshots
 from repro.obs.profiler import merge_profiles, profile_table, summarize_profile
 
-__all__ = ["ObsAccumulator", "METRICS_FILE_SCHEMA"]
+__all__ = ["ObsAccumulator", "METRICS_FILE_SCHEMA", "EVENT_SCHEMA"]
 
 #: bumped when the ``--metrics-out`` document layout changes incompatibly.
 METRICS_FILE_SCHEMA = 1
+
+#: bumped when the ``--trace-out`` header or event line layout changes
+#: incompatibly.
+EVENT_SCHEMA = 1
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import DEFAULT_MASTER_SEED, PAPER, QUICK, Scale
+from repro.experiments.runner import overlay_fields
 
 __all__ = [
     "SPEC_SCHEMA",
@@ -263,22 +264,7 @@ def _check_overlay_value(key: str, value: Any) -> Any:
         if not isinstance(value, str) or not value:
             _fail(f"overlay {key!r} takes a non-empty spec string, got {value!r}")
         try:
-            if key == "faults":
-                from repro.faults.plan import parse_fault_plan
-
-                parse_fault_plan(value)
-            elif key == "loss":
-                from repro.net.channel import parse_channel_spec
-
-                parse_channel_spec(value)
-            elif key == "traffic":
-                from repro.traffic.plane import parse_traffic_spec
-
-                parse_traffic_spec(value)
-            else:
-                from repro.faults.plan import parse_adversary_spec
-
-                parse_adversary_spec(value)
+            overlay_fields({key: value})
         except Exception as error:
             _fail(f"overlay {key!r} spec {value!r} does not parse: {error}")
     elif key == "route_ttl":

@@ -190,49 +190,6 @@ class TrafficReport:
     )
     queues: Dict[str, int] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        """The JSON-safe form (checkpoint journal entry)."""
-        return {
-            "schema": self.schema,
-            "router": self.router,
-            "generated": self.generated,
-            "delivered": self.delivered,
-            "expired": self.expired,
-            "dropped": self.dropped,
-            "in_flight": self.in_flight,
-            "buffered": self.buffered,
-            "delivery_ratio": self.delivery_ratio,
-            "mean_latency": self.mean_latency,
-            "mean_hops": self.mean_hops,
-            "latency_bounds": list(self.latency_bounds),
-            "latency_counts": list(self.latency_counts),
-            "counters": dict(self.counters),
-            "queues": dict(self.queues),
-        }
-
-    @staticmethod
-    def from_dict(payload: Optional[dict]) -> Optional["TrafficReport"]:
-        """Rebuild a report from :meth:`to_dict` output (``None`` safe)."""
-        if payload is None:
-            return None
-        return TrafficReport(
-            schema=payload.get("schema", TRAFFIC_REPORT_SCHEMA),
-            router=payload.get("router", "store-and-forward"),
-            generated=payload.get("generated", 0),
-            delivered=payload.get("delivered", 0),
-            expired=payload.get("expired", 0),
-            dropped=payload.get("dropped", 0),
-            in_flight=payload.get("in_flight", 0),
-            buffered=payload.get("buffered", 0),
-            delivery_ratio=payload.get("delivery_ratio", 0.0),
-            mean_latency=payload.get("mean_latency", 0.0),
-            mean_hops=payload.get("mean_hops", 0.0),
-            latency_bounds=list(payload.get("latency_bounds", LATENCY_BUCKETS)),
-            latency_counts=list(payload.get("latency_counts", [])),
-            counters=dict(payload.get("counters", {})),
-            queues=dict(payload.get("queues", {})),
-        )
-
 
 class TrafficPlane:
     """One world's store-and-forward data plane."""

@@ -114,7 +114,7 @@ class TestDisabledModeDeterminism:
         first = run_arm(False)
         second = run_arm(False)
         assert first.connectivity == second.connectivity
-        assert first.traffic.to_dict() == second.traffic.to_dict()
+        assert first.traffic == second.traffic
         assert first.overhead == second.overhead
 
     def test_same_seed_reruns_bit_identical_with_defenses(self):
@@ -122,8 +122,8 @@ class TestDisabledModeDeterminism:
         first = run_arm(True, plan)
         second = run_arm(True, plan)
         assert first.connectivity == second.connectivity
-        assert first.traffic.to_dict() == second.traffic.to_dict()
-        assert first.health.to_dict() == second.health.to_dict()
+        assert first.traffic == second.traffic
+        assert first.health == second.health
         assert first.guard_rejections == second.guard_rejections
 
 
@@ -175,7 +175,7 @@ class TestPersistenceRoundTrip:
         restored = result_from_dict(RoutingResult, payload)
         assert restored.guard_rejections == result.guard_rejections
         assert restored.health == result.health
-        assert restored.traffic.to_dict() == result.traffic.to_dict()
+        assert restored.traffic == result.traffic
         assert restored.connectivity == result.connectivity
 
     def test_legacy_payload_defaults_guard_rejections_to_zero(self):

@@ -16,7 +16,11 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments.persistence import result_from_dict, result_to_dict
+from repro.experiments.persistence import (
+    read_journal,
+    result_from_dict,
+    result_to_dict,
+)
 from repro.experiments.runner import (
     RunDefaults,
     clear_topology_cache,
@@ -24,7 +28,7 @@ from repro.experiments.runner import (
     run_routing_variants,
 )
 from repro.net.generator import GeneratorConfig, NetworkGenerator
-from repro.obs import EVENT_SCHEMA, ObsAccumulator, ObsConfig, read_jsonl
+from repro.obs import EVENT_SCHEMA, ObsAccumulator, ObsConfig
 from repro.obs.output import METRICS_FILE_SCHEMA
 from repro.routing.world import RoutingResult, RoutingWorld, RoutingWorldConfig
 
@@ -166,14 +170,15 @@ class TestCliEndToEnd:
         assert "connectivity.series" in block["metrics"]["rings"]
         assert "step" in block["profile"] and "move" in block["profile"]
 
-        header, events = read_jsonl(trace_path)
+        header, events = read_journal(trace_path, EVENT_SCHEMA, "trace")
         assert header["schema"] == EVENT_SCHEMA
         assert header["manifest"]["experiments"] == ["fig7"]
         assert events, "trace must contain events"
-        raw_lines = trace_path.read_text().splitlines()[1:]
-        first = json.loads(raw_lines[0])
-        for key in ("experiment", "scenario", "variant", "run", "seq"):
-            assert key in first
+        for event in events:
+            assert event["experiment"] == "fig7"
+            assert event["scenario"] == "routing"
+            for key in ("variant", "run", "seq", "time", "kind", "payload"):
+                assert key in event
 
     def test_obs_flags_off_leave_reports_unchanged(self, tmp_path):
         plain_dir = tmp_path / "plain"

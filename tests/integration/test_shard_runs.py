@@ -54,7 +54,7 @@ class TestObsParity:
         expected = run_serial(replace(CFG, obs=obs))
         actual = run_sharded_routing(GC, replace(CFG, obs=obs, shards=4), NS, WS)
         assert expected.obs is not None and actual.obs is not None
-        assert actual.obs.to_dict() == expected.obs.to_dict()
+        assert actual.obs == expected.obs
 
 
 class TestSupportGate:

@@ -1,9 +1,13 @@
 """Unit tests for the suspicion/quarantine health monitor."""
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.persistence import result_from_dict, result_to_dict
 from repro.net.health import HealthConfig, HealthMonitor, HealthReport
+from repro.routing.world import RoutingResult
 from repro.sim.hooks import HookRegistry
 
 
@@ -242,7 +246,8 @@ class TestQueries:
             links_tracked=9,
             worst_quality=0.25,
         )
-        assert HealthReport.from_dict(report.to_dict()) == report
+        payload = json.loads(json.dumps(result_to_dict(RoutingResult(health=report))))
+        assert result_from_dict(RoutingResult, payload).health == report
 
 
 class TestHooks:

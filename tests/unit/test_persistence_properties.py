@@ -26,7 +26,7 @@ from repro.mapping.world import MappingResult
 from repro.net.health import HealthReport
 from repro.obs.collector import ObsReport
 from repro.routing.world import RoutingResult
-from repro.traffic.plane import TrafficReport
+from repro.traffic.plane import LATENCY_BUCKETS, TrafficReport
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
 times = st.integers(min_value=0, max_value=10_000)
@@ -186,3 +186,32 @@ def test_routing_result_round_trip(result):
     payload = json_round_trip(result_to_dict(result))
     clone = result_from_dict(RoutingResult, payload)
     assert dataclasses.asdict(clone) == dataclasses.asdict(result)
+
+
+#: sub-reports whose every field has a default (``ResilienceReport`` has none).
+DEFAULTED_REPORTS = {"obs": ObsReport, "traffic": TrafficReport, "health": HealthReport}
+
+
+@settings(max_examples=50, deadline=None)
+@given(routing_results, st.data())
+def test_sub_report_payload_lacking_fields_decodes_to_defaults(result, data):
+    payload = json_round_trip(result_to_dict(result))
+    for name in DEFAULTED_REPORTS:
+        if payload[name] is not None:
+            for key in data.draw(st.sets(st.sampled_from(sorted(payload[name])))):
+                del payload[name][key]
+    clone = result_from_dict(RoutingResult, payload)
+    for name, cls in DEFAULTED_REPORTS.items():
+        if payload[name] is None:
+            assert getattr(clone, name) is None
+            continue
+        kept, default = getattr(result, name), cls()
+        for spec in dataclasses.fields(cls):
+            source = kept if spec.name in payload[name] else default
+            assert getattr(getattr(clone, name), spec.name) == getattr(source, spec.name)
+
+
+def test_empty_traffic_payload_keeps_the_overflow_bucket():
+    traffic = result_from_dict(RoutingResult, {"traffic": {}}).traffic
+    assert traffic == TrafficReport()
+    assert traffic.latency_counts == [0] * (len(LATENCY_BUCKETS) + 1)

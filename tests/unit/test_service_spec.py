@@ -69,9 +69,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="unknown overlay"):
             make(overlays={"wormholes": True})
 
-    def test_malformed_fault_overlay_rejected_at_submit(self):
-        with pytest.raises(ConfigurationError, match="does not parse"):
-            make(overlays={"faults": "not-a-fault-spec!!!"})
+    @pytest.mark.parametrize("key", ["faults", "loss", "traffic", "adversary"])
+    def test_malformed_fault_overlay_rejected_at_submit(self, key):
+        with pytest.raises(
+            ConfigurationError,
+            match=f"overlay '{key}' spec 'not-a-spec!!!' does not parse: ",
+        ):
+            make(overlays={key: "not-a-spec!!!"})
 
     def test_boolean_overlay_cannot_be_grid(self):
         with pytest.raises(ConfigurationError, match="grid axis"):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.obs.events import EventBus, MemorySink
 from repro.sim.engine import StopSimulation, TimeStepEngine
 from repro.sim.hooks import HookRegistry
 
@@ -210,18 +209,19 @@ class TestHookRegistry:
 
 
 class TestTraceRecorder:
-    """A run's hook fires recorded as events: an :class:`EventBus`
-    subscribed to the engine's hooks, feeding a :class:`MemorySink`."""
+    """A run's hook fires recorded as events: a plain list subscribed to
+    the engine's hooks."""
 
     @staticmethod
-    def traced_run(steps, kinds=None, max_events=None):
-        """Run an engine whose one process fires ``move`` then ``learn``."""
+    def traced_run(steps, kinds=("move", "learn")):
+        """Run an engine whose one process fires ``move`` then ``learn``;
+        return the ``(time, kind, payload)`` fires of ``kinds``."""
         engine = TimeStepEngine()
-        sink = MemorySink(max_events=max_events)
-        bus = EventBus([sink], kinds=kinds)
-        for kind in ("move", "learn"):
+        events = []
+        for kind in kinds:
             engine.hooks.subscribe(
-                kind, lambda time, kind=kind, **payload: bus.emit(time, kind, **payload)
+                kind,
+                lambda time, kind=kind, **payload: events.append((time, kind, payload)),
             )
 
         def process(now):
@@ -230,28 +230,17 @@ class TestTraceRecorder:
 
         engine.add_process(process)
         engine.run(steps)
-        return sink
+        return events
 
     def test_records_events(self):
-        sink = self.traced_run(1)
-        assert len(sink) == 2
-        assert sink.events[0].payload == {"agent": 0, "to": 5}
+        events = self.traced_run(1)
+        assert len(events) == 2
+        assert events[0] == (1, "move", {"agent": 0, "to": 5})
 
     def test_kind_filter(self):
-        sink = self.traced_run(1, kinds={"move"})
-        assert [e.kind for e in sink.events] == ["move"]
+        events = self.traced_run(1, kinds=("move",))
+        assert [kind for __, kind, __ in events] == ["move"]
 
     def test_of_kind(self):
-        sink = self.traced_run(3)
-        assert [e.time for e in sink.events if e.kind == "learn"] == [1, 2, 3]
-
-    def test_max_events_drops_overflow(self):
-        sink = self.traced_run(5, max_events=2)
-        assert len(sink) == 2
-        assert sink.dropped == 8
-
-    def test_clear(self):
-        sink = self.traced_run(1, max_events=1)
-        sink.clear()
-        assert len(sink) == 0
-        assert sink.dropped == 0
+        events = self.traced_run(3)
+        assert [time for time, kind, __ in events if kind == "learn"] == [1, 2, 3]

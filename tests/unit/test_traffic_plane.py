@@ -1,14 +1,18 @@
 """Unit tests for the traffic plane, routers, and conservation ledger."""
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.experiments.persistence import result_from_dict, result_to_dict
 from repro.net.channel import ChannelConfig, ChannelModel
 from repro.net.manual import fixed_topology
 from repro.rng import SeedSpawner
 from repro.routing.table import RouteEntry, TableBank
+from repro.routing.world import RoutingResult
 from repro.traffic.payload import Payload, TrafficLedger
-from repro.traffic.plane import TrafficConfig, TrafficPlane, TrafficReport, parse_traffic_spec
+from repro.traffic.plane import TrafficConfig, TrafficPlane, parse_traffic_spec
 from repro.traffic.routers import ROUTERS, make_router
 
 
@@ -273,8 +277,9 @@ class TestReportAndSpec:
         topology = full_mesh()
         plane = build_plane(topology, tables=chain_tables(5), rate=1.0)
         report = run_plane(plane, 20)
-        assert TrafficReport.from_dict(report.to_dict()) == report
-        assert TrafficReport.from_dict(None) is None
+        payload = json.loads(json.dumps(result_to_dict(RoutingResult(traffic=report))))
+        assert result_from_dict(RoutingResult, payload).traffic == report
+        assert result_from_dict(RoutingResult, {"traffic": None}).traffic is None
 
     def test_parse_bare_rate(self):
         config = parse_traffic_spec("0.75")
