@@ -95,7 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="override the number of seeded repetitions at this scale",
     )
-    run.add_argument(
+    overlays = run.add_argument_group(
+        "overlays",
+        "applied to every variant (the keys of a sweep spec's 'overlays')",
+    )
+    overlays.add_argument(
         "--faults",
         metavar="PLAN",
         help=(
@@ -103,54 +107,41 @@ def build_parser() -> argparse.ArgumentParser:
             "'crash@20:3;recover@40:3;policy=respawn' (see repro.faults.plan)"
         ),
     )
-    run.add_argument(
+    overlays.add_argument(
         "--loss",
         metavar="SPEC",
         help=(
             "run every variant over a lossy channel: a bare probability "
             "('0.2') or 'fixed=0.1,distance=0.3,battery=0.2,retries=4,"
-            "backoff=2' (see repro.net.channel)"
+            "backoff=2' (see repro.experiments.runner.parse_spec)"
         ),
     )
-    run.add_argument(
+    overlays.add_argument(
         "--traffic",
         metavar="SPEC",
         help=(
             "attach a payload workload to every variant: a bare arrival "
             "rate ('0.5') or 'rate=0.5,router=epidemic,cap=16,ttl=60,"
-            "policy=drop-oldest' (see repro.traffic.plane.parse_traffic_spec)"
+            "policy=drop-oldest' (see repro.experiments.runner.parse_spec)"
         ),
     )
-    run.add_argument(
-        "--queue-cap",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-node payload queue capacity (implies --traffic defaults)",
-    )
-    run.add_argument(
-        "--payload-ttl",
-        type=int,
-        default=None,
-        metavar="STEPS",
-        help="steps before an undelivered payload expires (implies --traffic)",
-    )
-    run.add_argument(
-        "--router",
-        choices=("store-and-forward", "epidemic", "spray-and-wait"),
-        default=None,
-        help="data-plane router for the payload workload (implies --traffic)",
-    )
-    run.add_argument(
+    overlays.add_argument(
         "--adversary",
         metavar="SPEC",
         help=(
             "inject a seeded adversary into every variant: a bare gray-node "
             "fraction ('0.2') or 'gray=0.2,rate=0.9,corrupt=2,flap=1,"
-            "start=10' (see repro.faults.plan.parse_adversary_spec)"
+            "start=10' (see repro.experiments.runner.parse_spec)"
         ),
     )
-    run.add_argument(
+    overlays.add_argument(
+        "--route-ttl",
+        type=int,
+        default=None,
+        metavar="STEPS",
+        help="override the routing-table entry TTL in every routing variant",
+    )
+    overlays.add_argument(
         "--quarantine",
         action="store_true",
         help=(
@@ -158,23 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
             "health monitoring plus routing-table write guards"
         ),
     )
-    run.add_argument(
-        "--hop-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retries before a failed agent hop is abandoned (with --loss)",
-    )
-    run.add_argument(
-        "--route-ttl",
-        type=int,
-        default=None,
-        metavar="STEPS",
-        help="override the routing-table entry TTL in every routing variant",
-    )
-    run.add_argument(
+    overlays.add_argument(
         "--check-invariants",
         action="store_true",
+        # unset, not False: without the flag, REPRO_CHECK_INVARIANTS decides
+        default=None,
         help="validate cross-layer invariants after every step (fail fast)",
     )
     run.add_argument(
@@ -357,39 +336,8 @@ def _command_run(args: argparse.Namespace) -> int:
         ids = [e.experiment_id for e in list_experiments()]
     else:
         ids = [args.experiment]
-    fields = runner.overlay_fields(
-        {
-            "faults": args.faults,
-            "loss": args.loss,
-            "traffic": args.traffic,
-            "adversary": args.adversary,
-            "quarantine": args.quarantine,
-            "route_ttl": args.route_ttl,
-            # without the flag, defer to REPRO_CHECK_INVARIANTS, not force off
-            "check_invariants": args.check_invariants or None,
-        }
-    )
-    if args.hop_retries is not None:
-        from repro.net.channel import ChannelConfig
-
-        fields["channel"] = dataclasses.replace(
-            fields.get("channel") or ChannelConfig(), hop_retries=args.hop_retries
-        )
-    traffic_overrides = {
-        field: value
-        for field, value in (
-            ("queue_capacity", args.queue_cap),
-            ("payload_ttl", args.payload_ttl),
-            ("router", args.router),
-        )
-        if value is not None
-    }
-    if traffic_overrides:
-        from repro.traffic.plane import TrafficConfig
-
-        fields["traffic"] = dataclasses.replace(
-            fields.get("traffic") or TrafficConfig(), **traffic_overrides
-        )
+    overlays = {key: getattr(args, key) for key in runner.OVERLAY_KEYS}
+    fields = runner.overlay_fields(overlays)
     if args.checkpoint_dir:
         fields["checkpoint_dir"] = pathlib.Path(args.checkpoint_dir)
     if args.task_retries is not None:
@@ -441,21 +389,7 @@ def _command_run(args: argparse.Namespace) -> int:
             master_seed=args.seed,
             scale=scale.name,
             experiments=ids,
-            options={
-                "runs": scale.runs,
-                "workers": args.workers,
-                "faults": args.faults,
-                "loss": args.loss,
-                "hop_retries": args.hop_retries,
-                "route_ttl": args.route_ttl,
-                "traffic": args.traffic,
-                "queue_cap": args.queue_cap,
-                "payload_ttl": args.payload_ttl,
-                "router": args.router,
-                "adversary": args.adversary,
-                "quarantine": args.quarantine,
-                "check_invariants": args.check_invariants,
-            },
+            options={"runs": scale.runs, "workers": args.workers, **overlays},
         )
         if args.metrics_out:
             path = accumulator.write_metrics(

@@ -28,7 +28,7 @@ from repro.analysis.stats import summarize
 from repro.experiments.config import DEFAULT_MASTER_SEED, Scale
 from repro.experiments.report import ExperimentReport
 from repro.experiments.runner import ProgressCallback, run_routing_variants
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import AdversarySpec, FaultPlan
 from repro.net.health import HealthConfig
 from repro.routing.table import TableGuard
 from repro.routing.world import RoutingWorldConfig
@@ -103,10 +103,12 @@ def adversary1(
             return None  # the clean anchor: no adversary at all
         return FaultPlan.random_adversary(
             master_seed,
+            AdversarySpec(
+                gray_fraction=fraction,
+                gray_rate=ADVERSARY_GRAY_RATE,
+                corrupt_agents=ADVERSARY_CORRUPT_AGENTS,
+            ),
             node_count=generator_config.node_count,
-            gray_fraction=fraction,
-            gray_rate=ADVERSARY_GRAY_RATE,
-            corrupt_agents=ADVERSARY_CORRUPT_AGENTS,
             population=scale.routing_population,
             exclude=gateways,
             name=f"adversary:{fraction:g}",

@@ -194,7 +194,9 @@ def result_from_dict(cls: Type[R], payload: dict) -> R:
     """Rebuild a ``cls`` result from its :func:`result_to_dict` form.
 
     A field the payload lacks (a journal older than the field) keeps
-    its default.
+    its default.  A sub-report lacking a field that has no default (all
+    of ``ResilienceReport``'s) cannot be rebuilt: that raises
+    :class:`ExperimentError`, since no default would be true.
     """
     values = {}
     for spec in dataclasses.fields(cls):
@@ -202,7 +204,13 @@ def result_from_dict(cls: Type[R], payload: dict) -> R:
             continue
         value = payload[spec.name]
         if value is not None:
-            value = _DECODERS.get(spec.name, _copy)(value)
+            try:
+                value = _DECODERS.get(spec.name, _copy)(value)
+            except TypeError as error:
+                raise ExperimentError(
+                    f"journal record's {spec.name!r} does not decode ({error}); "
+                    "delete it to restart"
+                ) from None
         values[spec.name] = value
     return cls(**values)
 

@@ -46,6 +46,7 @@ import hashlib
 import multiprocessing
 import pathlib
 import time
+import typing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Union
 
@@ -58,14 +59,9 @@ from repro.experiments.persistence import (
     result_from_dict,
     result_to_dict,
 )
-from repro.faults.plan import (
-    AdversarySpec,
-    FaultPlan,
-    parse_adversary_spec,
-    parse_fault_plan,
-)
+from repro.faults.plan import AdversarySpec, FaultPlan, parse_fault_plan
 from repro.mapping.world import MappingResult, MappingWorld, MappingWorldConfig
-from repro.net.channel import ChannelConfig, parse_channel_spec
+from repro.net.channel import ChannelConfig
 from repro.net.generator import (
     GeneratorConfig,
     LruCache,
@@ -80,15 +76,18 @@ from repro.obs.output import ObsAccumulator
 from repro.routing.table import TableGuard
 from repro.routing.world import RoutingResult, RoutingWorld, RoutingWorldConfig
 from repro.rng import derive_seed
-from repro.traffic.plane import TrafficConfig, parse_traffic_spec
+from repro.traffic.plane import TrafficConfig
 
 __all__ = [
     "MappingVariantResult",
     "RoutingVariantResult",
+    "OVERLAY_KEYS",
+    "SPEC_OVERLAYS",
     "RunDefaults",
     "current_defaults",
     "defaults_scope",
     "overlay_fields",
+    "parse_spec",
     "run_mapping_variants",
     "run_routing_variants",
     "clear_topology_cache",
@@ -265,26 +264,143 @@ def defaults_scope(defaults: RunDefaults) -> Iterator[RunDefaults]:
         _SCOPED_DEFAULTS.reset(token)
 
 
+#: every overlay key ``repro run`` and a sweep spec take, in canonical
+#: (expansion) order; the CLI has one flag per key.
+OVERLAY_KEYS: Tuple[str, ...] = (
+    "faults",
+    "loss",
+    "traffic",
+    "adversary",
+    "route_ttl",
+    "quarantine",
+    "check_invariants",
+)
+
+
+class SpecOverlay(NamedTuple):
+    """One ``key=value`` spec overlay: what it sets and how it reads."""
+
+    #: the :class:`RunDefaults` field it sets (and the spec's name in errors).
+    field: str
+    #: the frozen config class the spec builds.
+    cls: type
+    #: the field a bare number sets.
+    bare: str
+    #: short keys and the fields they set; every field name is a key too.
+    keys: Mapping[str, str]
+
+
+#: the string overlays :func:`parse_spec` reads (``faults`` has its own DSL).
+SPEC_OVERLAYS: Dict[str, SpecOverlay] = {
+    "loss": SpecOverlay("channel", ChannelConfig, "loss", {
+        "fixed": "loss",
+        "distance": "distance_factor",
+        "exponent": "distance_exponent",
+        "exp": "distance_exponent",
+        "battery": "battery_factor",
+        "retries": "hop_retries",
+        "backoff": "backoff_base",
+        "cap": "backoff_cap",
+    }),
+    "traffic": SpecOverlay("traffic", TrafficConfig, "rate", {
+        "burst": "burst_size",
+        "every": "burst_every",
+        "cap": "queue_capacity",
+        "queue_cap": "queue_capacity",
+        "policy": "queue_policy",
+        "ttl": "payload_ttl",
+        "retries": "max_retransmit",
+        "backoff": "backoff_base",
+        "budget": "forward_budget",
+        "fanout": "epidemic_fanout",
+        "copies": "spray_copies",
+        "priorities": "priority_levels",
+    }),
+    "adversary": SpecOverlay("adversary", AdversarySpec, "gray_fraction", {
+        "gray": "gray_fraction",
+        "fraction": "gray_fraction",
+        "rate": "gray_rate",
+        "corrupt": "corrupt_agents",
+        "flap": "flap_nodes",
+    }),
+}
+
+
+def _cast(hint: Any, text: str) -> Any:
+    """``text`` as a value of field type ``hint`` (``Optional[X]`` as ``X``)."""
+    if typing.get_origin(hint) is Union:
+        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
+    return hint(text)
+
+
+def parse_spec(cls: type, text: str) -> Any:
+    """Parse a ``--loss``, ``--traffic`` or ``--adversary`` spec into ``cls``.
+
+    A bare number sets the overlay's bare field (``--loss 0.2``); the
+    long form is comma-separated ``key=value`` pairs, each key a short
+    key of :data:`SPEC_OVERLAYS` or a field name of ``cls``, each value
+    cast by that field's type (so an ``int`` field rejects ``2.7``)::
+
+        fixed=0.1,distance=0.3,retries=4          (ChannelConfig)
+        rate=0.5,router=epidemic,cap=8,ttl=40     (TrafficConfig)
+        gray=0.2,corrupt=2,start=10               (AdversarySpec)
+
+    Raises :class:`~repro.errors.ConfigurationError` on malformed input.
+    """
+    overlay = next(entry for entry in SPEC_OVERLAYS.values() if entry.cls is cls)
+    what = overlay.field
+    hints = typing.get_type_hints(cls)
+    text = text.strip()
+    if not text:
+        raise ConfigurationError(f"empty {what} spec")
+    try:
+        return cls(**{overlay.bare: _cast(hints[overlay.bare], text)})
+    except ValueError:
+        pass
+    keys = {spec.name: spec.name for spec in dataclasses.fields(cls)}
+    keys.update(overlay.keys)
+    kwargs: Dict[str, Any] = {}
+    for raw_pair in text.split(","):
+        pair = raw_pair.strip()
+        if not pair:
+            continue
+        name, separator, value = pair.partition("=")
+        if not separator:
+            raise ConfigurationError(
+                f"malformed {what} spec segment {pair!r}; expected 'key=value'"
+            )
+        target = keys.get(name.strip())
+        if target is None:
+            raise ConfigurationError(
+                f"unknown {what} spec key {name.strip()!r}; "
+                f"expected one of {sorted(keys)}"
+            )
+        try:
+            kwargs[target] = _cast(hints[target], value.strip())
+        except ValueError:
+            raise ConfigurationError(
+                f"malformed {what} spec value in {pair!r}"
+            ) from None
+    return cls(**kwargs)
+
+
 def overlay_fields(overlays: Mapping[str, Any]) -> Dict[str, Any]:
     """Parse the overlays ``repro run`` and the service share into
     :class:`RunDefaults` field values.
 
-    Keys are the sweep-spec overlay names: the spec strings ``faults``,
-    ``loss``, ``traffic`` and ``adversary`` (parsed by their modules'
-    parsers), the ``quarantine`` flag (health monitoring plus table
-    guards), ``route_ttl`` and ``check_invariants``.  Absent and
-    ``None`` entries, empty spec strings and a false ``quarantine`` leave
-    their fields unset.
+    Keys are :data:`OVERLAY_KEYS`: the spec strings ``faults`` (the
+    fault DSL) and ``loss``, ``traffic`` and ``adversary``
+    (:func:`parse_spec`), the ``quarantine`` flag (health monitoring
+    plus table guards), ``route_ttl`` and ``check_invariants``.  Absent
+    and ``None`` entries, empty spec strings and a false ``quarantine``
+    leave their fields unset.
     """
     fields: Dict[str, Any] = {}
     if overlays.get("faults"):
         fields["fault_plan"] = parse_fault_plan(overlays["faults"])
-    if overlays.get("loss"):
-        fields["channel"] = parse_channel_spec(overlays["loss"])
-    if overlays.get("traffic"):
-        fields["traffic"] = parse_traffic_spec(overlays["traffic"])
-    if overlays.get("adversary"):
-        fields["adversary"] = parse_adversary_spec(overlays["adversary"])
+    for key, overlay in SPEC_OVERLAYS.items():
+        if overlays.get(key):
+            fields[overlay.field] = parse_spec(overlay.cls, overlays[key])
     if overlays.get("quarantine"):
         fields["health"] = HealthConfig()
         fields["table_guard"] = TableGuard()
@@ -329,16 +445,11 @@ def _with_run_defaults(
             and config.fault_plan is None
             and generator_config is not None
         ):
-            spec = defaults.adversary
             changes["fault_plan"] = FaultPlan.random_adversary(
                 master_seed,
+                defaults.adversary,
                 node_count=generator_config.node_count,
-                gray_fraction=spec.gray_fraction,
-                gray_rate=spec.gray_rate,
-                corrupt_agents=spec.corrupt_agents,
                 population=config.population,
-                flap_nodes=spec.flap_nodes,
-                start=spec.start,
                 exclude=tuple(range(generator_config.gateway_count)),
             )
         if defaults.channel is not None and config.channel is None:

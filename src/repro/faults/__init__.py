@@ -28,7 +28,6 @@ from repro.faults.plan import (
     AdversarySpec,
     FaultEvent,
     FaultPlan,
-    parse_adversary_spec,
     parse_fault_plan,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "AdversarySpec",
     "FaultEvent",
     "FaultPlan",
-    "parse_adversary_spec",
     "parse_fault_plan",
     "FaultInjector",
     "ResilienceReport",

@@ -61,7 +61,6 @@ __all__ = [
     "FaultPlan",
     "parse_fault_plan",
     "AdversarySpec",
-    "parse_adversary_spec",
 ]
 
 #: Every supported fault action.
@@ -89,6 +88,14 @@ FAULT_KINDS = frozenset(
 #: on a random live node; ``freeze`` — survive in place, suspended until
 #: the node recovers.
 AGENT_POLICIES = ("die", "respawn", "freeze")
+
+#: How :meth:`FaultPlan.random_adversary` flaps a victim (up/down period
+#: in steps, cycle count, down share of each cycle) and what happens to
+#: agents on a node it takes down.
+ADVERSARY_FLAP_PERIOD = 8
+ADVERSARY_FLAP_CYCLES = 3
+ADVERSARY_FLAP_DUTY = 0.5
+ADVERSARY_AGENT_POLICY = "freeze"
 
 #: Kinds whose target is a single node id (or ``gwK``).
 _NODE_KINDS = frozenset(
@@ -418,66 +425,55 @@ class FaultPlan:
     def random_adversary(
         cls,
         master_seed: int,
+        spec: "AdversarySpec",
         *,
         node_count: int,
-        gray_fraction: float = 0.0,
-        gray_rate: float = 0.9,
-        corrupt_agents: int = 0,
-        population: int = 0,
-        flap_nodes: int = 0,
-        start: Time = 10,
-        period: int = 8,
-        cycles: int = 3,
-        duty: float = 0.5,
+        population: int,
         exclude: Tuple[int, ...] = (),
-        agent_policy: str = "freeze",
         name: str = "adversary",
     ) -> "FaultPlan":
         """A reproducible adversary schedule drawn from a seed.
 
-        At step ``start``, ``round(gray_fraction * len(candidates))``
-        distinct non-excluded nodes gray-fail at ``gray_rate`` for the
-        rest of the run, ``corrupt_agents`` distinct agents (ids below
-        ``population``) turn adversarial, and ``flap_nodes`` further
-        distinct nodes begin flapping on a ``duty``/``period`` cycle.
-        The stream is derived from ``(master_seed, name)`` exactly like
-        :meth:`random_churn`, so the same seed always builds the same
-        adversary and defended/undefended variants face identical
-        attacks.
+        At step ``spec.start``, ``round(spec.gray_fraction *
+        len(candidates))`` distinct non-excluded nodes gray-fail at
+        ``spec.gray_rate`` for the rest of the run, ``spec.corrupt_agents``
+        distinct agents (ids below ``population``) turn adversarial, and
+        ``spec.flap_nodes`` further distinct nodes begin flapping
+        (:data:`ADVERSARY_FLAP_DUTY` down of every
+        :data:`ADVERSARY_FLAP_PERIOD` steps, :data:`ADVERSARY_FLAP_CYCLES`
+        times).  The stream is derived from ``(master_seed, name)`` exactly
+        like :meth:`random_churn`, so the same seed always builds the same
+        adversary and defended/undefended variants face identical attacks.
         """
-        if not 0.0 <= gray_fraction <= 1.0:
+        if spec.corrupt_agents > population:
             raise ConfigurationError(
-                f"gray_fraction must be in [0, 1], got {gray_fraction}"
-            )
-        if corrupt_agents < 0 or corrupt_agents > population:
-            raise ConfigurationError(
-                f"cannot corrupt {corrupt_agents} agents out of {population}"
+                f"cannot corrupt {spec.corrupt_agents} agents out of {population}"
             )
         candidates = [n for n in range(node_count) if n not in set(exclude)]
-        gray_count = int(round(gray_fraction * len(candidates)))
-        if gray_count + flap_nodes > len(candidates):
+        gray_count = int(round(spec.gray_fraction * len(candidates)))
+        if gray_count + spec.flap_nodes > len(candidates):
             raise ConfigurationError(
-                f"adversary needs {gray_count + flap_nodes} distinct victims "
+                f"adversary needs {gray_count + spec.flap_nodes} distinct victims "
                 f"but only {len(candidates)} nodes are eligible"
             )
         rng = random.Random(derive_seed(master_seed, f"faults:{name}"))
-        victims = rng.sample(candidates, gray_count + flap_nodes)
+        victims = rng.sample(candidates, gray_count + spec.flap_nodes)
         events = []
         for victim in victims[:gray_count]:
             events.append(
-                FaultEvent(start, "grayfail", (victim,), amount=gray_rate)
+                FaultEvent(spec.start, "grayfail", (victim,), amount=spec.gray_rate)
             )
         for victim in victims[gray_count:]:
             events.append(
                 FaultEvent(
-                    start, "flap", (victim,), amount=duty,
-                    period=period, cycles=cycles,
+                    spec.start, "flap", (victim,), amount=ADVERSARY_FLAP_DUTY,
+                    period=ADVERSARY_FLAP_PERIOD, cycles=ADVERSARY_FLAP_CYCLES,
                 )
             )
-        if corrupt_agents:
-            for agent_id in rng.sample(range(population), corrupt_agents):
-                events.append(FaultEvent(start, "corruptagent", (agent_id,)))
-        return cls(events=tuple(events), agent_policy=agent_policy)
+        if spec.corrupt_agents:
+            for agent_id in rng.sample(range(population), spec.corrupt_agents):
+                events.append(FaultEvent(spec.start, "corruptagent", (agent_id,)))
+        return cls(events=tuple(events), agent_policy=ADVERSARY_AGENT_POLICY)
 
     def describe(self) -> str:
         """The plan in spec-DSL form (parseable back with one policy)."""
@@ -593,54 +589,3 @@ class AdversarySpec:
             raise ConfigurationError(
                 f"adversary start must be >= 1, got {self.start}"
             )
-
-
-def parse_adversary_spec(spec: str) -> AdversarySpec:
-    """Parse the CLI's ``--adversary`` spec into an :class:`AdversarySpec`.
-
-    A bare number is a gray-failure node fraction (``--adversary 0.2``);
-    the long form is comma-separated ``key=value`` pairs::
-
-        gray=0.2,rate=0.9,corrupt=2,flap=3,start=10
-
-    Raises :class:`~repro.errors.ConfigurationError` on malformed input.
-    """
-    text = spec.strip()
-    if not text:
-        raise ConfigurationError("empty adversary spec")
-    try:
-        return AdversarySpec(gray_fraction=float(text))
-    except ValueError:
-        pass
-    aliases = {
-        "gray": ("gray_fraction", float),
-        "fraction": ("gray_fraction", float),
-        "rate": ("gray_rate", float),
-        "corrupt": ("corrupt_agents", int),
-        "flap": ("flap_nodes", int),
-        "start": ("start", int),
-    }
-    kwargs = {}
-    for raw_pair in text.split(","):
-        pair = raw_pair.strip()
-        if not pair:
-            continue
-        name, separator, value = pair.partition("=")
-        if not separator:
-            raise ConfigurationError(
-                f"malformed adversary spec segment {pair!r}; expected 'key=value'"
-            )
-        entry = aliases.get(name.strip())
-        if entry is None:
-            raise ConfigurationError(
-                f"unknown adversary spec key {name.strip()!r}; "
-                f"expected one of {sorted(aliases)}"
-            )
-        target, cast = entry
-        try:
-            kwargs[target] = cast(value)
-        except ValueError:
-            raise ConfigurationError(
-                f"malformed adversary spec value in {pair!r}"
-            ) from None
-    return AdversarySpec(**kwargs)

@@ -14,7 +14,6 @@ from repro.net.channel import (
     CompositeLoss,
     DistanceLoss,
     FixedLoss,
-    parse_channel_spec,
 )
 from repro.net.generator import (
     GeneratorConfig,
@@ -59,7 +58,6 @@ __all__ = [
     "DistanceLoss",
     "BatteryLoss",
     "CompositeLoss",
-    "parse_channel_spec",
     "HealthConfig",
     "HealthMonitor",
     "HealthReport",

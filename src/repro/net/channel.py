@@ -55,7 +55,6 @@ __all__ = [
     "policy_from_config",
     "ChannelStats",
     "ChannelModel",
-    "parse_channel_spec",
 ]
 
 #: Denominator turning a 64-bit keyed hash into a uniform draw in [0, 1).
@@ -384,62 +383,3 @@ class ChannelModel:
     def active_grayfails(self) -> Dict[NodeId, float]:
         """Currently gray-failing nodes and their drop rate (a copy)."""
         return dict(self._gray)
-
-
-def parse_channel_spec(spec: str) -> ChannelConfig:
-    """Parse the CLI's ``--loss`` spec into a :class:`ChannelConfig`.
-
-    A bare number is a fixed loss probability (``--loss 0.2``); the long
-    form is comma-separated ``key=value`` pairs::
-
-        fixed=0.1,distance=0.3,exponent=2,battery=0.2,retries=4,backoff=2
-
-    Raises :class:`~repro.errors.ConfigurationError` on malformed input.
-    """
-    text = spec.strip()
-    if not text:
-        raise ConfigurationError("empty channel spec")
-    try:
-        return ChannelConfig(loss=float(text))
-    except ValueError:
-        pass
-    values: Dict[str, float] = {}
-    for raw_pair in text.split(","):
-        pair = raw_pair.strip()
-        if not pair:
-            continue
-        name, separator, value = pair.partition("=")
-        if not separator:
-            raise ConfigurationError(
-                f"malformed channel spec segment {pair!r}; expected 'key=value'"
-            )
-        try:
-            values[name.strip()] = float(value)
-        except ValueError:
-            raise ConfigurationError(
-                f"malformed channel spec value in {pair!r}"
-            ) from None
-    aliases = {
-        "fixed": "loss",
-        "loss": "loss",
-        "distance": "distance_factor",
-        "exponent": "distance_exponent",
-        "exp": "distance_exponent",
-        "battery": "battery_factor",
-        "retries": "hop_retries",
-        "backoff": "backoff_base",
-        "cap": "backoff_cap",
-    }
-    kwargs: Dict[str, float] = {}
-    for name, value in values.items():
-        target = aliases.get(name)
-        if target is None:
-            raise ConfigurationError(
-                f"unknown channel spec key {name!r}; "
-                f"expected one of {sorted(set(aliases))}"
-            )
-        if target in ("hop_retries", "backoff_base", "backoff_cap"):
-            kwargs[target] = int(value)
-        else:
-            kwargs[target] = value
-    return ChannelConfig(**kwargs)

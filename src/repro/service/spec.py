@@ -33,11 +33,10 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import DEFAULT_MASTER_SEED, PAPER, QUICK, Scale
-from repro.experiments.runner import overlay_fields
+from repro.experiments.runner import OVERLAY_KEYS, SPEC_OVERLAYS, overlay_fields
 
 __all__ = [
     "SPEC_SCHEMA",
-    "OVERLAY_KEYS",
     "SweepLimits",
     "SweepOutputs",
     "SweepUnit",
@@ -52,20 +51,11 @@ SPEC_SCHEMA = 1
 #: the scales a spec may name.
 SCALES: Dict[str, Scale] = {"quick": QUICK, "paper": PAPER}
 
-#: every overlay key, in canonical (expansion) order.  String-spec
-#: overlays reuse the CLI's parsers; boolean overlays are flags.
-OVERLAY_KEYS: Tuple[str, ...] = (
-    "faults",
-    "loss",
-    "traffic",
-    "adversary",
-    "route_ttl",
-    "quarantine",
-    "check_invariants",
-)
+#: overlay keys that take a spec string.
+_SPEC_KEYS = frozenset({"faults", *SPEC_OVERLAYS})
 
 #: overlay keys whose values may be lists (grid axes).
-_GRID_KEYS = frozenset({"faults", "loss", "traffic", "adversary", "route_ttl"})
+_GRID_KEYS = _SPEC_KEYS | {"route_ttl"}
 
 _TOP_KEYS = frozenset(
     {
@@ -260,7 +250,7 @@ def _fail(message: str) -> None:
 
 def _check_overlay_value(key: str, value: Any) -> Any:
     """Validate one scalar overlay value by parsing it like the CLI would."""
-    if key in ("faults", "loss", "traffic", "adversary"):
+    if key in _SPEC_KEYS:
         if not isinstance(value, str) or not value:
             _fail(f"overlay {key!r} takes a non-empty spec string, got {value!r}")
         try:

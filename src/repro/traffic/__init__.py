@@ -24,7 +24,6 @@ from repro.traffic.plane import (
     TrafficConfig,
     TrafficPlane,
     TrafficReport,
-    parse_traffic_spec,
 )
 from repro.traffic.queues import QUEUE_POLICIES, PayloadQueue
 from repro.traffic.routers import (
@@ -58,5 +57,4 @@ __all__ = [
     "TrafficConfig",
     "TrafficPlane",
     "TrafficReport",
-    "parse_traffic_spec",
 ]

@@ -53,7 +53,6 @@ __all__ = [
     "TrafficConfig",
     "TrafficPlane",
     "TrafficReport",
-    "parse_traffic_spec",
     "TRAFFIC_REPORT_SCHEMA",
 ]
 
@@ -456,85 +455,3 @@ class TrafficPlane:
             counters=dict(self.counters),
             queues=queue_totals,
         )
-
-
-def parse_traffic_spec(spec: str) -> TrafficConfig:
-    """Parse the CLI's ``--traffic`` spec into a :class:`TrafficConfig`.
-
-    A bare number is a Poisson rate (``--traffic 0.5``); the long form
-    is comma-separated ``key=value`` pairs::
-
-        profile=burst,burst=12,every=8,cap=32,policy=drop-oldest,ttl=40,
-        router=epidemic,retries=4,backoff=2,budget=6,fanout=3,copies=16
-
-    Raises :class:`~repro.errors.ConfigurationError` on malformed input.
-    """
-    text = spec.strip()
-    if not text:
-        raise ConfigurationError("empty traffic spec")
-    try:
-        return TrafficConfig(rate=float(text))
-    except ValueError:
-        pass
-    aliases = {
-        "profile": "profile",
-        "rate": "rate",
-        "burst": "burst_size",
-        "burst_size": "burst_size",
-        "every": "burst_every",
-        "burst_every": "burst_every",
-        "cap": "queue_capacity",
-        "queue_cap": "queue_capacity",
-        "queue_capacity": "queue_capacity",
-        "policy": "queue_policy",
-        "queue_policy": "queue_policy",
-        "ttl": "payload_ttl",
-        "payload_ttl": "payload_ttl",
-        "router": "router",
-        "retries": "max_retransmit",
-        "max_retransmit": "max_retransmit",
-        "backoff": "backoff_base",
-        "backoff_base": "backoff_base",
-        "backoff_cap": "backoff_cap",
-        "budget": "forward_budget",
-        "forward_budget": "forward_budget",
-        "fanout": "epidemic_fanout",
-        "epidemic_fanout": "epidemic_fanout",
-        "copies": "spray_copies",
-        "spray_copies": "spray_copies",
-        "priorities": "priority_levels",
-        "priority_levels": "priority_levels",
-        "start": "start",
-        "stop": "stop",
-    }
-    string_fields = {"profile", "queue_policy", "router"}
-    float_fields = {"rate"}
-    kwargs: Dict[str, Any] = {}
-    for raw_pair in text.split(","):
-        pair = raw_pair.strip()
-        if not pair:
-            continue
-        name, separator, value = pair.partition("=")
-        if not separator:
-            raise ConfigurationError(
-                f"malformed traffic spec segment {pair!r}; expected 'key=value'"
-            )
-        target = aliases.get(name.strip())
-        if target is None:
-            raise ConfigurationError(
-                f"unknown traffic spec key {name.strip()!r}; "
-                f"expected one of {sorted(set(aliases))}"
-            )
-        value = value.strip()
-        if target in string_fields:
-            kwargs[target] = value
-        else:
-            try:
-                kwargs[target] = (
-                    float(value) if target in float_fields else int(value)
-                )
-            except ValueError:
-                raise ConfigurationError(
-                    f"malformed traffic spec value in {pair!r}"
-                ) from None
-    return TrafficConfig(**kwargs)

@@ -48,7 +48,7 @@ __all__ = [
     "make_router",
 ]
 
-#: Recognised router names (CLI ``--router`` values).
+#: Recognised router names (the ``router=`` key of the CLI's ``--traffic``).
 ROUTERS = ("store-and-forward", "epidemic", "spray-and-wait")
 
 

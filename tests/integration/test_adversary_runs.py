@@ -55,10 +55,8 @@ def fresh_topology_cache():
 def adversary_plan():
     return FaultPlan.random_adversary(
         SEED,
+        AdversarySpec(gray_fraction=0.25, gray_rate=0.95, corrupt_agents=2),
         node_count=NET.node_count,
-        gray_fraction=0.25,
-        gray_rate=0.95,
-        corrupt_agents=2,
         population=10,
         exclude=(0, 1, 2),
     )

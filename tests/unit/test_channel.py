@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.runner import parse_spec
 from repro.net.channel import (
     GRAY_KINDS,
     BatteryLoss,
@@ -13,7 +14,6 @@ from repro.net.channel import (
     CompositeLoss,
     DistanceLoss,
     FixedLoss,
-    parse_channel_spec,
     policy_from_config,
 )
 from repro.net.geometry import Point
@@ -215,12 +215,13 @@ class TestChannelModel:
 
 class TestParseChannelSpec:
     def test_bare_number_is_fixed_loss(self):
-        config = parse_channel_spec("0.25")
+        config = parse_spec(ChannelConfig, "0.25")
         assert config == ChannelConfig(loss=0.25)
 
     def test_long_form(self):
-        config = parse_channel_spec(
-            "fixed=0.1,distance=0.3,exp=3,battery=0.2,retries=5,backoff=2"
+        config = parse_spec(
+            ChannelConfig,
+            "fixed=0.1,distance=0.3,exp=3,battery=0.2,retries=5,backoff=2",
         )
         assert config == ChannelConfig(
             loss=0.1,
@@ -234,11 +235,11 @@ class TestParseChannelSpec:
     @pytest.mark.parametrize("spec", ["", "nonsense", "p=0.2", "fixed=abc"])
     def test_malformed_specs_raise(self, spec):
         with pytest.raises(ConfigurationError):
-            parse_channel_spec(spec)
+            parse_spec(ChannelConfig, spec)
 
     def test_out_of_range_value_raises(self):
         with pytest.raises(ConfigurationError):
-            parse_channel_spec("1.2")
+            parse_spec(ChannelConfig, "1.2")
 
 
 class TestLossPolicyEdgeCases:

@@ -5,13 +5,13 @@ import pickle
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.runner import parse_spec
 from repro.faults.plan import (
     AGENT_POLICIES,
     FAULT_KINDS,
     AdversarySpec,
     FaultEvent,
     FaultPlan,
-    parse_adversary_spec,
     parse_fault_plan,
 )
 
@@ -249,18 +249,13 @@ class TestAdversaryEvents:
 
 
 class TestRandomAdversary:
-    def build(self, seed=7, **overrides):
-        kwargs = dict(
-            node_count=30,
-            gray_fraction=0.2,
-            gray_rate=0.9,
-            corrupt_agents=3,
-            population=10,
-            exclude=(0, 1),
-            name="adversary:test",
+    def build(self, seed=7, name="adversary:test", **spec_fields):
+        spec = AdversarySpec(
+            **{"gray_fraction": 0.2, "gray_rate": 0.9, "corrupt_agents": 3, **spec_fields}
         )
-        kwargs.update(overrides)
-        return FaultPlan.random_adversary(seed, **kwargs)
+        return FaultPlan.random_adversary(
+            seed, spec, node_count=30, population=10, exclude=(0, 1), name=name
+        )
 
     def test_deterministic_per_seed(self):
         assert self.build().events == self.build().events
@@ -304,11 +299,11 @@ class TestRandomAdversary:
 
 class TestAdversarySpec:
     def test_bare_number_is_a_gray_fraction(self):
-        spec = parse_adversary_spec("0.2")
+        spec = parse_spec(AdversarySpec, "0.2")
         assert spec == AdversarySpec(gray_fraction=0.2)
 
     def test_long_form(self):
-        spec = parse_adversary_spec("gray=0.3,rate=0.8,corrupt=2,flap=1,start=5")
+        spec = parse_spec(AdversarySpec, "gray=0.3,rate=0.8,corrupt=2,flap=1,start=5")
         assert spec == AdversarySpec(
             gray_fraction=0.3,
             gray_rate=0.8,
@@ -323,10 +318,10 @@ class TestAdversarySpec:
     )
     def test_malformed_specs_rejected(self, bad):
         with pytest.raises(ConfigurationError):
-            parse_adversary_spec(bad)
+            parse_spec(AdversarySpec, bad)
 
     def test_spec_is_hashable_and_frozen(self):
-        spec = parse_adversary_spec("0.1")
+        spec = parse_spec(AdversarySpec, "0.1")
         hash(spec)
         with pytest.raises(Exception):
             spec.gray_fraction = 0.5

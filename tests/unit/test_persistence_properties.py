@@ -10,9 +10,11 @@ the journal is plain JSON by design.
 import dataclasses
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ExperimentError
 from repro.experiments.persistence import (
     report_from_dict,
     report_to_dict,
@@ -188,7 +190,8 @@ def test_routing_result_round_trip(result):
     assert dataclasses.asdict(clone) == dataclasses.asdict(result)
 
 
-#: sub-reports whose every field has a default (``ResilienceReport`` has none).
+#: sub-reports whose every field has a default.  ``ResilienceReport`` has
+#: none, so a resilience payload lacking any field must not decode.
 DEFAULTED_REPORTS = {"obs": ObsReport, "traffic": TrafficReport, "health": HealthReport}
 
 
@@ -196,10 +199,17 @@ DEFAULTED_REPORTS = {"obs": ObsReport, "traffic": TrafficReport, "health": Healt
 @given(routing_results, st.data())
 def test_sub_report_payload_lacking_fields_decodes_to_defaults(result, data):
     payload = json_round_trip(result_to_dict(result))
-    for name in DEFAULTED_REPORTS:
+    for name in (*DEFAULTED_REPORTS, "resilience"):
         if payload[name] is not None:
             for key in data.draw(st.sets(st.sampled_from(sorted(payload[name])))):
                 del payload[name][key]
+    resilience = payload.pop("resilience")
+    if resilience is not None and len(resilience) < len(dataclasses.fields(ResilienceReport)):
+        with pytest.raises(ExperimentError, match="delete it to restart"):
+            result_from_dict(RoutingResult, {"resilience": resilience})
+    else:
+        decoded = result_from_dict(RoutingResult, {"resilience": resilience})
+        assert decoded.resilience == result.resilience
     clone = result_from_dict(RoutingResult, payload)
     for name, cls in DEFAULTED_REPORTS.items():
         if payload[name] is None:

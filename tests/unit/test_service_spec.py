@@ -5,12 +5,8 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.service.spec import (
-    OVERLAY_KEYS,
-    SweepSpec,
-    load_spec,
-    spec_from_dict,
-)
+from repro.experiments.runner import OVERLAY_KEYS
+from repro.service.spec import SweepSpec, load_spec, spec_from_dict
 
 BASE = {"name": "base", "experiments": ["fig7"]}
 

@@ -6,13 +6,14 @@ import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.persistence import result_from_dict, result_to_dict
+from repro.experiments.runner import parse_spec
 from repro.net.channel import ChannelConfig, ChannelModel
 from repro.net.manual import fixed_topology
 from repro.rng import SeedSpawner
 from repro.routing.table import RouteEntry, TableBank
 from repro.routing.world import RoutingResult
 from repro.traffic.payload import Payload, TrafficLedger
-from repro.traffic.plane import TrafficConfig, TrafficPlane, parse_traffic_spec
+from repro.traffic.plane import TrafficConfig, TrafficPlane
 from repro.traffic.routers import ROUTERS, make_router
 
 
@@ -282,14 +283,15 @@ class TestReportAndSpec:
         assert result_from_dict(RoutingResult, {"traffic": None}).traffic is None
 
     def test_parse_bare_rate(self):
-        config = parse_traffic_spec("0.75")
+        config = parse_spec(TrafficConfig, "0.75")
         assert config.rate == 0.75
         assert config.router == "store-and-forward"
 
     def test_parse_long_form(self):
-        config = parse_traffic_spec(
+        config = parse_spec(
+            TrafficConfig,
             "profile=burst,burst=12,every=8,cap=32,policy=drop-oldest,"
-            "ttl=40,router=epidemic,retries=4,backoff=2,fanout=3"
+            "ttl=40,router=epidemic,retries=4,backoff=2,fanout=3",
         )
         assert config.profile == "burst"
         assert config.burst_size == 12
@@ -307,7 +309,7 @@ class TestReportAndSpec:
     )
     def test_parse_rejects_malformed(self, spec):
         with pytest.raises(ConfigurationError):
-            parse_traffic_spec(spec)
+            parse_spec(TrafficConfig, spec)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
