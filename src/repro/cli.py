@@ -11,14 +11,11 @@ Usage::
     repro run fig7 --json-dir results/json --svg-dir results/svg
     repro report results/json          # re-render archived reports
 
-Service layer (sweep specs through the async job queue)::
+Sweep specs (experiments x seeds x overlay grids as one JSON/YAML file)::
 
-    repro submit examples/specs/quick_smoke.json   # enqueue a sweep spec
-    repro jobs --json                  # inspect the queue
-    repro serve --workers 2            # drain the queue (resumable)
-    repro cancel j0001-94e0f1ee        # cancel queued now / running soon
-    repro export j0001-94e0f1ee --out bundle.tar.gz
-    repro calibrate spec.json --out baselines/pack.json
+    repro run examples/specs/quick_smoke.json --json-dir out   # out/<unit label>/;
+                                                               # exit 1 on pack drift
+    repro calibrate spec.json --out baselines/pack.json        # its drift envelope
 
 ``python -m repro …`` is equivalent.
 """
@@ -27,13 +24,22 @@ from __future__ import annotations
 
 import argparse
 import os
+import pathlib
 import sys
 import time
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.experiments import PAPER, QUICK, get_experiment, list_experiments
+from repro.experiments import (
+    PAPER,
+    QUICK,
+    ExperimentReport,
+    get_experiment,
+    list_experiments,
+)
 from repro.experiments.config import DEFAULT_MASTER_SEED
+from repro.experiments.runner import OVERLAY_KEYS
+from repro.experiments.spec import SweepSpec, SweepUnit, load_spec
 
 __all__ = ["main", "build_parser"]
 
@@ -56,8 +62,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit machine-readable metadata (id, title, scenario, tiers)",
     )
 
-    run = commands.add_parser("run", help="run one experiment (or 'all')")
-    run.add_argument("experiment", help="experiment id (fig1..fig11, ext1, abl1..) or 'all'")
+    run = commands.add_parser(
+        "run", help="run one experiment, 'all', or a sweep spec file"
+    )
+    run.add_argument(
+        "experiment",
+        help=(
+            "experiment id (fig1..fig11, ext1, abl1..), 'all', or a sweep "
+            "spec file (.json/.yaml/.yml) naming experiments, scale, runs, "
+            "seeds and overlays"
+        ),
+    )
     run.add_argument(
         "--paper-scale",
         action="store_true",
@@ -74,7 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--json-dir",
         metavar="DIR",
-        help="also write each report as DIR/<id>.json (re-renderable later)",
+        help=(
+            "also write each report as DIR/<id>.json, or DIR/<unit label>/"
+            "<id>.json for a spec (re-renderable later)"
+        ),
     )
     run.add_argument(
         "--svg-dir",
@@ -208,78 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("--no-plot", action="store_true", help="omit ASCII charts")
 
-    def service_dir_arg(sub) -> None:
-        sub.add_argument(
-            "--service-dir",
-            metavar="DIR",
-            default=".repro-service",
-            help="service state directory (default .repro-service)",
-        )
-
-    submit = commands.add_parser(
-        "submit", help="enqueue a sweep spec file (JSON or YAML) as a job"
-    )
-    submit.add_argument("spec", help="path to the sweep spec")
-    service_dir_arg(submit)
-    submit.add_argument(
-        "--priority",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the spec's priority (higher runs first)",
-    )
-
-    jobs = commands.add_parser("jobs", help="show every job in the queue")
-    service_dir_arg(jobs)
-    jobs.add_argument(
-        "--json", action="store_true", help="emit machine-readable job records"
-    )
-
-    serve = commands.add_parser(
-        "serve", help="drain the job queue with a bounded worker pool"
-    )
-    service_dir_arg(serve)
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="how many jobs run concurrently (default 1)",
-    )
-    serve.add_argument(
-        "--forever",
-        action="store_true",
-        help="keep polling for new submissions after the queue drains",
-    )
-    serve.add_argument("--quiet", action="store_true", help="suppress progress lines")
-
-    cancel = commands.add_parser(
-        "cancel", help="cancel a queued job now, or flag a running one to stop"
-    )
-    cancel.add_argument("job_id", help="job id from 'repro submit' / 'repro jobs'")
-    service_dir_arg(cancel)
-
-    requeue = commands.add_parser(
-        "requeue", help="put a failed or cancelled job back in the queue"
-    )
-    requeue.add_argument("job_id", help="job id from 'repro jobs'")
-    service_dir_arg(requeue)
-
-    export = commands.add_parser(
-        "export", help="package a finished job into a reproducible bundle"
-    )
-    export.add_argument("job_id", help="job id of a completed job")
-    service_dir_arg(export)
-    export.add_argument(
-        "--out",
-        required=True,
-        metavar="PATH",
-        help="bundle destination (directory, or .tar.gz/.tgz for a tarball)",
-    )
-
     calibrate = commands.add_parser(
         "calibrate",
-        help="run a spec directly and write its baseline pack (expected metrics)",
+        help="run a sweep spec and write its baseline pack (expected metrics)",
     )
     calibrate.add_argument("spec", help="path to the sweep spec")
     calibrate.add_argument(
@@ -321,75 +270,119 @@ def _command_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_run(args: argparse.Namespace) -> int:
-    import dataclasses
-    import pathlib
+#: the ``repro run`` flags a sweep spec owns, by their argparse dest.
+_SPEC_OWNED = ("paper_scale", "runs", "seed") + OVERLAY_KEYS
 
-    from repro.experiments import runner
 
-    scale = PAPER if args.paper_scale else QUICK
-    if args.runs is not None:
-        if args.runs < 1:
-            raise ReproError(f"--runs must be >= 1, got {args.runs}")
-        scale = dataclasses.replace(scale, runs=args.runs)
+def _sweep_units(
+    args: argparse.Namespace,
+) -> Tuple[Optional[SweepSpec], List[SweepUnit]]:
+    """The spec ``args.experiment`` names (or ``None``) and its units.
+
+    A flag run's units are labelled by experiment id; a spec owns its
+    experiments, scale, runs, seeds and overlays, so setting one of those
+    flags beside it is an error.
+    """
+    if pathlib.Path(args.experiment).suffix.lower() in (".json", ".yaml", ".yml"):
+        defaults = vars(build_parser().parse_args(["run", args.experiment]))
+        for dest in _SPEC_OWNED:
+            if getattr(args, dest) != defaults[dest]:
+                flag = "--" + dest.replace("_", "-")
+                raise ReproError(
+                    f"{flag} cannot be combined with a sweep spec; "
+                    "set it in the spec instead"
+                )
+        spec = load_spec(args.experiment)
+        return spec, spec.expand()
+    if args.runs is not None and args.runs < 1:
+        raise ReproError(f"--runs must be >= 1, got {args.runs}")
     if args.experiment == "all":
         ids = [e.experiment_id for e in list_experiments()]
     else:
-        ids = [args.experiment]
-    overlays = {key: getattr(args, key) for key in runner.OVERLAY_KEYS}
-    fields = runner.overlay_fields(overlays)
-    if args.checkpoint_dir:
-        fields["checkpoint_dir"] = pathlib.Path(args.checkpoint_dir)
-    if args.task_retries is not None:
-        fields["task_retries"] = args.task_retries
+        ids = [get_experiment(args.experiment).experiment_id]
+    overlays = tuple((key, getattr(args, key)) for key in OVERLAY_KEYS)
+    scale = PAPER if args.paper_scale else QUICK
+    units = [
+        SweepUnit(experiment_id, scale, args.runs, args.seed, overlays, experiment_id)
+        for experiment_id in ids
+    ]
+    return None, units
 
+
+def _run_sweep(
+    args: argparse.Namespace, spec: Optional[SweepSpec], units: List[SweepUnit]
+) -> Dict[str, ExperimentReport]:
+    """Run every unit under the execution flags; returns label -> report.
+
+    Each unit runs in its own ``defaults_scope`` built from its overlays
+    plus the execution flags.  A spec's units save into
+    ``DIR/<unit label>/``; a flag run's save into ``DIR`` itself.
+    """
+    from repro.experiments import runner
+    from repro.experiments.persistence import save_report, save_svg
+
+    execution = {"workers": args.workers, "task_timeout": args.task_timeout}
+    if args.checkpoint_dir:
+        execution["checkpoint_dir"] = pathlib.Path(args.checkpoint_dir)
+    if args.task_retries is not None:
+        execution["task_retries"] = args.task_retries
     accumulator = None
     if args.metrics_out or args.trace_out or args.profile:
         from repro.obs import ObsAccumulator, ObsConfig
 
-        fields["obs"] = ObsConfig(
+        execution["obs"] = ObsConfig(
             metrics=bool(args.metrics_out),
             events=bool(args.trace_out),
             profile=bool(args.profile),
         )
-        accumulator = fields["obs_accumulator"] = ObsAccumulator()
-    defaults = runner.RunDefaults(
-        workers=args.workers, task_timeout=args.task_timeout, **fields
-    )
+        accumulator = execution["obs_accumulator"] = ObsAccumulator()
 
     progress = _progress_printer(args.quiet)
-    with runner.defaults_scope(defaults):
-        for experiment_id in ids:
-            experiment = get_experiment(experiment_id)
-            if accumulator is not None:
-                accumulator.start_experiment(experiment_id)
-            started = time.perf_counter()
-            report = experiment.run(scale, master_seed=args.seed, progress=progress)
-            elapsed = time.perf_counter() - started
-            print(report.render(plots=not args.no_plot))
-            print(f"(scale={scale.name}, seed={args.seed}, wall time {elapsed:.1f}s)")
-            if args.json_dir:
-                from repro.experiments.persistence import save_report
-
-                print(f"wrote {save_report(report, args.json_dir)}")
-            if args.svg_dir:
-                from repro.experiments.persistence import save_svg
-
-                svg_path = save_svg(report, args.svg_dir)
-                if svg_path is not None:
-                    print(f"wrote {svg_path}")
-            if args.profile and accumulator is not None:
-                print(accumulator.profile_text(experiment_id))
-            print()
+    reports: Dict[str, ExperimentReport] = {}
+    for unit in units:
+        defaults = runner.RunDefaults(
+            **execution, **runner.overlay_fields(unit.overlay_dict)
+        )
+        if accumulator is not None:
+            accumulator.start_experiment(unit.label)
+        scale = unit.scale()
+        started = time.perf_counter()
+        with runner.defaults_scope(defaults):
+            report = get_experiment(unit.experiment_id).run(
+                scale, master_seed=unit.seed, progress=progress
+            )
+        elapsed = time.perf_counter() - started
+        reports[unit.label] = report
+        print(report.render(plots=not args.no_plot))
+        print(f"(scale={scale.name}, seed={unit.seed}, wall time {elapsed:.1f}s)")
+        for directory, save in ((args.json_dir, save_report), (args.svg_dir, save_svg)):
+            if directory:
+                path = save(report, pathlib.Path(directory, unit.label) if spec else directory)
+                if path is not None:  # save_svg skips table-only reports
+                    print(f"wrote {path}")
+        if args.profile:
+            print(accumulator.profile_text(unit.label))
+        print()
 
     if accumulator is not None:
         from repro.obs import build_manifest
 
+        first = units[0]
+        scale = first.scale()
+        options = {"runs": scale.runs, "workers": args.workers}
+        if spec is None:
+            options.update(first.overlays)
+        else:
+            options.update(
+                spec=spec.name,
+                spec_fingerprint=spec.fingerprint(),
+                seeds=list(spec.seeds),
+            )
         manifest = build_manifest(
-            master_seed=args.seed,
+            master_seed=first.seed,
             scale=scale.name,
-            experiments=ids,
-            options={"runs": scale.runs, "workers": args.workers, **overlays},
+            experiments=list(dict.fromkeys(unit.experiment_id for unit in units)),
+            options=options,
         )
         if args.metrics_out:
             path = accumulator.write_metrics(
@@ -399,7 +392,20 @@ def _command_run(args: argparse.Namespace) -> int:
         if args.trace_out:
             path = accumulator.write_trace(args.trace_out, manifest)
             print(f"wrote {path}")
-    return 0
+    return reports
+
+
+def _command_run(args: argparse.Namespace) -> int:
+    from repro.experiments.baseline_pack import check_drift, load_pack
+
+    spec, units = _sweep_units(args)
+    reports = _run_sweep(args, spec, units)
+    if spec is None or spec.baseline_pack is None:
+        return 0
+    violations = check_drift(load_pack(spec.baseline_pack), spec.fingerprint(), reports)
+    for violation in violations:
+        print(f"drift: {violation}", file=sys.stderr)
+    return 1 if violations else 0
 
 
 def _command_report(args: argparse.Namespace) -> int:
@@ -415,135 +421,19 @@ def _command_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_submit(args: argparse.Namespace) -> int:
-    from repro.service import JobQueue, load_spec
-
-    spec = load_spec(args.spec)
-    job = JobQueue(args.service_dir).submit(spec, args.priority)
-    print(
-        f"queued {spec.name!r} as {job.job_id} "
-        f"(fingerprint {job.fingerprint}, priority {job.priority}, "
-        f"{len(spec.expand())} unit(s))",
-        file=sys.stderr,
-    )
-    print(job.job_id)
-    return 0
-
-
-def _command_jobs(args: argparse.Namespace) -> int:
-    from repro.service import JobQueue
-
-    queue = JobQueue(args.service_dir)
-    jobs = queue.jobs()
-    if args.json:
-        import json
-
-        print(json.dumps([job.to_dict() for job in jobs], indent=2, sort_keys=True))
-        return 0
-    if not jobs:
-        print("no jobs submitted yet")
-        return 0
-    header = f"{'job id':18s}  {'state':10s}  {'prio':>4s}  {'name':24s}  error"
-    print(header)
-    print("-" * len(header))
-    for job in jobs:
-        flag = " (cancel requested)" if job.cancel_requested else ""
-        error = (job.error or "")[:60]
-        print(
-            f"{job.job_id:18s}  {job.state + flag:10s}  {job.priority:4d}  "
-            f"{job.spec.get('name', ''):24s}  {error}"
-        )
-    return 0
-
-
-def _service_progress(quiet: bool):
-    if quiet:
-        return None
-
-    def progress(label: str, scenario: str, done: int, total: int) -> None:
-        print(f"  [{label}/{scenario}] run {done}/{total}", file=sys.stderr, flush=True)
-
-    return progress
-
-
-def _command_serve(args: argparse.Namespace) -> int:
-    from repro.service import ExperimentService
-
-    service = ExperimentService(
-        args.service_dir,
-        workers=args.workers,
-        progress=_service_progress(args.quiet),
-    )
-    try:
-        counts = service.serve(forever=args.forever)
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        print("interrupted; running jobs were journalled and will resume",
-              file=sys.stderr)
-        return 130
-    summary = ", ".join(f"{state}={n}" for state, n in counts.items() if n)
-    print(f"queue drained: {summary or 'empty'}")
-    failed = [job for job in service.queue.jobs() if job.state == "failed"]
-    for job in failed:
-        print(f"  {job.job_id} failed: {job.error}", file=sys.stderr)
-        for violation in job.drift:
-            print(f"    drift: {violation}", file=sys.stderr)
-    return 1 if failed else 0
-
-
-def _command_cancel(args: argparse.Namespace) -> int:
-    from repro.service import JobQueue
-
-    job = JobQueue(args.service_dir).request_cancel(args.job_id)
-    if job.state == "cancelled":
-        print(f"{job.job_id} cancelled")
-    else:
-        print(f"{job.job_id} is running; flagged to stop at the next task boundary")
-    return 0
-
-
-def _command_requeue(args: argparse.Namespace) -> int:
-    from repro.service import JobQueue
-
-    job = JobQueue(args.service_dir).requeue(args.job_id)
-    print(f"{job.job_id} requeued (will resume from its checkpoints)")
-    return 0
-
-
-def _command_export(args: argparse.Namespace) -> int:
-    import pathlib
-
-    from repro.service import JobQueue, export_bundle
-
-    queue = JobQueue(args.service_dir)
-    job = queue.get(args.job_id)
-    if job.state != "done":
-        print(
-            f"warning: job {job.job_id} is {job.state}; bundling what exists",
-            file=sys.stderr,
-        )
-    job_dir = pathlib.Path(args.service_dir) / "jobs" / args.job_id
-    path = export_bundle(job_dir, args.out)
-    print(f"wrote {path}")
-    return 0
-
-
 def _command_calibrate(args: argparse.Namespace) -> int:
-    import dataclasses
-    import tempfile
+    from repro.experiments.baseline_pack import DEFAULT_TOLERANCE, build_pack, save_pack
 
-    from repro.service import build_pack, execute_spec, load_spec, save_pack
-    from repro.service.baseline_pack import DEFAULT_TOLERANCE
-
-    spec = load_spec(args.spec)
+    # Calibration runs the spec as `repro run SPEC --no-plot` would, but
+    # skips the drift check: it produces the pack the spec may name.
+    run_args = build_parser().parse_args(
+        ["run", args.spec, "--no-plot"] + (["--quiet"] if args.quiet else [])
+    )
+    spec, units = _sweep_units(run_args)
+    if spec is None:
+        raise ReproError(f"calibrate takes a sweep spec file, got {args.spec!r}")
+    reports = _run_sweep(run_args, spec, units)
     tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-    with tempfile.TemporaryDirectory(prefix="repro-calibrate-") as scratch:
-        # Calibration *produces* the pack the spec may reference, so the
-        # drift check is skipped for this run.
-        reports, _ = execute_spec(
-            dataclasses.replace(spec, baseline_pack=None),
-            scratch,
-            progress=_service_progress(args.quiet),
-        )
     pack = build_pack(spec.name, spec.fingerprint(), reports, tolerance)
     path = save_pack(pack, args.out)
     print(f"wrote {path} ({len(reports)} unit(s), tolerance {tolerance:g})")
@@ -558,12 +448,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "list": _command_list,
         "run": _command_run,
         "report": _command_report,
-        "submit": _command_submit,
-        "jobs": _command_jobs,
-        "serve": _command_serve,
-        "cancel": _command_cancel,
-        "requeue": _command_requeue,
-        "export": _command_export,
         "calibrate": _command_calibrate,
     }
     try:

@@ -113,7 +113,7 @@ def load_report(path: Union[str, pathlib.Path]) -> ExperimentReport:
 
 def report_paths(target: Union[str, pathlib.Path]) -> List[pathlib.Path]:
     """Every report JSON under ``target`` (a file, or a directory walked
-    recursively — service job directories nest reports per unit label)."""
+    recursively — a sweep spec's run nests reports per unit label)."""
     target = pathlib.Path(target)
     if target.is_dir():
         return sorted(target.rglob("*.json"))

@@ -142,7 +142,7 @@ def list_experiments() -> List[Experiment]:
 def experiments_metadata() -> List[dict]:
     """Machine-readable records for every experiment, in listing order.
 
-    This is what the service layer and external tooling consume to
-    discover scenarios without parsing ``repro list`` text.
+    This is what ``repro list --json`` prints and external tooling
+    consumes to discover scenarios without parsing ``repro list`` text.
     """
     return [experiment.to_metadata() for experiment in list_experiments()]

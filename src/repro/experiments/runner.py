@@ -184,11 +184,12 @@ _POLL_INTERVAL = 0.02
 class RunDefaults:
     """Every run-shaping default a sweep call can inherit.
 
-    One frozen instance describes one invocation: ``repro run`` builds it
-    from its flags and the experiment *service* builds one per sweep
-    unit, and each activates it with :func:`defaults_scope` for exactly
-    the sweeps it runs.  Outside any scope the pristine ``RunDefaults()``
-    applies, so no run's overlays outlive it.
+    One frozen instance describes one sweep unit: ``repro run`` builds
+    one per unit from its execution flags and the unit's overlays (its
+    flags, or a sweep spec's grid cell) and activates it with
+    :func:`defaults_scope` for exactly that unit's sweeps.  Outside any
+    scope the pristine ``RunDefaults()`` applies, so no run's overlays
+    outlive it.
     """
 
     #: process-pool size used when a call does not pass ``workers``.
@@ -253,8 +254,8 @@ def current_defaults() -> RunDefaults:
 def defaults_scope(defaults: RunDefaults) -> Iterator[RunDefaults]:
     """Activate ``defaults`` for the enclosed block (and this thread only).
 
-    Backed by a :class:`contextvars.ContextVar`, so concurrent service
-    workers each scope their own job's overlays, and nothing is left
+    Backed by a :class:`contextvars.ContextVar`, so sweeps on other
+    threads of the process keep their own overlays, and nothing is left
     behind once the block exits.
     """
     token = _SCOPED_DEFAULTS.set(defaults)
@@ -385,7 +386,7 @@ def parse_spec(cls: type, text: str) -> Any:
 
 
 def overlay_fields(overlays: Mapping[str, Any]) -> Dict[str, Any]:
-    """Parse the overlays ``repro run`` and the service share into
+    """Parse the overlays ``repro run`` flags and sweep specs share into
     :class:`RunDefaults` field values.
 
     Keys are :data:`OVERLAY_KEYS`: the spec strings ``faults`` (the

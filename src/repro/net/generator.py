@@ -393,8 +393,9 @@ class ManetBlueprint:
 class LruCache(OrderedDict):
     """At most ``limit`` values, least recently used evicted first.
 
-    :meth:`fetch` is safe across threads (the service runs jobs as
-    threads); two threads missing the same key both build it.
+    :meth:`fetch` is safe across threads, since the cache is process-wide
+    and a caller may run sweeps on threads of one process; two threads
+    missing the same key both build it.
     """
 
     def __init__(self, limit: int) -> None:

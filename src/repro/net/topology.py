@@ -108,8 +108,9 @@ class _DenseWorkspace(threading.local):
     Float64 ``d2``/``dy`` blocks and the bool mask, grown on demand up
     to _DENSE_MAX_PAIRS.  They carry nothing between calls: each call
     overwrites the slice it reads before returning fresh arrays.  They
-    are per thread because concurrent simulations (the service runs
-    jobs as threads) would otherwise overwrite each other's slices.
+    are per thread because worlds stepped on threads of one process
+    (the run defaults are scoped per thread for the same callers) would
+    otherwise overwrite each other's slices.
     """
 
     def __init__(self) -> None:
@@ -692,8 +693,8 @@ class Topology:
         self._applied_blocked: Set[Edge] = set()
         self._epoch = 0
         #: the consistency check's last oracle evaluation, reused while
-        #: the inputs read from the nodes stay equal.  Per instance: the
-        #: service runs worlds as threads.
+        #: the inputs read from the nodes stay equal.  Per instance, so
+        #: worlds stepped on threads of one process never share it.
         self._oracle_run: Optional[_OracleRun] = None
 
     # ------------------------------------------------------------------

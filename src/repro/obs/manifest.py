@@ -37,19 +37,13 @@ def build_manifest(
     scale: str,
     experiments: Sequence[str],
     options: Optional[Dict[str, Any]] = None,
-    service: Optional[Dict[str, Any]] = None,
 ) -> dict:
     """Assemble the JSON-safe manifest for one CLI (or bench) invocation.
 
     ``options`` holds the run-shaping knobs beyond seed/scale (workers,
-    fault plan, loss spec, …); they are recorded verbatim and folded
-    into ``config_hash`` together with the seed, scale, and experiment
-    ids.
-
-    ``service``, when given, is the experiment-service provenance block
-    (job id, spec name, spec fingerprint).  It is recorded verbatim but
-    *not* hashed: the spec fingerprint already covers the result-shaping
-    fields, and the job id varies per submission of the same sweep.
+    fault plan, loss spec, spec fingerprint, …) as JSON values; they are
+    recorded verbatim and folded into ``config_hash`` together with the
+    seed, scale, and experiment ids.
     """
     from repro import __version__
 
@@ -58,13 +52,13 @@ def build_manifest(
     hashed["master_seed"] = master_seed
     hashed["scale"] = scale
     hashed["experiments"] = tuple(experiments)
-    manifest = {
+    return {
         "schema": MANIFEST_SCHEMA,
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "master_seed": master_seed,
         "scale": scale,
         "experiments": list(experiments),
-        "options": {key: repr(value) for key, value in sorted(options.items())},
+        "options": dict(sorted(options.items())),
         "config_hash": config_hash(hashed),
         "package_version": __version__,
         "platform": {
@@ -74,6 +68,3 @@ def build_manifest(
             "machine": platform_module.machine(),
         },
     }
-    if service is not None:
-        manifest["service"] = dict(service)
-    return manifest

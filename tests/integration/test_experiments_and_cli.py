@@ -1,6 +1,8 @@
 """Integration: every registered experiment runs end-to-end at quick scale,
 and the CLI drives them."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -70,6 +72,14 @@ class TestProgressCallback:
 
 
 class TestCli:
+    def test_list_json_metadata(self, capsys):
+        assert main(["list", "--json"]) == 0
+        metadata = json.loads(capsys.readouterr().out)
+        fig7 = next(entry for entry in metadata if entry["id"] == "fig7")
+        assert fig7["scenario"] == "routing"
+        assert fig7["tiers"] == ["quick", "paper"]
+        assert {"id", "title", "scenario", "tiers"} <= set(fig7)
+
     def test_cli_quick_run(self, capsys, monkeypatch):
         # Patch QUICK usage by running the tiniest real experiment id at
         # quick scale would be slow; fig1 at QUICK is the fastest mapping

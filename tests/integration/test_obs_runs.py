@@ -180,6 +180,18 @@ class TestCliEndToEnd:
             for key in ("variant", "run", "seq", "time", "kind", "payload"):
                 assert key in event
 
+    def test_manifest_options_are_json_values(self, tmp_path, capsys):
+        metrics_path = tmp_path / "m.json"
+        assert main(
+            ["run", "fig7", "--runs", "1", "--quiet", "--no-plot",
+             "--loss", "fixed=0.2,retries=2", "--metrics-out", str(metrics_path)]
+        ) == 0
+        options = json.loads(metrics_path.read_text())["manifest"]["options"]
+        assert options["loss"] == "fixed=0.2,retries=2"
+        assert options["route_ttl"] is None
+        assert options["quarantine"] is False
+        assert options["runs"] == 1
+
     def test_obs_flags_off_leave_reports_unchanged(self, tmp_path):
         plain_dir = tmp_path / "plain"
         obs_dir = tmp_path / "obs"

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.series import TimeSeries
 from repro.errors import ExperimentError
 from repro.experiments.report import ExperimentReport
-from repro.service.baseline_pack import (
+from repro.experiments.baseline_pack import (
     build_pack,
     check_drift,
     check_report,
@@ -115,5 +115,15 @@ class TestDriftCheck:
             tolerance=0.01,
         )
         reports = {"u1": make_report(), "u2": make_report(final=0.2)}
-        violations = check_drift(pack, reports)
+        violations = check_drift(pack, "fp", reports)
         assert violations and all(v.startswith("u2:") for v in violations)
+
+    def test_fingerprint_mismatch_is_one_violation(self):
+        # a pack calibrated for another spec (say runs 2 -> 3) keeps its
+        # labels, so without this check its metrics would be compared.
+        pack = build_pack("p", "poisoned00000000", {"u": make_report()})
+        violations = check_drift(pack, "94e0f1ee09c65449", {"u": make_report()})
+        assert len(violations) == 1
+        assert "poisoned00000000" in violations[0]
+        assert "94e0f1ee09c65449" in violations[0]
+        assert "repro calibrate" in violations[0]

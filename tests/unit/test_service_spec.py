@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import OVERLAY_KEYS
-from repro.service.spec import SweepSpec, load_spec, spec_from_dict
+from repro.experiments.spec import SweepSpec, load_spec, spec_from_dict
 
 BASE = {"name": "base", "experiments": ["fig7"]}
 
@@ -82,12 +82,17 @@ class TestValidation:
             make(overlays={"route_ttl": []})
 
     def test_bad_limits_rejected(self):
-        with pytest.raises(ConfigurationError, match="workers"):
-            make(limits={"workers": 0})
+        # how a sweep runs belongs to the `repro run` flags, not the spec.
+        with pytest.raises(ConfigurationError, match="'limits'.*--workers"):
+            make(limits={"workers": 2})
 
     def test_unknown_outputs_key_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown outputs"):
-            make(outputs={"pdf": True})
+        with pytest.raises(ConfigurationError, match="'outputs'.*--metrics-out"):
+            make(outputs={"svg": True})
+
+    def test_priority_rejected(self):
+        with pytest.raises(ConfigurationError, match="'priority' is no longer"):
+            make(priority=9)
 
     def test_wrong_schema_rejected(self):
         with pytest.raises(ConfigurationError, match="schema"):
@@ -112,9 +117,15 @@ class TestFingerprint:
         base = make().fingerprint()
         assert make(name="other").fingerprint() == base
         assert make(description="words").fingerprint() == base
-        assert make(priority=9).fingerprint() == base
-        assert make(limits={"workers": 8}).fingerprint() == base
-        assert make(outputs={"svg": True}).fingerprint() == base
+        assert make(baseline_pack="pack.json").fingerprint() == base
+
+    def test_checked_in_smoke_spec_fingerprint_is_pinned(self):
+        # baselines/quick_smoke_pack.json records this fingerprint.
+        import pathlib
+
+        root = pathlib.Path(__file__).parents[2]
+        spec = load_spec(root / "examples" / "specs" / "quick_smoke.json")
+        assert spec.fingerprint() == "94e0f1ee09c65449"
 
 
 class TestExpansion:

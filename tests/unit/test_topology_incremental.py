@@ -148,7 +148,7 @@ class TestIncrementalMatchesNaive:
             assert_same_graph(topology, twin)
 
     def test_concurrent_threads_get_separate_scratch(self):
-        # The service runs jobs as threads of one process, so several
+        # A caller may step worlds on threads of one process, so several
         # topologies can refresh at once; none may see another's kernel
         # scratch.  Different sizes make the slices overlap unevenly,
         # and a tiny switch interval interleaves the threads between
