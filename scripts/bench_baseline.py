@@ -135,6 +135,10 @@ def _manet(scale):
 
 
 def _world_population(scale):
+    # ``routing_world_step`` leaves ``batch_agents`` unset, so its path
+    # follows the team size: 100 agents (full) reach the engine's
+    # crossover (``BATCH_MIN_POPULATION``) and run the engine, 30 (smoke)
+    # run the per-object step.  ``routing_world_step_batch`` pins both.
     return 100 if scale == "full" else 30
 
 

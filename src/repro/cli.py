@@ -247,12 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _progress_printer(quiet: bool):
+def _progress_printer(quiet: bool, label: str):
+    """A progress callback printing ``[label] [scenario] run done/total``."""
     if quiet:
         return None
 
     def progress(scenario: str, done: int, total: int) -> None:
-        print(f"  [{scenario}] run {done}/{total}", file=sys.stderr, flush=True)
+        print(f"  [{label}] [{scenario}] run {done}/{total}", file=sys.stderr, flush=True)
 
     return progress
 
@@ -337,7 +338,6 @@ def _run_sweep(
         )
         accumulator = execution["obs_accumulator"] = ObsAccumulator()
 
-    progress = _progress_printer(args.quiet)
     reports: Dict[str, ExperimentReport] = {}
     for unit in units:
         defaults = runner.RunDefaults(
@@ -349,7 +349,9 @@ def _run_sweep(
         started = time.perf_counter()
         with runner.defaults_scope(defaults):
             report = get_experiment(unit.experiment_id).run(
-                scale, master_seed=unit.seed, progress=progress
+                scale,
+                master_seed=unit.seed,
+                progress=_progress_printer(args.quiet, unit.label),
             )
         elapsed = time.perf_counter() - started
         reports[unit.label] = report
@@ -457,6 +459,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        checkpoint_dir = getattr(args, "checkpoint_dir", None)
+        if checkpoint_dir:
+            note = (
+                f"completed tasks are journalled under {checkpoint_dir}; "
+                "re-run the same command to resume"
+            )
+        else:
+            note = "pass --checkpoint-dir DIR to journal completed tasks for a resume"
+        print(f"interrupted: {note}", file=sys.stderr)
+        return 130
     except BrokenPipeError:  # e.g. `repro list --json | head`
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

@@ -16,7 +16,9 @@ as a handful of numpy passes over structure-of-arrays state:
 The engine models exactly one configuration — the paper's routing
 figures: plain random or oldest-node agents, with or without visiting,
 over hops that always deliver (:func:`batch_unsupported` names the
-first feature outside it).  Faults, the table guard, corrupted agents,
+first feature outside it).  Left to choose (``batch_agents`` unset), a
+routing world steps it only for teams of :data:`BATCH_MIN_POPULATION`
+or more agents, below which the per-object step is as fast.  Faults, the table guard, corrupted agents,
 traffic, invariants and observability all run on it.  Every other
 configuration — stigmergy, health monitoring, a lossy channel, loss
 bursts, ant agents — runs the per-object step, which is also the
@@ -57,7 +59,12 @@ from repro.core.routing_agents import _FORGED_SEQUENCE_AHEAD, GatewayTrack
 from repro.errors import ConfigurationError
 from repro.types import NEVER, NodeId, Time
 
-__all__ = ["BATCH_AGENT_KINDS", "batch_unsupported", "BatchAgentEngine"]
+__all__ = [
+    "BATCH_AGENT_KINDS",
+    "BATCH_MIN_POPULATION",
+    "batch_unsupported",
+    "BatchAgentEngine",
+]
 
 #: Agent kinds the batch engine vectorizes; others run per-object.
 BATCH_AGENT_KINDS = frozenset({"random", "oldest-node"})
@@ -70,6 +77,15 @@ _BIG = 1 << 62
 #: rejections to them directly); these arrays hold only the increments
 #: the vectorized passes produce, flushed additively.
 _OH_FIELDS = tuple(f.name for f in dataclass_fields(OverheadMeter))
+
+
+#: The smallest team the engine steps when ``batch_agents`` is unset.
+#: On fig8's PAPER grid (250-node MANET, 300 steps, both kinds, visiting
+#: on and off, 5 alternating pairs per cell; EXPERIMENTS.md, "Batch
+#: engine crossover") the median per-object/engine time ratio read
+#: 0.70-0.89 at 10 agents, 0.86-0.95 at 25, 0.94-1.00 at 50,
+#: 0.98-1.17 at 75, 1.06-1.20 at 100 and 1.24-1.39 at 200.
+BATCH_MIN_POPULATION = 75
 
 
 def batch_unsupported(config: Any) -> Optional[str]:

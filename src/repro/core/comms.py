@@ -51,6 +51,12 @@ def group_by_location(agents: Sequence) -> Dict[NodeId, List]:
     return groups
 
 
+def _apart(agents: Sequence) -> bool:
+    """Whether no two of ``agents`` stand on one node, so none can meet."""
+    locations = [agent.location for agent in agents]
+    return len(set(locations)) == len(locations)
+
+
 def _payload_received(
     channel: Optional[ChannelModel], agent, now: Time
 ) -> bool:
@@ -83,6 +89,8 @@ def exchange_mapping_knowledge(
     ``channel`` a member may miss the payload: it still participates in
     the meeting (its knowledge is in the broadcast) but absorbs nothing.
     """
+    if _apart(agents):
+        return 0
     meetings = 0
     for __, group in group_by_location(agents).items():
         if len(group) < 2:
@@ -111,6 +119,8 @@ def exchange_routing_knowledge(
     snapshots, then written back to every participant — except members
     whose payload the lossy ``channel`` drops, who keep their own state.
     """
+    if _apart(agents):
+        return 0
     meetings = 0
     for __, group in group_by_location(agents).items():
         participants = [agent for agent in group if agent.visiting]

@@ -466,9 +466,7 @@ def _repair_strong_connectivity(topology: Topology, max_rounds: int = 60) -> boo
 def _boost(node: Node, factor: float = 1.15) -> None:
     """Enlarge a node's base radio range by ``factor``."""
     radio = node.radio
-    if isinstance(radio, HeterogeneousRange):
-        radio.base *= factor
-    elif isinstance(radio, BatteryCoupledRange):
+    if isinstance(radio, (HeterogeneousRange, BatteryCoupledRange)):
         radio.base *= factor
 
 

@@ -40,7 +40,9 @@ run actually touches.
 The rebuild from scratch (:meth:`Topology.force_full_rebuild`, a plain
 method that no mode switches on) is the reference implementation, a
 sorted-x sweep (:func:`_sweep_edges`) that shares no code with the
-kernel: it takes positions and ranges read straight from the nodes,
+kernel: it takes copies of the fleet's positions and ranges, with the
+battery-coupled ranges re-derived from the levels by the radio model's
+scalar arithmetic and the volatile radios read through their nodes,
 sorts the live receivers by x and evaluates the same predicate over each
 sender's x-window.  The two are bit-identical because both evaluate that
 predicate exactly; the test suite property-checks the sweep against a
@@ -49,7 +51,7 @@ mobility and fault traces, and :meth:`Topology.consistency_problems`
 lets the runtime invariant checker compare the packed array and every
 row served from it against the sweep every step.  The sweep is a pure
 function of its inputs, so the checker re-runs it only when the inputs
-it reads from the nodes that step differ from the previous step's.
+it reads that step differ from the previous step's.
 """
 
 from __future__ import annotations
@@ -387,20 +389,21 @@ class Fleet:
     :class:`~repro.net.mobility.RandomVelocity` nodes, 0 elsewhere),
     ``level`` (battery levels), ``r`` (radio ranges) and ``gateway``
     (whether a node is a gateway).  ``base``/``floor``/``exponent`` are
-    the parameters of the battery-coupled radios :meth:`step` recomputes
-    (the ``coupled`` nodes), 0 elsewhere.  The fleet is the only owner of
-    the positions, velocities and levels: a node bound to its slot
-    (:meth:`bind`), its battery and its mobility model read and write
-    these columns.  ``r`` is derived from the radios, which keep their
-    own parameters: it is re-read through the bound nodes' radios after
-    every :meth:`Topology.invalidate`.
+    the parameters of the heterogeneous and ``coupled`` (battery-coupled
+    on their own node's battery) radios, 0 elsewhere; the fleet derives
+    the coupled ranges from ``level``.  The fleet is the only owner of
+    this state: a node bound to its slot (:meth:`bind`), its battery,
+    its mobility model and its radio read and write these columns.
+    ``volatile`` lists the nodes whose radio it cannot own (another
+    class, or a coupled radio on another node's battery), whose ranges
+    every refresh re-reads through the radio.
 
     ``movers`` (stock ``RandomVelocity`` ids), ``drains`` (``(linear,
     parameter, ids)``: ``per_step`` for a linear drain, ``1 - rate`` for
     an exponential one), ``walkers`` (nodes moved by another model) and
     ``stepped`` (batteries drained by another model) group the nodes by
-    model once: models are fixed at node construction.  The fleet keeps
-    node ids, never nodes: a topology holds no cycle.
+    model once: models are fixed at node construction, radios included.
+    The fleet keeps node ids, never nodes: a topology holds no cycle.
     """
 
     def __init__(
@@ -425,16 +428,13 @@ class Fleet:
         self.x, self.y, self.vx, self.vy = x, y, vx, vy
         self.level, self.r, self.gateway = level, r, gateway
         self.base, self.floor, self.exponent = base, floor, exponent
-        self._coupled_mask = coupled
+        #: ids of the coupled radios, ascending.
+        self.coupled = _np.flatnonzero(coupled)
         self._movers = movers
         self._drains = drains
         self._walkers = list(walkers)
         self._stepped = list(stepped)
-        #: whether some bound radio's range can change without an
-        #: invalidate (another radio class, or a coupled radio on another
-        #: node's battery): then every read of the ranges re-reads.
-        self.volatile = False
-        self._group_radios()
+        self.volatile: List[NodeId] = []
 
     @classmethod
     def of_nodes(cls, nodes: Sequence[Node]) -> "Fleet":
@@ -442,6 +442,10 @@ class Fleet:
         n = len(nodes)
         vx = _np.zeros(n)
         vy = _np.zeros(n)
+        base = _np.zeros(n)
+        floor = _np.zeros(n)
+        exponent = _np.zeros(n)
+        coupled = _np.zeros(n, dtype=bool)
         movers: List[NodeId] = []
         walkers: List[NodeId] = []
         stepped: List[NodeId] = []
@@ -463,18 +467,24 @@ class Fleet:
                     drains.setdefault((False, model._keep), []).append(i)
                 else:
                     stepped.append(i)
+            radio = node.radio
+            if _owned(node):
+                base[i] = radio.base
+                if type(radio) is BatteryCoupledRange:
+                    coupled[i] = True
+                    floor[i], exponent[i] = radio.floor, radio.exponent
         fleet = cls(
             x=_np.array([node.position.x for node in nodes], dtype=_np.float64),
             y=_np.array([node.position.y for node in nodes], dtype=_np.float64),
             vx=vx,
             vy=vy,
             level=_np.array([node.battery.level for node in nodes], dtype=_np.float64),
-            r=_np.zeros(n),
+            r=_np.array([node.current_range() for node in nodes], dtype=_np.float64),
             gateway=_np.array([node.is_gateway for node in nodes], dtype=bool),
-            base=_np.zeros(n),
-            floor=_np.zeros(n),
-            exponent=_np.zeros(n),
-            coupled=_np.zeros(n, dtype=bool),
+            base=base,
+            floor=floor,
+            exponent=exponent,
+            coupled=coupled,
             movers=_np.array(movers, dtype=_np.int64),
             drains=[
                 (linear, param, _np.array(ids, dtype=_np.int64))
@@ -485,14 +495,15 @@ class Fleet:
         )
         for node in nodes:
             fleet.bind(node)
-        fleet.read_radios(nodes)
         return fleet
 
     def bind(self, node: Node) -> None:
-        """Make ``node``, its battery and its velocity model use slot ``node_id``.
+        """Make ``node``, its battery, its velocity model and its radio use slot ``node_id``.
 
         From then on they read and write this fleet's columns, so the
-        node shows whatever state the fleet has reached.
+        node shows whatever state the fleet has reached.  A radio the
+        fleet cannot own joins :attr:`volatile` instead; a
+        :class:`FixedRange` needs neither.
         """
         i = node.node_id
         battery = node.battery
@@ -503,42 +514,33 @@ class Fleet:
             if mobility._fleet is not None:
                 raise TopologyError(f"node {i}'s mobility model already moves another node")
             mobility._fleet, mobility._slot = self, i
+        radio = node.radio
+        if _owned(node):
+            if radio._fleet is not None:
+                raise TopologyError(f"node {i}'s radio already belongs to a node")
+            radio._fleet, radio._slot = self, i
+        elif type(radio) is not FixedRange:
+            self.volatile.append(i)
         node._fleet = battery._fleet = self
         battery._slot = i
 
-    def read_radios(self, nodes: Sequence[Node]) -> None:
-        """Re-read the ranges of ``nodes``, and what :meth:`step` needs, from their radios.
+    def couple(self) -> None:
+        """Derive the coupled radios' ranges from their battery levels.
 
-        :meth:`step` recomputes the ranges of stock battery-coupled radios
-        on their own node's draining battery, so this keeps their
-        parameters.  ``nodes`` must be every node bound so far: a node
-        never bound still has the radio it was drawn with.
+        The radio model's ``max(floor, base * level ** exponent)`` term by
+        term: Python's ``**`` per level, since ``np.power`` and ``np.sqrt``
+        differ from it in the last bit for some levels.
         """
-        ids = [node.node_id for node in nodes]
-        self.r[ids] = [node.radio.current_range() for node in nodes]
-        self._coupled_mask[ids] = False
-        coupled = []
-        self.volatile = False
-        for node in nodes:
-            radio = node.radio
-            kind = type(radio)
-            if kind is BatteryCoupledRange and radio.battery is node.battery:
-                if node._battery_drains:
-                    i = node.node_id
-                    coupled.append(i)
-                    self.base[i], self.floor[i] = radio.base, radio.floor
-                    self.exponent[i] = radio.exponent
-            elif kind is not FixedRange and kind is not HeterogeneousRange:
-                self.volatile = True
-        self._coupled_mask[coupled] = True
-        self._group_radios()
-
-    def _group_radios(self) -> None:
-        """Gather the coupled radios' ids and parameters for :meth:`step`."""
-        ids = self._coupled = _np.flatnonzero(self._coupled_mask)
-        self._coupled_base = self.base[ids]
-        self._coupled_exponent = self.exponent[ids].tolist()
-        self._coupled_floor = self.floor[ids]
+        ids = self.coupled
+        if ids.size:
+            scaled = _np.fromiter(
+                map(pow, self.level[ids].tolist(), self.exponent[ids].tolist()),
+                _np.float64,
+                ids.size,
+            )
+            _np.multiply(self.base[ids], scaled, out=scaled)
+            _np.maximum(self.floor[ids], scaled, out=scaled)
+            self.r[ids] = scaled
 
     def step(self, nodes: Sequence[Node], arena: Arena) -> None:
         """Advance every node one step: its battery drains, then it moves.
@@ -546,7 +548,7 @@ class Fleet:
         Equal, column by column, to :meth:`Node.advance` on each node.
         Stock models step as array operations, bit-identical to the
         scalar ones: linear and exponential drains, the ranges of the
-        coupled radios :meth:`read_radios` kept, and straight-line motion
+        coupled radios (:meth:`couple`), and straight-line motion
         inside the arena.  A node that would cross the boundary reflects
         through its own :class:`~repro.net.mobility.RandomVelocity`, and
         any other mobility or drain model steps its node itself; those
@@ -564,17 +566,7 @@ class Fleet:
             level[ids] = levels
         for i in self._stepped:
             nodes[i].battery.step()
-        ids = self._coupled
-        if ids.size:
-            # ``BatteryCoupledRange.current_range()`` term by term: Python's
-            # ``**`` per level, since ``np.power`` and ``np.sqrt`` differ
-            # from it in the last bit for some levels.
-            scaled = _np.fromiter(
-                map(pow, level[ids].tolist(), self._coupled_exponent), _np.float64, ids.size
-            )
-            _np.multiply(self._coupled_base, scaled, out=scaled)
-            _np.maximum(self._coupled_floor, scaled, out=scaled)
-            self.r[ids] = scaled
+        self.couple()
         movers = self._movers
         walkers = self._walkers
         if movers.size:
@@ -594,6 +586,16 @@ class Fleet:
         for i in walkers:
             node = nodes[i]
             node.position = node.mobility.move(node.position, arena)
+
+
+def _owned(node: Node) -> bool:
+    """Whether the fleet owns ``node``'s radio's parameters: a stock radio
+    whose range changes, coupled (if at all) to the node's own battery."""
+    radio = node.radio
+    kind = type(radio)
+    return kind is HeterogeneousRange or (
+        kind is BatteryCoupledRange and radio.battery is node.battery
+    )
 
 
 class NodeSequence(abc.Sequence):
@@ -674,8 +676,6 @@ class Topology:
         #: the nodes' state, which the nodes read and write.
         self.fleet = nodes.fleet
         self._gateways: List[NodeId] = _np.flatnonzero(self.fleet.gateway).tolist()
-        #: whether a radio may have changed since the fleet last read them.
-        self._radios_stale = False
         #: sorted packed ``u * n + v`` edges: the adjacency itself.
         self._edges = _np.empty(0, dtype=_np.int64)
         #: the rows of ``_edges``, a new view on first read after a change.
@@ -704,17 +704,19 @@ class Topology:
     def invalidate(self) -> None:
         """Mark the adjacency stale after changing a node outside :meth:`advance`.
 
-        The next refresh re-reads the range of every node built so far
-        through its radio; a node never built still has its drawn radio.
+        Re-derives the coupled radios' ranges from the battery levels, so
+        a battery shock takes effect; the other radios write their ranges
+        as they change.
         """
         self._dirty = True
-        self._radios_stale = True
+        self.fleet.couple()
 
-    def _sync_radios(self) -> None:
-        """Bring the fleet's range column up to date with the radios."""
-        if self._radios_stale or self.fleet.volatile:
-            self._radios_stale = False
-            self.fleet.read_radios(self.nodes.built())
+    def _read_volatile(self) -> None:
+        """Re-read the ranges of the fleet's volatile radios into its ``r`` column."""
+        volatile = self.fleet.volatile
+        if volatile:
+            nodes = self.nodes
+            self.fleet.r[volatile] = [nodes[i].current_range() for i in volatile]
 
     def recompute(self) -> None:
         """Bring the adjacency up to date with positions and ranges.
@@ -725,7 +727,7 @@ class Topology:
         blacked-out links (:meth:`block_edge`) stay suppressed, exactly
         as in :meth:`force_full_rebuild`.
         """
-        self._sync_radios()
+        self._read_volatile()
         if self._ax is None:
             self._adopt(self._link_edges())
         elif (
@@ -744,20 +746,37 @@ class Topology:
 
     def _adopt(self, edges) -> None:
         """Take ``edges``, the sorted packed edges of the state now, afresh."""
-        self._sync_radios()
+        self._read_volatile()
         self._snapshot()
         self._apply(edges, full=True)
 
     def _read_inputs(self):
-        """Copies of the nodes' positions, and ranges read through their radios.
+        """Copies of the fleet's positions and ranges, the derived ranges re-derived.
 
-        Never the fleet's derived ranges: the reference path must see what
-        the nodes hold, including changes made behind a missed invalidate.
-        Iterating builds every node not built yet, once.
+        Never the ranges the fleet derived: the reference path recomputes
+        each coupled radio's range from its battery level with the radio
+        model's scalar arithmetic, not :meth:`Fleet.couple`'s, and reads
+        each volatile radio through its node, so a shock or a change
+        behind a missed invalidate shows.
         """
-        nodes = self.nodes
-        r = _np.fromiter((node.current_range() for node in nodes), _np.float64, len(nodes))
-        return self.fleet.x.copy(), self.fleet.y.copy(), r
+        fleet = self.fleet
+        r = fleet.r.copy()
+        ids = fleet.coupled
+        if ids.size:
+            r[ids] = [
+                max(floor, base * level**exponent)
+                for base, level, exponent, floor in zip(
+                    fleet.base[ids].tolist(),
+                    fleet.level[ids].tolist(),
+                    fleet.exponent[ids].tolist(),
+                    fleet.floor[ids].tolist(),
+                )
+            ]
+        volatile = fleet.volatile
+        if volatile:
+            nodes = self.nodes
+            r[volatile] = [nodes[i].current_range() for i in volatile]
+        return fleet.x.copy(), fleet.y.copy(), r
 
     def _compute_adjacency(self):
         """The reference sweep (:func:`_sweep_edges`) of the current state."""
@@ -985,12 +1004,13 @@ class Topology:
         its array.  Wired into the runtime invariant checker, which
         calls it every step.
 
-        Positions and ranges are read from the nodes on every call.  The
-        sweep's edges and rows are reused only when those reads, the down
-        set and the blocked set all equal the previous call's inputs;
-        the sweep is a pure function of them, so reuse returns exactly
-        what a fresh sweep would.  Nothing the engine keeps (the fleet's
-        range column, its snapshots, epochs) takes part, so a moved node, a missed
+        Positions and ranges are read on every call (:meth:`_read_inputs`).
+        The sweep's edges and rows are reused only when those reads, the
+        down set and the blocked set all equal the previous call's
+        inputs; the sweep is a pure function of them, so reuse returns
+        exactly what a fresh sweep would.  Nothing else the engine keeps
+        (the fleet's derived ranges, its snapshots, epochs) takes part,
+        so a moved node, a shock or a degrade behind a missed
         :meth:`invalidate`, a corrupted array or a mutated row is
         flagged in the call that first sees it.  A sound structure costs
         one array compare and one list compare per served row; only a
@@ -1133,6 +1153,6 @@ class Topology:
         The fleet's own columns — callers must treat them as read-only;
         they change in place on the next advance.
         """
-        self._sync_radios()
+        self._read_volatile()
         fleet = self.fleet
         return fleet.x, fleet.y, fleet.r

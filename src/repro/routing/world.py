@@ -24,7 +24,7 @@ from time import perf_counter
 from typing import List, Optional, Tuple
 
 from repro.core.ant_agents import AntRoutingAgent
-from repro.core.batch import BatchAgentEngine, batch_unsupported
+from repro.core.batch import BATCH_MIN_POPULATION, BatchAgentEngine, batch_unsupported
 from repro.core.comms import exchange_routing_knowledge
 from repro.core.migration import ABANDONED, DELIVERED
 from repro.core.pheromone import PheromoneField
@@ -62,11 +62,12 @@ class RoutingWorldConfig(ScenarioConfig):
     table_guard: Optional[TableGuard] = None
     #: drive the agent phases through the vectorized SoA engine
     #: (:class:`~repro.core.batch.BatchAgentEngine`, bit-identical to
-    #: the per-object path).  ``None`` enables it exactly on the
-    #: configuration it models (see
-    #: :func:`~repro.core.batch.batch_unsupported`); ``False`` forces the
-    #: per-object oracle; ``True`` demands the engine and raises
-    #: :class:`ConfigurationError` naming any feature it does not model.
+    #: the per-object path).  ``None`` enables it on the configuration
+    #: it models (see :func:`~repro.core.batch.batch_unsupported`) for
+    #: teams of at least :data:`~repro.core.batch.BATCH_MIN_POPULATION`
+    #: agents; ``False`` forces the per-object oracle; ``True`` demands
+    #: the engine and raises :class:`ConfigurationError` naming any
+    #: feature it does not model.
     batch_agents: Optional[bool] = None
     #: partition the arena into this many spatial tiles and step them as
     #: independent workers exchanging only boundary state (see
@@ -164,7 +165,10 @@ class RoutingWorld(ScenarioWorld):
         self._batch: Optional[BatchAgentEngine] = None
         use_batch = config.batch_agents
         if use_batch is None:
-            use_batch = batch_unsupported(config) is None
+            use_batch = (
+                config.population >= BATCH_MIN_POPULATION
+                and batch_unsupported(config) is None
+            )
         if use_batch:
             self._batch = BatchAgentEngine(self)
         self._start(config.traffic, tables=self.tables)

@@ -142,3 +142,22 @@ class TestRoutingExchange:
         b.tracks = {9: GatewayTrack(hops=1, visited_at=1)}
         exchange_routing_knowledge([a, b])
         assert 9 in a.tracks
+
+
+class TestNoColocatedPair:
+    def test_apart_teams_skip_the_grouping_pass(self, monkeypatch):
+        import repro.core.comms as comms
+
+        def refuse(agents):
+            raise AssertionError("grouped a team with no co-located pair")
+
+        monkeypatch.setattr(comms, "group_by_location", refuse)
+        index = EdgeIndex(NODES)
+        mapping = [mapping_agent(i, node, index) for i, node in enumerate((1, 2, 3))]
+        routing = [routing_agent(i, node) for i, node in enumerate((1, 2, 3))]
+        mapping[0].knowledge.observe_node(1, [2], time=1)
+        assert exchange_mapping_knowledge(mapping) == 0
+        assert exchange_routing_knowledge(routing) == 0
+        assert exchange_mapping_knowledge([]) == exchange_routing_knowledge([]) == 0
+        assert all(agent.overhead.meetings == 0 for agent in mapping + routing)
+        assert not mapping[1].knowledge.knows_edge((1, 2))

@@ -268,3 +268,79 @@ class TestOnDemandNodes:
         assert problems and all(f"edge {node}->" in problem for problem in problems)
         topology.invalidate()
         assert topology.consistency_problems() == []
+
+
+class _Dial:
+    """A radio class the fleet does not know: its range is whatever it is set to."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def current_range(self):
+        return self.value
+
+
+class TestRangeColumn:
+    """The fleet owns the stock radios' ranges; the oracle re-derives what it derives."""
+
+    @pytest.mark.parametrize("change", ["shock", "degrade"])
+    def test_a_change_without_invalidate_is_flagged_by_the_next_check(self, change):
+        topology = legacy_manet(SMALL, 5)  # nodes given as objects: Fleet.of_nodes
+        mobile_from = generator_module._mobile_from(SMALL)
+        if change == "shock":
+            movers = range(mobile_from, SMALL.node_count)
+            node = next(u for u, __ in topology.edges() if u in movers)
+            assert node in topology.fleet.coupled.tolist()
+            topology.node(node).battery.shock(1.0)  # range falls to its floor
+        else:
+            static = range(SMALL.gateway_count, mobile_from)
+            node = next(u for u, __ in topology.edges() if u in static)
+            topology.node(node).radio.degrade(0.99)
+        assert topology.fleet.volatile == []
+        problems = topology.consistency_problems()
+        assert problems and all(f"edge {node}->" in problem for problem in problems)
+        topology.invalidate()
+        assert topology.consistency_problems() == []
+        assert topology.motion_state()[2][node] == topology.node(node).current_range()
+
+    def test_a_foreign_radio_is_read_by_the_refresh_and_the_oracle(self):
+        # A test double, and a coupled radio on another node's battery.
+        battery = Battery(LinearDrain(0.0))
+        nodes = [
+            Node(0, Point(0.0, 0.0), _Dial(1.0)),
+            Node(1, Point(5.0, 0.0), HeterogeneousRange(6.0), battery=battery),
+            Node(2, Point(10.0, 0.0), BatteryCoupledRange(6.0, battery)),
+        ]
+        topology = Topology(nodes, Arena(20, 20))
+        assert topology.fleet.volatile == [0, 2]
+        assert topology.fleet.coupled.tolist() == []
+        assert not topology.has_edge(0, 1) and topology.has_edge(2, 1)
+        nodes[0].radio.value = 7.0
+        battery.shock(0.75)  # node 2's range: 6 * 0.25 ** 0.5 = 3
+        problems = topology.consistency_problems()
+        assert "packed edge array missing edge 0->1" in problems
+        assert "packed edge array has phantom edge 2->1" in problems
+        topology.advance()  # no invalidate: the refresh re-reads both
+        assert topology.consistency_problems() == []
+        assert topology.has_edge(0, 1) and not topology.has_edge(2, 1)
+        assert topology.motion_state()[2].tolist() == [7.0, 6.0, 3.0]
+
+    def test_bound_radio_parameters_live_in_the_columns(self):
+        topology = legacy_manet(SMALL, 6)
+        fleet = topology.fleet
+        mobile = generator_module._mobile_from(SMALL)
+        hetero, coupled = topology.node(mobile - 1).radio, topology.node(mobile).radio
+        hetero.base *= 2.0
+        coupled.base *= 2.0
+        assert fleet.base[mobile - 1] == hetero.base and fleet.base[mobile] == coupled.base
+        assert fleet.r[mobile - 1] == hetero.current_range() == hetero.base
+        assert (coupled.floor, coupled.exponent) == (fleet.floor[mobile], fleet.exponent[mobile])
+        topology.invalidate()
+        assert fleet.r[mobile] == max(coupled.floor, coupled.base * coupled.battery.level**0.5)
+        assert topology.consistency_problems() == []
+
+    def test_a_radio_serves_one_node(self):
+        radio = HeterogeneousRange(5.0)
+        nodes = [Node(0, Point(1.0, 1.0), radio), Node(1, Point(2.0, 1.0), radio)]
+        with pytest.raises(TopologyError, match="radio"):
+            Topology(nodes, Arena(10, 10))

@@ -116,3 +116,30 @@ class TestCliMain:
         bad.write_text("{broken")
         assert main(["report", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_progress_lines_carry_the_unit_label(self, capsys):
+        assert main(["run", "fig7", "--runs", "2", "--no-plot"]) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines() if " run " in line]
+        assert lines == ["  [fig7] [routing] run 1/2", "  [fig7] [routing] run 2/2"]
+
+    @pytest.mark.parametrize("journalled", [False, True])
+    def test_interrupt_exits_130_with_one_resume_line(
+        self, monkeypatch, tmp_path, capsys, journalled
+    ):
+        import repro.cli as cli
+
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_command_run", interrupted)
+        argv = ["run", "fig7"]
+        if journalled:
+            argv += ["--checkpoint-dir", str(tmp_path)]
+        assert main(argv) == 130
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("interrupted: ")
+        if journalled:
+            assert f"journalled under {tmp_path}" in err[0]
+            assert "re-run the same command to resume" in err[0]
+        else:
+            assert "--checkpoint-dir" in err[0]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.batch import BATCH_MIN_POPULATION
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
 from repro.net.channel import ChannelConfig
@@ -80,6 +81,7 @@ class TestBatchEngineScope:
         )
         config = small_config(
             agent_kind=kind,
+            population=BATCH_MIN_POPULATION,
             visiting=True,
             fault_plan=plan,
             channel=ChannelConfig(),
@@ -87,6 +89,13 @@ class TestBatchEngineScope:
             obs=ObsConfig(metrics=True, events=True, profile=True),
         )
         assert RoutingWorld(small_manet, config, seed=4)._batch is not None
+
+    @pytest.mark.parametrize("visiting", [False, True])
+    def test_a_team_below_the_crossover_runs_per_object(self, small_manet, visiting):
+        config = small_config(population=BATCH_MIN_POPULATION - 1, visiting=visiting)
+        assert RoutingWorld(small_manet, config, seed=4)._batch is None
+        forced = small_config(population=6, visiting=visiting, batch_agents=True)
+        assert RoutingWorld(small_manet, forced, seed=4)._batch is not None
 
 
 class TestRoutingResult:
