@@ -149,6 +149,8 @@ def _batch_population(scale):
 
 def _advancing(config, refresh):
     """One step of motion, then ``refresh`` of the link set."""
+    # A generated network, not a kept blueprint's copy: no link memo
+    # serves its refreshes, so each one runs the link computation.
     topology = NetworkGenerator(config, 1).generate_manet()
 
     def advance():
@@ -211,6 +213,9 @@ def _footprint_filter(scale):
 
 def _stepping(scale, population, batch_agents):
     """One world step; ``batch_agents`` picks the agent engine."""
+    # Each world draws its own network: the stepping workloads share
+    # network seed 6, but no link memo joins them, so neither serves the
+    # other's states and their ratio stays a ratio of engines.
     world = RoutingWorld(
         NetworkGenerator(_manet(scale), 6).generate_manet(),
         RoutingWorldConfig(

@@ -28,7 +28,7 @@ from repro.net.geometry import Arena, Point
 from repro.net.mobility import RandomVelocity, Stationary
 from repro.net.node import Node
 from repro.net.radio import BatteryCoupledRange, HeterogeneousRange
-from repro.net.topology import Fleet, NodeSequence, Topology, link_edges
+from repro.net.topology import Fleet, LinkMemo, NodeSequence, Topology, link_edges
 from repro.rng import SeedSpawner
 
 __all__ = [
@@ -330,11 +330,16 @@ class ManetBlueprint:
     the drawn state's sorted packed adjacency.  :meth:`topology` builds
     an independent network from it, so every run of a sweep starts from
     the same placement and movement paths without drawing them again.
+    A kept blueprint (:func:`manet_blueprint`) also holds the ``memo``
+    its copies share, so a state of that path has its link set and its
+    reference sweep computed once, not once per copy; a drawn one has
+    none.
     """
 
     config: GeneratorConfig
     columns: np.ndarray
     edges: np.ndarray
+    memo: Optional[LinkMemo] = None
 
     def topology(self) -> Topology:
         """A new topology at the drawn state, its adjacency built.
@@ -386,6 +391,7 @@ class ManetBlueprint:
 
         nodes = NodeSequence(fleet, [None] * n, make)
         topology = Topology(nodes, Arena(config.arena_width, config.arena_height))
+        topology._memo = self.memo
         topology._adopt(self.edges)
         return topology
 
@@ -418,12 +424,22 @@ class LruCache(OrderedDict):
 
 
 #: a sweep shares one blueprint, so a small LRU keeps the working set.
+#: Each kept blueprint holds one :class:`~repro.net.topology.LinkMemo`,
+#: which dies with it, so the LRU also bounds how many memos live: at
+#: most 8 x :data:`~repro.net.topology.LINK_MEMO_BYTES`.
 _blueprints = LruCache(8)
 
 
 def manet_blueprint(config: GeneratorConfig, seed: int) -> ManetBlueprint:
-    """The blueprint of ``(config, seed)``, drawn once and kept (LRU)."""
-    return _blueprints.fetch((config, seed), NetworkGenerator(config, seed).draw_manet)
+    """The blueprint of ``(config, seed)``, drawn once and kept (LRU).
+
+    Its copies share one :class:`~repro.net.topology.LinkMemo`.
+    """
+
+    def draw() -> ManetBlueprint:
+        return replace(NetworkGenerator(config, seed).draw_manet(), memo=LinkMemo())
+
+    return _blueprints.fetch((config, seed), draw)
 
 
 def clear_blueprint_cache() -> None:

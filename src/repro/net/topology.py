@@ -52,10 +52,20 @@ lets the runtime invariant checker compare the packed array and every
 row served from it against the sweep every step.  The sweep is a pure
 function of its inputs, so the checker re-runs it only when the inputs
 it reads that step differ from the previous step's.
+
+The refresh's edge set and the sweep are both pure functions of the
+positions, ranges, down set and blocked set, and the copies of one MANET
+blueprint walk the same movement path.  So a topology copied from a kept
+blueprint looks each result up in a :class:`LinkMemo` its copies share,
+one table per computation, before computing it; a hit returns what the
+computation would return, so the engine and the sweep still check each
+other.  Other topologies have no memo.
 """
 
 from __future__ import annotations
 
+import hashlib
+import sys
 import threading
 from collections import abc
 from dataclasses import dataclass
@@ -75,6 +85,7 @@ from repro.types import Edge, NodeId
 __all__ = [
     "AdjacencyView",
     "Fleet",
+    "LinkMemo",
     "NodeSequence",
     "Topology",
     "TopologyStats",
@@ -258,6 +269,32 @@ def edge_delta(new, old):
     return new[~kept], old[gone]
 
 
+def _kernel_edges(x, y, r, down, blocked):
+    """:func:`link_edges` among the live nodes, minus the ``blocked`` links.
+
+    A refresh's edge set: a pure function of the positions and ranges
+    ``x``/``y``/``r``, the set of ``down`` node ids and the set of
+    ``blocked`` ``(u, v)`` links, as :func:`_sweep_edges` is.
+    """
+    n = x.size
+    if down:
+        live = _np.ones(n, dtype=bool)
+        live[list(down)] = False
+        live = _np.flatnonzero(live)
+    else:
+        live = _np.arange(n)
+    return _without_links(link_edges(x, y, r, live, live), blocked, n)
+
+
+def _without_links(edges, blocked, n: int):
+    """Sorted packed ``edges`` without the ``blocked`` ``(u, v)`` links."""
+    if not blocked:
+        return edges
+    hidden = _np.fromiter((u * n + v for u, v in blocked), _np.int64)
+    hidden.sort()
+    return edge_delta(edges, hidden)[0]
+
+
 def _csr_lists(edges, n: int) -> Tuple[List[int], List[NodeId]]:
     """``(bounds, targets)`` of a sorted packed ``u * n + v`` array.
 
@@ -348,38 +385,169 @@ def _sweep_edges(x, y, r, down, blocked):
     return edges
 
 
-@dataclass
-class _OracleRun:
-    """One evaluation of :func:`_sweep_edges`: its inputs and its results.
+def _state_bytes(x, y, r, down, blocked) -> bytes:
+    """The inputs of a link computation as one byte string.
 
-    The inputs are private copies (fresh reads and frozen sets), so
-    nothing the engine does can change them after the fact.
+    The float64 bytes of ``x``/``y``/``r`` and then, under faults, the
+    sorted ``down`` ids and ``blocked`` links.  Within one topology (a
+    fixed node count) equal strings mean bit-identical inputs, so a pure
+    computation returns the same edges for both.
+    """
+    state = b"".join((x.tobytes(), y.tobytes(), r.tobytes()))
+    if down or blocked:
+        state += _fault_bytes(down, blocked)
+    return state
+
+
+def _fault_bytes(down, blocked) -> bytes:
+    return repr((sorted(down), sorted(blocked))).encode()
+
+
+@dataclass
+class _LinkRun:
+    """One evaluation of a link computation: its inputs' bytes and its edges.
+
+    The computation is :func:`_sweep_edges` (the oracle) or
+    :func:`_kernel_edges` (the refresh), each a pure function of the
+    inputs :func:`_state_bytes` encodes.  ``state`` is an immutable copy
+    of those inputs, so nothing the engine does can change it after the
+    fact.
     """
 
-    x: object
-    y: object
-    r: object
-    down: FrozenSet[NodeId]
-    blocked: FrozenSet[Edge]
+    #: ``None`` in a run of the refresh a memo did not store.
+    state: Optional[bytes]
     edges: object
     #: :func:`_csr_lists` of ``edges``, built the first time served
     #: rows are checked against them.
     csr: Optional[Tuple[List[int], List[NodeId]]] = None
 
-    def same_inputs(self, x, y, r, down, blocked) -> bool:
-        """Whether the sweep of these inputs is this run's sweep.
+    @classmethod
+    def of(cls, compute, state: Optional[bytes], x, y, r, down, blocked) -> "_LinkRun":
+        """The run of ``compute`` on these inputs, which ``state`` encodes."""
+        return cls(state, compute(x, y, r, frozenset(down), frozenset(blocked)))
 
-        Element-wise float equality: ``0.0`` and ``-0.0`` (the only
-        non-identical equal pair; NaN never matches) give the predicate,
-        the sort and the windows the same outcome.
+    def nbytes(self, rows: bool) -> int:
+        """An upper bound on the bytes this run holds once stored.
+
+        Its state and edges, its objects, and with ``rows`` the two lists
+        :func:`_csr_lists` builds: a pointer per item plus an int object
+        per item above 256 (CPython shares the smaller ones), so every
+        row bound counts an object and targets do past 257 nodes.
         """
-        return (
-            self.down == down
-            and self.blocked == blocked
-            and _np.array_equal(x, self.x)
-            and _np.array_equal(y, self.y)
-            and _np.array_equal(r, self.r)
-        )
+        size = _RUN_OVERHEAD + sys.getsizeof(self.state) + self.edges.nbytes
+        if rows:
+            n = len(self.state) // 24  # x, y and r: 8 bytes a node each
+            e = self.edges.size
+            size += 8 * (n + 1 + e) + 32 * (n + 1 + (e if n > 257 else 0))
+        return size
+
+
+#: bytes a stored run holds besides its state, edges and rows: the run
+#: and its dict, the array header, the two list headers and its slot.
+_RUN_OVERHEAD = 768
+
+#: bytes one first sighting holds: a 16-byte digest object and its slot.
+_SIGHTING_BYTES = 128
+
+#: bytes one :class:`LinkMemo` may hold, by :meth:`_LinkRun.nbytes` per
+#: stored run and _SIGHTING_BYTES per sighting; it stops admitting at
+#: the cap.  Sized to hold one checked PAPER path: a 250-node state's
+#: runs count about 20 KiB in the engine table and 42 KiB in the oracle
+#: table, so a 300-step path counts 18.2 MiB (17.7 MiB measured;
+#: EXPERIMENTS.md, "Shared movement paths").  One memo lives per kept
+#: MANET blueprint and the blueprint LRU keeps 8, so the worst case is
+#: 8 x 24 MiB = 192 MiB, by a count that never under-counts.
+LINK_MEMO_BYTES = 24 << 20
+
+
+def _state_digest(x, y, r, down, blocked) -> bytes:
+    """A 16-byte BLAKE2b digest of :func:`_state_bytes` of these inputs.
+
+    The arrays are hashed in place, so a digest copies nothing.  It
+    only finds the candidate runs: equal state strings decide a hit.
+    """
+    digest = hashlib.blake2b(digest_size=16)
+    for column in (x, y, r):
+        digest.update(_np.ascontiguousarray(column))
+    if down or blocked:
+        digest.update(_fault_bytes(down, blocked))
+    return digest.digest()
+
+
+class LinkMemo:
+    """Link computations of the states the copies of one network reach.
+
+    The copies of one MANET blueprint walk the same movement path, so
+    without faults every copy reaches the same states.  ``engine`` holds
+    runs of the refresh's :func:`_kernel_edges` and ``oracle`` runs of
+    the reference :func:`_sweep_edges`; neither table is ever read for
+    the other's computation.  Each maps a state's digest to its stored
+    runs, or to ``None`` while the state has been seen once: a state is
+    stored on its second sighting, so a path only one copy walks stores
+    digests and no arrays.  A hit needs a stored run whose inputs are
+    byte-for-byte the caller's, and both computations are pure, so it
+    returns what computing would.  Stored edges are read-only, and an
+    oracle run's rows are built once for every copy.  The memo stops
+    admitting at :data:`LINK_MEMO_BYTES` (``limit``); a lock guards the
+    tables, since worlds may be stepped on threads of one process.
+    """
+
+    def __init__(self) -> None:
+        self.limit = LINK_MEMO_BYTES
+        #: bytes held, as :data:`LINK_MEMO_BYTES` counts them.
+        self.nbytes = 0
+        self.engine: Dict[bytes, Optional[List[_LinkRun]]] = {}
+        self.oracle: Dict[bytes, Optional[List[_LinkRun]]] = {}
+        self._lock = threading.Lock()
+
+    def run(self, table, compute, x, y, r, down, blocked, state=None) -> _LinkRun:
+        """The run of ``compute`` on these inputs: ``table``'s, or a new one.
+
+        ``state`` is :func:`_state_bytes` of the inputs, if the caller has
+        it; otherwise it is built only to compare with a stored run or to
+        store one, so a first sighting copies no input.
+        """
+        key = _state_digest(x, y, r, down, blocked)
+        with self._lock:
+            seen = key in table
+            if table.get(key):
+                if state is None:
+                    state = _state_bytes(x, y, r, down, blocked)
+                stored = _stored(table[key], state)
+                if stored is not None:
+                    return stored
+        run = _LinkRun.of(compute, state, x, y, r, down, blocked)
+        if not seen:
+            with self._lock:
+                if key not in table and self.nbytes + _SIGHTING_BYTES <= self.limit:
+                    table[key] = None
+                    self.nbytes += _SIGHTING_BYTES
+            return run
+        if state is None:
+            run.state = _state_bytes(x, y, r, down, blocked)
+        size = run.nbytes(rows=table is self.oracle)
+        with self._lock:
+            runs = table[key]
+            stored = _stored(runs, run.state)
+            if stored is not None:  # another thread stored it meanwhile
+                return stored
+            if self.nbytes + size > self.limit:
+                return run
+            run.edges.flags.writeable = False
+            if runs is None:
+                table[key] = [run]
+            else:
+                runs.append(run)
+            self.nbytes += size
+        return run
+
+
+def _stored(runs: Optional[List[_LinkRun]], state: bytes) -> Optional[_LinkRun]:
+    """The run of ``runs`` computed from ``state``, if any."""
+    for run in runs or ():
+        if run.state == state:
+            return run
+    return None
 
 
 class Fleet:
@@ -693,9 +861,10 @@ class Topology:
         self._applied_blocked: Set[Edge] = set()
         self._epoch = 0
         #: the consistency check's last oracle evaluation, reused while
-        #: the inputs read from the nodes stay equal.  Per instance, so
-        #: worlds stepped on threads of one process never share it.
-        self._oracle_run: Optional[_OracleRun] = None
+        #: the inputs read from the nodes stay equal.
+        self._oracle_run: Optional[_LinkRun] = None
+        #: the memo of the blueprint this topology was copied from, if any.
+        self._memo: Optional[LinkMemo] = None
 
     # ------------------------------------------------------------------
     # Recomputation
@@ -802,26 +971,13 @@ class Topology:
         return True
 
     def _link_edges(self):
-        """The packed edge set of the fleet and the fault state."""
-        n = self._n
-        if self._down:
-            live = _np.ones(n, dtype=bool)
-            live[list(self._down)] = False
-            live = _np.flatnonzero(live)
-        else:
-            live = _np.arange(n)
+        """The packed edge set of the fleet and the fault state (:func:`_kernel_edges`)."""
         fleet = self.fleet
-        return self._hide_blocked(link_edges(fleet.x, fleet.y, fleet.r, live, live))
-
-    def _hide_blocked(self, edges):
-        """``edges`` without the blacked-out links."""
-        blocked = self._blocked
-        if not blocked:
-            return edges
-        n = self._n
-        hidden = _np.fromiter((u * n + v for u, v in blocked), _np.int64)
-        hidden.sort()
-        return edge_delta(edges, hidden)[0]
+        inputs = (fleet.x, fleet.y, fleet.r, self._down, self._blocked)
+        memo = self._memo
+        if memo is None:
+            return _kernel_edges(*inputs)
+        return memo.run(memo.engine, _kernel_edges, *inputs).edges
 
     def _without_faults(self, edges):
         """Sorted packed ``edges`` minus down nodes' links and blocked links.
@@ -833,7 +989,7 @@ class Topology:
             down = _np.fromiter(self._down, _np.int64)
             ends = _np.divmod(edges, self._n)
             edges = edges[~(_np.isin(ends[0], down) | _np.isin(ends[1], down))]
-        return self._hide_blocked(edges)
+        return _without_links(edges, self._blocked, self._n)
 
     def _apply(self, edges, full: bool = False) -> None:
         """Adopt the sorted packed ``edges`` as the current adjacency.
@@ -1006,9 +1162,10 @@ class Topology:
 
         Positions and ranges are read on every call (:meth:`_read_inputs`).
         The sweep's edges and rows are reused only when those reads, the
-        down set and the blocked set all equal the previous call's
-        inputs; the sweep is a pure function of them, so reuse returns
-        exactly what a fresh sweep would.  Nothing else the engine keeps
+        down set and the blocked set are bit for bit the inputs of the
+        previous call's sweep, or of a sweep stored in the blueprint's
+        :class:`LinkMemo`; the sweep is a pure function of them, so reuse
+        returns exactly what a fresh sweep would.  Nothing else the engine keeps
         (the fleet's derived ranges, its snapshots, epochs) takes part,
         so a moved node, a shock or a degrade behind a missed
         :meth:`invalidate`, a corrupted array or a mutated row is
@@ -1055,16 +1212,21 @@ class Topology:
                     problems.append(f"row of node {u} is not strictly ascending")
         return problems
 
-    def _oracle(self) -> _OracleRun:
-        """The reference sweep of the inputs the nodes hold right now."""
-        x, y, r = self._read_inputs()
+    def _oracle(self) -> _LinkRun:
+        """The reference sweep of the inputs the nodes hold right now.
+
+        The previous call's run first, then the memo's, then a new sweep.
+        """
+        inputs = (*self._read_inputs(), self._down, self._blocked)
+        state = _state_bytes(*inputs)
         run = self._oracle_run
-        if run is None or not run.same_inputs(x, y, r, self._down, self._blocked):
-            down = frozenset(self._down)
-            blocked = frozenset(self._blocked)
-            run = self._oracle_run = _OracleRun(
-                x, y, r, down, blocked, _sweep_edges(x, y, r, down, blocked)
-            )
+        if run is None or run.state != state:
+            memo = self._memo
+            if memo is None:
+                run = _LinkRun.of(_sweep_edges, state, *inputs)
+            else:
+                run = memo.run(memo.oracle, _sweep_edges, *inputs, state=state)
+            self._oracle_run = run
         return run
 
     # ------------------------------------------------------------------
