@@ -51,9 +51,17 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def install(self) -> None:
-        """Schedule every plan event on the world's engine (idempotent)."""
+        """Schedule every plan event on the world's engine (once).
+
+        Every node, edge endpoint and gateway an event names must exist
+        in the world's network, or :class:`ConfigurationError` names the
+        event before anything runs.  Agent ids are not checked: an event
+        naming an agent the world lacks applies nothing when it fires.
+        """
         if self._installed:
             raise SimulationError("fault plan already installed")
+        for event in self.plan.events:
+            self._check_target(event)
         self._installed = True
         engine = self.world.engine
         for event in self.plan.events:
@@ -253,18 +261,33 @@ class FaultInjector:
                 self._notify_topology_changed()
         return applied
 
+    def _check_target(self, event: FaultEvent) -> None:
+        """Raise :class:`ConfigurationError` if ``event`` names a node or
+        gateway the world's network lacks."""
+        if event.kind in ("kill", "corruptagent"):
+            return
+        topology = self.world.topology
+        if event.gateway_relative:
+            count = len(topology.all_gateway_ids)
+            if event.target[0] >= count:
+                raise ConfigurationError(
+                    f"fault {event.describe()} targets gateway #{event.target[0]} "
+                    f"but the network has only {count} gateway(s)"
+                )
+            return
+        n = topology.node_count
+        for node in event.target:
+            if node >= n:
+                raise ConfigurationError(
+                    f"fault {event.describe()} targets node {node} "
+                    f"but the network has nodes 0..{n - 1}"
+                )
+
     def _resolve_node(self, event: FaultEvent) -> NodeId:
         """Translate the event's target into a concrete node id."""
         if not event.gateway_relative:
             return event.target[0]
-        gateways = self.world.topology.all_gateway_ids
-        index = event.target[0]
-        if index >= len(gateways):
-            raise ConfigurationError(
-                f"fault targets gateway #{index} but the network has "
-                f"only {len(gateways)} gateway(s)"
-            )
-        return gateways[index]
+        return self.world.topology.all_gateway_ids[event.target[0]]
 
     def _degrade_after_crash(self, node: NodeId, now: Time) -> None:
         """Graceful degradation: scrub every substrate the node touched."""

@@ -31,11 +31,11 @@ The nodes' state — positions, velocities, battery levels, radio ranges
 and gateway flags — lives in one structure-of-arrays :class:`Fleet` per
 topology, which the nodes, batteries and mobility models read and write.
 :meth:`Topology.advance` steps the whole fleet as array operations, and
-a refresh finds what moved by comparing the fleet's columns with copies
-taken at the previous refresh.  The node objects are a
-:class:`NodeSequence`, which builds a node the first time it is read, so
-a topology copied from columns (a MANET blueprint) pays for the nodes a
-run actually touches.
+a refresh does no edge work when the bytes of the fleet's columns and
+the fault state equal those of the run it last applied.  The node
+objects are a :class:`NodeSequence`, which builds a node the first time
+it is read, so a topology copied from columns (a MANET blueprint) pays
+for the nodes a run actually touches.
 
 The rebuild from scratch (:meth:`Topology.force_full_rebuild`, a plain
 method that no mode switches on) is the reference implementation, a
@@ -50,14 +50,16 @@ pure-Python brute force and the engine against the sweep on randomized
 mobility and fault traces, and :meth:`Topology.consistency_problems`
 lets the runtime invariant checker compare the packed array and every
 row served from it against the sweep every step.  The sweep is a pure
-function of its inputs, so the checker re-runs it only when the inputs
-it reads that step differ from the previous step's.
+function of its inputs, so the checker re-runs it only when the bytes
+of the inputs it reads that step differ from its previous run's.
 
 The refresh's edge set and the sweep are both pure functions of the
 positions, ranges, down set and blocked set, and the copies of one MANET
-blueprint walk the same movement path.  So a topology copied from a kept
-blueprint looks each result up in a :class:`LinkMemo` its copies share,
-one table per computation, before computing it; a hit returns what the
+blueprint walk the same movement path.  So both go through one lookup
+(:meth:`Topology._lookup`): the topology's last run of that computation
+if its inputs are byte-for-byte equal, then, in a topology copied from a
+kept blueprint, the :class:`LinkMemo` its copies share, one table per
+computation, and only then the computation.  A hit returns what the
 computation would return, so the engine and the sweep still check each
 other.  Other topologies have no memo.
 """
@@ -395,12 +397,8 @@ def _state_bytes(x, y, r, down, blocked) -> bytes:
     """
     state = b"".join((x.tobytes(), y.tobytes(), r.tobytes()))
     if down or blocked:
-        state += _fault_bytes(down, blocked)
+        state += repr((sorted(down), sorted(blocked))).encode()
     return state
-
-
-def _fault_bytes(down, blocked) -> bytes:
-    return repr((sorted(down), sorted(blocked))).encode()
 
 
 @dataclass
@@ -414,17 +412,11 @@ class _LinkRun:
     fact.
     """
 
-    #: ``None`` in a run of the refresh a memo did not store.
-    state: Optional[bytes]
+    state: bytes
     edges: object
     #: :func:`_csr_lists` of ``edges``, built the first time served
     #: rows are checked against them.
     csr: Optional[Tuple[List[int], List[NodeId]]] = None
-
-    @classmethod
-    def of(cls, compute, state: Optional[bytes], x, y, r, down, blocked) -> "_LinkRun":
-        """The run of ``compute`` on these inputs, which ``state`` encodes."""
-        return cls(state, compute(x, y, r, frozenset(down), frozenset(blocked)))
 
     def nbytes(self, rows: bool) -> int:
         """An upper bound on the bytes this run holds once stored.
@@ -460,18 +452,12 @@ _SIGHTING_BYTES = 128
 LINK_MEMO_BYTES = 24 << 20
 
 
-def _state_digest(x, y, r, down, blocked) -> bytes:
-    """A 16-byte BLAKE2b digest of :func:`_state_bytes` of these inputs.
+def _state_digest(state: bytes) -> bytes:
+    """A 16-byte BLAKE2b digest of ``state``, a :func:`_state_bytes` string.
 
-    The arrays are hashed in place, so a digest copies nothing.  It
-    only finds the candidate runs: equal state strings decide a hit.
+    It only finds the candidate runs: equal state strings decide a hit.
     """
-    digest = hashlib.blake2b(digest_size=16)
-    for column in (x, y, r):
-        digest.update(_np.ascontiguousarray(column))
-    if down or blocked:
-        digest.update(_fault_bytes(down, blocked))
-    return digest.digest()
+    return hashlib.blake2b(state, digest_size=16).digest()
 
 
 class LinkMemo:
@@ -500,35 +486,28 @@ class LinkMemo:
         self.oracle: Dict[bytes, Optional[List[_LinkRun]]] = {}
         self._lock = threading.Lock()
 
-    def run(self, table, compute, x, y, r, down, blocked, state=None) -> _LinkRun:
-        """The run of ``compute`` on these inputs: ``table``'s, or a new one.
+    def run(self, table, compute, state: bytes, inputs) -> _LinkRun:
+        """The run of ``compute(*inputs)``: ``table``'s, or a new one.
 
-        ``state`` is :func:`_state_bytes` of the inputs, if the caller has
-        it; otherwise it is built only to compare with a stored run or to
-        store one, so a first sighting copies no input.
+        ``state`` is :func:`_state_bytes` of ``inputs``.
         """
-        key = _state_digest(x, y, r, down, blocked)
+        key = _state_digest(state)
         with self._lock:
             seen = key in table
-            if table.get(key):
-                if state is None:
-                    state = _state_bytes(x, y, r, down, blocked)
-                stored = _stored(table[key], state)
-                if stored is not None:
-                    return stored
-        run = _LinkRun.of(compute, state, x, y, r, down, blocked)
+            stored = _stored(table.get(key), state)
+            if stored is not None:
+                return stored
+        run = _LinkRun(state, compute(*inputs))
         if not seen:
             with self._lock:
                 if key not in table and self.nbytes + _SIGHTING_BYTES <= self.limit:
                     table[key] = None
                     self.nbytes += _SIGHTING_BYTES
             return run
-        if state is None:
-            run.state = _state_bytes(x, y, r, down, blocked)
         size = run.nbytes(rows=table is self.oracle)
         with self._lock:
             runs = table[key]
-            stored = _stored(runs, run.state)
+            stored = _stored(runs, state)
             if stored is not None:  # another thread stored it meanwhile
                 return stored
             if self.nbytes + size > self.limit:
@@ -854,11 +833,9 @@ class Topology:
         #: set by :mod:`repro.net.manual` for pinned (non-geometric) graphs.
         self._pinned = False
         self.stats = TopologyStats()
-        #: copies of the fleet's ``x``/``y``/``r`` columns the current
-        #: adjacency was computed from; ``None`` until the first refresh.
-        self._ax = self._ay = self._ar = None
-        self._applied_down: Set[NodeId] = set()
-        self._applied_blocked: Set[Edge] = set()
+        #: the refresh's run the current adjacency was applied from;
+        #: ``None`` until the first refresh.
+        self._engine_run: Optional[_LinkRun] = None
         self._epoch = 0
         #: the consistency check's last oracle evaluation, reused while
         #: the inputs read from the nodes stay equal.
@@ -890,24 +867,22 @@ class Topology:
     def recompute(self) -> None:
         """Bring the adjacency up to date with positions and ranges.
 
-        The link kernel recomputes the packed edge set and counts its
-        diff against the previous one in :attr:`stats`; nodes marked
-        down (:meth:`set_node_down`) have their radios silenced and
-        blacked-out links (:meth:`block_edge`) stay suppressed, exactly
-        as in :meth:`force_full_rebuild`.
+        The link kernel recomputes the packed edge set (:meth:`_lookup`)
+        and counts its diff against the previous one in :attr:`stats`;
+        nodes marked down (:meth:`set_node_down`) have their radios
+        silenced and blacked-out links (:meth:`block_edge`) stay
+        suppressed, exactly as in :meth:`force_full_rebuild`.  Inputs
+        equal to the last applied run's only bump the epoch.
         """
         self._read_volatile()
-        if self._ax is None:
-            self._adopt(self._link_edges())
-        elif (
-            self._snapshot()
-            or self._down != self._applied_down
-            or self._blocked != self._applied_blocked
-        ):
-            self._apply(self._link_edges())
-        else:
+        last = self._engine_run
+        run = self._lookup(last, "engine", _kernel_edges, self._engine_inputs())
+        if run is last:
             self._epoch += 1
             self._dirty = False
+        else:
+            self._engine_run = run
+            self._apply(run.edges, full=last is None)
 
     def force_full_rebuild(self) -> None:
         """Rebuild the adjacency from scratch with the reference sweep."""
@@ -916,8 +891,28 @@ class Topology:
     def _adopt(self, edges) -> None:
         """Take ``edges``, the sorted packed edges of the state now, afresh."""
         self._read_volatile()
-        self._snapshot()
+        self._engine_run = _LinkRun(_state_bytes(*self._engine_inputs()), edges)
         self._apply(edges, full=True)
+
+    def _engine_inputs(self):
+        """The refresh's inputs: the fleet's columns and the fault state."""
+        fleet = self.fleet
+        return fleet.x, fleet.y, fleet.r, self._down, self._blocked
+
+    def _lookup(self, last: Optional[_LinkRun], table: str, compute, inputs) -> _LinkRun:
+        """The run of ``compute(*inputs)``, computed only if no run holds it.
+
+        ``last`` if its state is equal to the inputs', then the memo's
+        run from its ``table`` (``"engine"`` or ``"oracle"``), then a new
+        run.  ``compute`` is pure, so every answer is what it would return.
+        """
+        state = _state_bytes(*inputs)
+        if last is not None and last.state == state:
+            return last
+        memo = self._memo
+        if memo is not None:
+            return memo.run(getattr(memo, table), compute, state, inputs)
+        return _LinkRun(state, compute(*inputs))
 
     def _read_inputs(self):
         """Copies of the fleet's positions and ranges, the derived ranges re-derived.
@@ -955,30 +950,6 @@ class Topology:
     # Incremental engine
     # ------------------------------------------------------------------
 
-    def _snapshot(self) -> bool:
-        """Copy the fleet's positions and ranges; report whether they changed."""
-        fleet = self.fleet
-        if (
-            self._ax is not None
-            and _np.array_equal(fleet.x, self._ax)
-            and _np.array_equal(fleet.y, self._ay)
-            and _np.array_equal(fleet.r, self._ar)
-        ):
-            return False
-        self._ax = fleet.x.copy()
-        self._ay = fleet.y.copy()
-        self._ar = fleet.r.copy()
-        return True
-
-    def _link_edges(self):
-        """The packed edge set of the fleet and the fault state (:func:`_kernel_edges`)."""
-        fleet = self.fleet
-        inputs = (fleet.x, fleet.y, fleet.r, self._down, self._blocked)
-        memo = self._memo
-        if memo is None:
-            return _kernel_edges(*inputs)
-        return memo.run(memo.engine, _kernel_edges, *inputs).edges
-
     def _without_faults(self, edges):
         """Sorted packed ``edges`` minus down nodes' links and blocked links.
 
@@ -1008,8 +979,6 @@ class Topology:
                 self.stats.edges_added += added.size
                 self.stats.edges_removed += removed.size
         self._edges = edges
-        self._applied_down = set(self._down)
-        self._applied_blocked = set(self._blocked)
         self._epoch += 1
         self._dirty = False
 
@@ -1161,22 +1130,25 @@ class Topology:
         calls it every step.
 
         Positions and ranges are read on every call (:meth:`_read_inputs`).
-        The sweep's edges and rows are reused only when those reads, the
-        down set and the blocked set are bit for bit the inputs of the
-        previous call's sweep, or of a sweep stored in the blueprint's
-        :class:`LinkMemo`; the sweep is a pure function of them, so reuse
-        returns exactly what a fresh sweep would.  Nothing else the engine keeps
-        (the fleet's derived ranges, its snapshots, epochs) takes part,
-        so a moved node, a shock or a degrade behind a missed
-        :meth:`invalidate`, a corrupted array or a mutated row is
-        flagged in the call that first sees it.  A sound structure costs
-        one array compare and one list compare per served row; only a
-        mismatch pays for the messages naming each missing and phantom
-        edge.
+        The sweep's edges and rows are reused (:meth:`_lookup`) only when
+        those reads, the down set and the blocked set are bit for bit the
+        inputs of the previous call's sweep, or of a sweep stored in the
+        blueprint's :class:`LinkMemo`; the sweep is a pure function of
+        them, so reuse returns exactly what a fresh sweep would.  Nothing
+        else the engine keeps (the fleet's derived ranges, its last
+        refresh run, epochs) takes part, so a moved node, a shock or a
+        degrade behind a missed :meth:`invalidate`, a corrupted array or
+        a mutated row is flagged in the call that first sees it.  A sound
+        structure costs one array compare and one list compare per served
+        row; only a mismatch pays for the messages naming each missing
+        and phantom edge.
         """
         edges = self._current()
         n = self._n
-        run = None if self._pinned else self._oracle()
+        run = None
+        if not self._pinned:
+            inputs = (*self._read_inputs(), self._down, self._blocked)
+            run = self._oracle_run = self._lookup(self._oracle_run, "oracle", _sweep_edges, inputs)
         expected = edges if run is None else run.edges
         problems: List[str] = []
         if not _np.array_equal(edges, expected):
@@ -1211,23 +1183,6 @@ class Topology:
                 if have == need:
                     problems.append(f"row of node {u} is not strictly ascending")
         return problems
-
-    def _oracle(self) -> _LinkRun:
-        """The reference sweep of the inputs the nodes hold right now.
-
-        The previous call's run first, then the memo's, then a new sweep.
-        """
-        inputs = (*self._read_inputs(), self._down, self._blocked)
-        state = _state_bytes(*inputs)
-        run = self._oracle_run
-        if run is None or run.state != state:
-            memo = self._memo
-            if memo is None:
-                run = _LinkRun.of(_sweep_edges, state, *inputs)
-            else:
-                run = memo.run(memo.oracle, _sweep_edges, *inputs, state=state)
-            self._oracle_run = run
-        return run
 
     # ------------------------------------------------------------------
     # Fault state
@@ -1281,6 +1236,8 @@ class Topology:
 
     def unblock_edge(self, source: NodeId, destination: NodeId) -> bool:
         """Lift a link blackout; returns whether the state changed."""
+        self._check_id(source)
+        self._check_id(destination)
         edge = (source, destination)
         if edge not in self._blocked:
             return False

@@ -8,8 +8,11 @@ full scenario.
 
 import random
 
+import pytest
+
+from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FAULT_KINDS, FaultPlan, parse_fault_plan
 from repro.net.channel import ChannelConfig, ChannelModel
 from repro.net.manual import fixed_topology
 from repro.sim.engine import TimeStepEngine
@@ -24,7 +27,7 @@ class _StubAgent:
 class _StubWorld:
     def __init__(self, population=3):
         self.topology = fixed_topology(
-            4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]
+            4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)], gateways=(0, 3)
         )
         self.engine = TimeStepEngine()
         self.channel = ChannelModel(self.topology, ChannelConfig(), seed=7)
@@ -96,6 +99,48 @@ class TestCorruptAgentInjection:
         injector = install(world, FaultPlan().corrupt_agent(5, 9))
         world.engine.run(5)
         assert not injector.is_corrupted(9)
+
+
+#: One spec per fault kind naming a node, edge endpoint or gateway the
+#: 4-node, 2-gateway stub network lacks, and the id the error must name.
+_MISSING_TARGETS = [
+    ("crash@5:4", "node 4"),
+    ("recover@5:9", "node 9"),
+    ("shock@5:4:0.5", "node 4"),
+    ("wipe@5:4", "node 4"),
+    ("corrupt@5:4", "node 4"),
+    ("lossburst@5:4:0.5", "node 4"),
+    ("lossclear@5:999", "node 999"),
+    ("grayfail@5:4:0.5", "node 4"),
+    ("grayclear@5:999", "node 999"),
+    ("blackout@5:1-4", "node 4"),
+    ("restore@5:99-100", "node 99"),
+    ("flap@5:4:0.5:4:2", "node 4"),
+    ("flap@5:0-7:0.5:4:2", "node 7"),
+    ("crash@5:gw2", "gateway #2"),
+    ("lossclear@5:gw40", "gateway #40"),
+    ("flap@5:gw2:0.5:4:2", "gateway #2"),
+]
+
+
+class TestTargetsExist:
+    @pytest.mark.parametrize("spec, missing", _MISSING_TARGETS)
+    def test_a_missing_target_fails_at_install(self, spec, missing):
+        world = _StubWorld()
+        with pytest.raises(ConfigurationError, match=missing) as raised:
+            install(world, parse_fault_plan(spec))
+        assert spec in str(raised.value)  # the error names the event
+        assert len(world.engine.events) == 0  # nothing was scheduled
+
+    def test_every_kind_with_a_node_target_is_covered(self):
+        kinds = {spec.split("@")[0] for spec, __ in _MISSING_TARGETS}
+        assert kinds == FAULT_KINDS - {"kill", "corruptagent"}
+
+    def test_the_last_node_and_gateway_are_accepted(self):
+        world = _StubWorld()
+        install(world, parse_fault_plan("crash@5:3;restore@6:3-2;recover@7:gw1"))
+        world.engine.run(5)
+        assert world.topology.down_ids == {3}
 
 
 class TestFlapInjection:

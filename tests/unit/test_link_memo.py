@@ -3,10 +3,13 @@
 A kept :class:`~repro.net.generator.ManetBlueprint` holds one
 :class:`~repro.net.topology.LinkMemo`: its copies look up the refresh's
 edge set and the reference sweep of each state there before computing
-them.  These tests check that a hit never changes an edge set or hides
-a violation, that a digest collision cannot serve the wrong state, that
-a path one copy walks stores no arrays, that the byte cap holds, and
-that only kept blueprints have a memo.
+them.  Both computations go through one lookup: the topology's last run
+if its inputs are byte-for-byte equal, then the memo, then the
+computation.  These tests check that a hit never changes an edge set or
+hides a violation, that a digest collision cannot serve the wrong
+state, that a path one copy walks stores no arrays and builds one state
+per refresh, that unchanged inputs compute nothing, that the byte cap
+holds, and that only kept blueprints have a memo.
 """
 
 import dataclasses
@@ -143,18 +146,22 @@ class TestStorage:
         assert stored_runs(memo) == []
         assert memo.nbytes == 2 * STEPS * topology_module._SIGHTING_BYTES
 
-    def test_an_unchecked_path_one_copy_walks_copies_no_input(self, monkeypatch):
+    def test_an_unchecked_path_builds_one_state_a_refresh(self, monkeypatch):
+        blueprint = manet_blueprint(SMALL, SEED)
         built = []
         state_bytes = topology_module._state_bytes
         monkeypatch.setattr(
             topology_module, "_state_bytes", lambda *inputs: built.append(1) or state_bytes(*inputs)
         )
-        (topology,), memo = copies(1)
+        topology = blueprint.topology()
+        assert len(built) == 1  # the adopted edges' state
         for __ in range(STEPS):
             topology.advance()
             topology.packed_edges()
+        assert len(built) == 1 + STEPS
+        memo = blueprint.memo
         assert len(memo.engine) == STEPS and not memo.oracle
-        assert built == []
+        assert stored_runs(memo) == []
 
     def test_stored_arrays_are_read_only(self):
         (a, b, c), memo = copies(3)
@@ -194,6 +201,49 @@ class TestStorage:
             held += sys.getsizeof(bounds) + sys.getsizeof(targets)
             held += sum(sys.getsizeof(i) for i in bounds + targets if i > 256)
             assert run.nbytes(rows=True) >= held
+
+
+class TestLookup:
+    """The refresh and the oracle compute only inputs no run holds yet."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = {"_kernel_edges": 0, "_sweep_edges": 0}
+        for name in calls:
+            compute = getattr(topology_module, name)
+
+            def counting(*inputs, name=name, compute=compute):
+                calls[name] += 1
+                return compute(*inputs)
+
+            monkeypatch.setattr(topology_module, name, counting)
+        return calls
+
+    def test_unchanged_inputs_run_neither_computation(self, monkeypatch):
+        topology = NetworkGenerator(SMALL, SEED).generate_manet()
+        assert topology._memo is None
+        walk(topology, 2)
+        edges = topology.packed_edges()
+        calls = self.counted(monkeypatch)
+        topology.set_node_down(7)
+        topology.set_node_up(7)  # crash then recover before the next read
+        assert topology.consistency_problems() == []
+        topology.invalidate()  # a bare invalidate
+        assert topology.consistency_problems() == []
+        assert calls == {"_kernel_edges": 0, "_sweep_edges": 0}
+        assert topology.packed_edges() is edges
+
+    def test_a_full_rebuild_is_the_engine_run_of_its_inputs(self, monkeypatch):
+        topology = NetworkGenerator(SMALL, SEED).generate_manet()
+        walk(topology, 2)
+        calls = self.counted(monkeypatch)
+        topology.force_full_rebuild()
+        topology.invalidate()
+        topology.packed_edges()
+        assert calls == {"_kernel_edges": 0, "_sweep_edges": 1}
+        topology.advance()
+        topology.packed_edges()
+        assert calls == {"_kernel_edges": 1, "_sweep_edges": 1}
 
 
 class TestFaultsDiverge:

@@ -78,6 +78,17 @@ class TestTopologyBasics:
         assert topology.blocked_edges == frozenset()
         assert topology.out_neighbors(2) == [1]
 
+    def test_unblocking_an_unknown_id_raises(self):
+        # An id typo must not read as "no such blackout".
+        topology = make_line_topology()
+        n = topology.node_count
+        for source, destination in ((-1, 0), (0, -1), (n, 0), (0, n)):
+            with pytest.raises(TopologyError):
+                topology.unblock_edge(source, destination)
+        assert topology.block_edge(0, 1)
+        assert topology.unblock_edge(0, 1)
+        assert not topology.unblock_edge(0, 1)
+
     def test_adjacency_copy_is_independent(self):
         topology = make_line_topology()
         copy = topology.adjacency_copy()
